@@ -221,8 +221,7 @@ def _cmd_eval(cfg):
         if o.get("q") is None:
             raise UsageError("--tangent-point needs --q")
         reports["tangent_point"] = functionals.tangent_point_energy(
-            mesh, scheme, o["p"], o["q"], o["normalization"],
-            workers=w).to_dict()
+            mesh, scheme, o["p"], o["q"], workers=w).to_dict()
     path = _write_report(cfg, {"results": reports})
     print(f"eval: B={bend.energy:.9g}"
           + (f" W={reports['willmore']['energy']:.9g}"

@@ -58,13 +58,9 @@ def energy_gradient(mesh, params, h=1e-4, order="gauss3",
     V = mesh.vertices
     e = mesh.edges
     elen = np.linalg.norm(V[e[:, 0]] - V[e[:, 1]], axis=1)
-    local = np.zeros(len(V))
-    deg = np.zeros(len(V))
-    np.add.at(local, e[:, 0], elen)
-    np.add.at(local, e[:, 1], elen)
-    np.add.at(deg, e[:, 0], 1)
-    np.add.at(deg, e[:, 1], 1)
-    local /= np.maximum(deg, 1)
+    ends = e.T.ravel()
+    deg = np.bincount(ends, minlength=len(V))
+    local = np.bincount(ends, np.tile(elen, 2), len(V)) / np.maximum(deg, 1)
 
     jobs = [(i, k) for i in range(len(V)) for k in range(mesh.ambient_n)]
     grad = np.zeros_like(V)
@@ -116,11 +112,9 @@ def _smooth_tangential(mesh, eta):
     V = mesh.vertices
     e = mesh.edges
     acc = np.zeros_like(V)
-    deg = np.zeros(len(V))
     np.add.at(acc, e[:, 0], V[e[:, 1]])
     np.add.at(acc, e[:, 1], V[e[:, 0]])
-    np.add.at(deg, e[:, 0], 1)
-    np.add.at(deg, e[:, 1], 1)
+    deg = np.bincount(e.T.ravel(), minlength=len(V))
     u = acc / deg[:, None] - V
     n = mesh.vertex_normals
     u -= np.einsum("ik,ik->i", u, n)[:, None] * n

@@ -15,11 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix, identity
 
 from .errors import DegenerateGeometry, InvalidParams, UnsupportedMode
 from .probes import _rotation_to_z
-from .quadrature import QuadratureScheme
-from .surface import DiscreteHypersurface, EnergyParameters
 
 __all__ = [
     "EnergyReport",
@@ -41,7 +40,11 @@ def get_workers(workers=None) -> int:
     """Worker-thread count: explicit argument, else NLCURV_WORKERS, else 1."""
     if workers is None:
         workers = os.environ.get("NLCURV_WORKERS", "1")
-    workers = int(workers)
+    try:
+        workers = int(workers)
+    except ValueError:
+        raise InvalidParams(
+            f"worker count must be an integer, got {workers!r}") from None
     if workers < 1:
         raise InvalidParams("worker count must be >= 1")
     return workers
@@ -73,43 +76,34 @@ def _mesh_descriptor(mesh):
 
 
 # --------------------------------------------------------------------------
-# exclusion tables
+# exclusion tables and kernel driver
 # --------------------------------------------------------------------------
 
-def _vertex_star_elements(mesh):
-    """List of incident-element index arrays, one per vertex."""
-    star = [[] for _ in range(mesh.n_vertices)]
-    for m, el in enumerate(mesh.elements):
-        for v in el:
-            star[v].append(m)
-    return [np.asarray(s) for s in star]
+def _incidence(mesh):
+    """Sparse (V, M) vertex-element incidence: 1 where v is a corner of m."""
+    el = mesh.elements
+    rows = el.ravel()
+    cols = np.repeat(np.arange(len(el)), el.shape[1])
+    return csr_matrix((np.ones(el.size), (rows, cols)),
+                      shape=(mesh.n_vertices, len(el)))
 
 
-def _element_neighbourhoods(mesh, policy):
-    """Per element: excluded inner elements (itself, or its vertex star)."""
-    if policy == "skip_same_element":
-        return [np.array([m]) for m in range(mesh.n_elements)]
-    star = _vertex_star_elements(mesh)
-    out = []
-    for m, el in enumerate(mesh.elements):
-        out.append(np.unique(np.concatenate([star[v] for v in el])))
-    return out
+def _sample_exclusions(mesh, scheme):
+    """Per quadrature sample, its excluded inner elements as a sparse row:
+    its own element, or every element sharing a vertex with it."""
+    if scheme.diagonal_policy == "skip_same_element":
+        near = identity(mesh.n_elements, format="csr")
+    else:
+        inc = _incidence(mesh)
+        near = (inc.T @ inc).tocsr()
+    return near[scheme.element_of]
 
 
-def _excluded_samples(excluded_elements, n_per_element):
-    base = np.repeat(excluded_elements * n_per_element, n_per_element)
-    return base + np.tile(np.arange(n_per_element), len(excluded_elements))
-
-
-# --------------------------------------------------------------------------
-# kernel driver
-# --------------------------------------------------------------------------
-
-def _inner_data(mesh, scheme, params):
+def _inner_data(mesh, scheme, codim_mode):
     """Sample positions, weights, and the pairing-direction data n(y)."""
     Y = scheme.points
     W = scheme.weights
-    if mesh.codim2 or params.codim_mode == "projection":
+    if mesh.codim2 or codim_mode == "projection":
         if mesh.dim_d != 1 or mesh.ambient_n != 3:
             raise UnsupportedMode("projection mode is for curves in 3-space; "
                                   "embed plane curves with ambient=3")
@@ -138,49 +132,45 @@ def _pairing(diff, r2, N, mode):
     return mag, mag
 
 
-def _kernel_block(X, excl, Y, W, N, mode, expo_r, power_num, cutoff):
-    """Sum_y  |pairing|^a (or signed pairing) / r^expo_r * w(y) for a block.
+def _kernel_sums(mesh, scheme, codim_mode, X, excl, expo_r, power, workers):
+    """Per outer point x:  Sum_y |pairing|^power / r^expo_r * w(y), or the
+    signed pairing when power is None, over the samples y outside the
+    inner elements marked in x's row of the sparse table excl.
 
-    power_num is None for the signed single-power sum (H_s), else the
-    exponent applied to |pairing|.
+    Outer points go in fixed chunks, each written to its own slot, so the
+    result does not depend on the worker count.
     """
-    diff = X[:, None, :] - Y[None, :, :]
-    r2 = np.einsum("bsk,bsk->bs", diff, diff)
-    for i, e in enumerate(excl):
-        r2[i, e] = np.inf
-    if np.any(r2 < cutoff * cutoff):
-        raise DegenerateGeometry(
-            "non-excluded sample pair closer than the degeneracy cutoff")
-    # park excluded pairs at a harmless finite distance, zero them at the end
-    for i, e in enumerate(excl):
-        r2[i, e] = 1.0
-    absdot, dot = _pairing(diff, r2, N, mode)
-    r = np.sqrt(r2)
-    if power_num is None:
-        terms = dot / r ** expo_r
-    else:
-        terms = absdot ** power_num / r ** expo_r
-    for i, e in enumerate(excl):
-        terms[i, e] = 0.0
-    return terms @ W
-
-
-def _run_chunks(X, excl_list, worker_fn, workers):
-    """Apply worker_fn to fixed chunks of outer points; order-stable."""
+    Y, W, N, mode = _inner_data(mesh, scheme, codim_mode)
+    cutoff = _PAIR_CUTOFF * mesh.diameter
     n = len(X)
     out = np.empty(n)
-    jobs = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
 
-    def do(job):
-        a, b = job
-        out[a:b] = worker_fn(X[a:b], excl_list[a:b])
+    def do(a):
+        b = min(a + _CHUNK, n)
+        skip = np.repeat(excl[a:b].toarray() > 0, scheme.n_per_element, 1)
+        diff = X[a:b, None, :] - Y[None, :, :]
+        r2 = np.einsum("bsk,bsk->bs", diff, diff)
+        if np.any((r2 < cutoff * cutoff) & ~skip):
+            raise DegenerateGeometry(
+                "non-excluded sample pair closer than the degeneracy cutoff")
+        # park excluded pairs at a harmless distance, zero them at the end
+        r2[skip] = 1.0
+        absdot, dot = _pairing(diff, r2, N, mode)
+        r = np.sqrt(r2)
+        if power is None:
+            terms = dot / r ** expo_r
+        else:
+            terms = absdot ** power / r ** expo_r
+        terms[skip] = 0.0
+        out[a:b] = terms @ W
 
-    if workers == 1 or len(jobs) == 1:
-        for j in jobs:
-            do(j)
+    starts = range(0, n, _CHUNK)
+    if workers == 1 or n <= _CHUNK:
+        for a in starts:
+            do(a)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do, jobs))
+            list(pool.map(do, starts))
     return out
 
 
@@ -335,19 +325,13 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
     if vertices is None:
         vertices = np.arange(mesh.n_vertices)
     vertices = np.atleast_1d(np.asarray(vertices, int))
-    Y, W, N, mode = _inner_data(mesh, scheme, params)
-    star = _vertex_star_elements(mesh)
-    excl = [_excluded_samples(star[v], scheme.n_per_element) for v in vertices]
     X = mesh.vertices[vertices]
     expo = mesh.dim_d + 1 + params.s
-    cutoff = _PAIR_CUTOFF * mesh.diameter
     power = None if kind == "H" else 1.0
-
-    def fn(Xb, eb):
-        return _kernel_block(Xb, eb, Y, W, N, mode, expo, power, cutoff)
-
     near = _near_field(mesh, params, vertices, kind)
-    return params.c_s * (_run_chunks(X, excl, fn, workers) + near)
+    sums = _kernel_sums(mesh, scheme, params.codim_mode, X,
+                        _incidence(mesh)[vertices], expo, power, workers)
+    return params.c_s * (sums + near)
 
 
 def fractional_mean_curvature(mesh, scheme, vertex, params, workers=None):
@@ -368,19 +352,13 @@ def nonlocal_second_fundamental(mesh, scheme, vertex, params, workers=None):
 
 def _energy_outer(mesh, scheme, params, kind, workers):
     """|H_s|^p or |A|_s^p evaluated at the quadrature points themselves."""
-    Y, W, N, mode = _inner_data(mesh, scheme, params)
-    nbhd = _element_neighbourhoods(mesh, scheme.diagonal_policy)
-    excl = [_excluded_samples(nbhd[m], scheme.n_per_element)
-            for m in scheme.element_of]
     expo = mesh.dim_d + 1 + params.s
-    cutoff = _PAIR_CUTOFF * mesh.diameter
     power = None if kind == "H" else 1.0
-
-    def fn(Xb, eb):
-        return _kernel_block(Xb, eb, Y, W, N, mode, expo, power, cutoff)
-
-    vals = params.c_s * _run_chunks(Y, excl, fn, workers)
-    return float(np.abs(vals) ** params.p @ W)
+    vals = params.c_s * _kernel_sums(mesh, scheme, params.codim_mode,
+                                     scheme.points,
+                                     _sample_exclusions(mesh, scheme),
+                                     expo, power, workers)
+    return float(np.abs(vals) ** params.p @ scheme.weights)
 
 
 def _report(kind, energy, mesh, scheme, pdict, t0):
@@ -409,27 +387,22 @@ def bending_energy(mesh, scheme, params, workers=None) -> EnergyReport:
     return _report("bending", e, mesh, scheme, pd, t0)
 
 
-def tangent_point_energy(mesh, scheme, p, q, normalization="raw",
-                         codim_mode="hypersurface", workers=None) -> EnergyReport:
-    """T_{p,q}: double integral of |<x-y, n(y)>|^p / |x-y|^{q-p}."""
+def tangent_point_energy(mesh, scheme, p, q, codim_mode="hypersurface",
+                         workers=None) -> EnergyReport:
+    """T_{p,q}: double integral of |<x-y, n(y)>|^p / |x-y|^{q-p}.
+
+    T has no c_s, so it takes no normalization.
+    """
     if not (q > p > 0):
         raise InvalidParams("tangent-point energy needs q > p > 0")
+    if codim_mode not in ("hypersurface", "projection"):
+        raise InvalidParams(f"unknown codim mode {codim_mode!r}")
     t0 = time.perf_counter()
-    params = EnergyParameters(s=0.5, p=p, q=q, normalization=normalization,
-                              codim_mode=codim_mode)
-    workers = get_workers(workers)
-    Y, W, N, mode = _inner_data(mesh, scheme, params)
-    nbhd = _element_neighbourhoods(mesh, scheme.diagonal_policy)
-    excl = [_excluded_samples(nbhd[m], scheme.n_per_element)
-            for m in scheme.element_of]
-    cutoff = _PAIR_CUTOFF * mesh.diameter
-
-    def fn(Xb, eb):
-        return _kernel_block(Xb, eb, Y, W, N, mode, q - p, p, cutoff)
-
-    per_outer = _run_chunks(Y, excl, fn, workers)
-    e = float(abs(params.c_s) ** p * (per_outer @ W))
-    pd = {"s": None, "p": p, "q": q, "normalization": normalization}
+    per_outer = _kernel_sums(mesh, scheme, codim_mode, scheme.points,
+                             _sample_exclusions(mesh, scheme), q - p, p,
+                             get_workers(workers))
+    e = float(per_outer @ scheme.weights)
+    pd = {"s": None, "p": p, "q": q, "normalization": None}
     return _report("tangent_point", e, mesh, scheme, pd, t0)
 
 

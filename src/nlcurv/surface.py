@@ -262,6 +262,8 @@ def build_surface(vertices, elements, *, codim2=False, allow_boundary=False,
     E = np.array(elements, dtype=np.int64, order="C", copy=True)
     if V.ndim != 2 or E.ndim != 2 or E.shape[1] not in (2, 3):
         raise ParseError("need (V,n) vertices and (M,2|3) elements")
+    if not np.all(np.isfinite(V)):
+        raise ParseError("vertex coordinates must be finite")
     dim_d = E.shape[1] - 1
     ambient = V.shape[1]
     if codim2 and not (dim_d == 1 and ambient == 3):

@@ -71,6 +71,20 @@ class TestCommands:
         doc = read_report(tmp_path)
         assert doc["results"]["tangent_point"]["energy"] > 0
 
+    def test_eval_tangent_point_ignores_normalization(self, tmp_path):
+        # T_{p,q} carries no c_s, so the normalization must not scale it
+        energies = {}
+        for norm in ("raw", "limit_normalized"):
+            out = tmp_path / norm
+            rc = main(["eval", "--primitive", "circle", "--n", "128",
+                       "--tangent-point", "--p", "2", "--q", "4",
+                       "--normalization", norm, "--out", str(out)])
+            assert rc == 0
+            tp = read_report(out)["results"]["tangent_point"]
+            assert tp["normalization"] is None
+            energies[norm] = tp["energy"]
+        assert energies["raw"] == energies["limit_normalized"]
+
     def test_eval_tangent_point_needs_q(self, tmp_path):
         rc = main(["eval", "--primitive", "circle", "--tangent-point",
                    "--out", str(tmp_path)])
@@ -182,3 +196,11 @@ class TestCommands:
         rc = main(["eval", "--primitive", "sphere_icosub", "--sub", "1",
                    "--out", str(tmp_path)])
         assert rc == 0
+
+    def test_malformed_workers_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NLCURV_WORKERS", "abc")
+        rc = main(["eval", "--primitive", "sphere_icosub", "--sub", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "InvalidParams"

@@ -54,6 +54,15 @@ class TestPointwise:
         A = pointwise_curvature(sphere2, sc, PARAMS, kind="A")
         assert np.allclose(np.abs(H), A, rtol=1e-13)
 
+    def test_vertex_subset_matches_full(self, sphere1):
+        # unsorted, repeated vertices pick the same rows as the full array
+        sc = build_scheme(sphere1, order="gauss3")
+        for kind in ("H", "A"):
+            full = pointwise_curvature(sphere1, sc, PARAMS, kind=kind)
+            some = pointwise_curvature(sphere1, sc, PARAMS, [5, 0, 5, 3],
+                                       kind=kind)
+            assert np.array_equal(some, full[[5, 0, 5, 3]])
+
     def test_worker_determinism(self, sphere2):
         sc = build_scheme(sphere2, order="gauss3")
         base = pointwise_curvature(sphere2, sc, PARAMS, kind="H", workers=1)
@@ -112,10 +121,12 @@ class TestPointwise:
 class TestEnergies:
     @pytest.mark.parametrize("policy", ["skip_same_element",
                                         "skip_vertex_star"])
-    def test_matches_naive(self, sphere1, policy):
-        sc = build_scheme(sphere1, order="centroid", diagonal_policy=policy)
-        got = bending_energy(sphere1, sc, PARAMS).energy
-        ref = naive_energy(sphere1, sc, PARAMS, "A")
+    @pytest.mark.parametrize("name", ["sphere1", "circle128"])
+    def test_matches_naive(self, request, name, policy):
+        mesh = request.getfixturevalue(name)
+        sc = build_scheme(mesh, order="centroid", diagonal_policy=policy)
+        got = bending_energy(mesh, sc, PARAMS).energy
+        ref = naive_energy(mesh, sc, PARAMS, "A")
         assert abs(got - ref) < 1e-12 * ref
 
     def test_willmore_matches_naive(self, circle128):
@@ -217,3 +228,8 @@ class TestWorkers:
     def test_invalid(self):
         with pytest.raises(InvalidParams):
             get_workers(0)
+
+    def test_malformed_env(self, monkeypatch):
+        monkeypatch.setenv("NLCURV_WORKERS", "abc")
+        with pytest.raises(InvalidParams):
+            get_workers()

@@ -109,6 +109,14 @@ class TestValidation:
         assert m.codim2 and m.element_normals.size == 0
         assert m.element_tangents.shape == (64, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates(self, bad):
+        m = make_primitive("sphere_icosub", subdivisions=0)
+        V = m.vertices.copy()
+        V[3, 1] = bad
+        with pytest.raises(errors.ParseError):
+            build_surface(V, m.elements)
+
 
 class TestIO:
     def test_off_roundtrip(self, tmp_path, sphere1):
