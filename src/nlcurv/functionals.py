@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix, identity, issparse
 
 from .errors import DegenerateGeometry, InvalidParams, UnsupportedMode
 from .probes import _rotation_to_z
@@ -132,22 +132,28 @@ def _pairing(diff, r2, N, mode):
     return mag, mag
 
 
-def _kernel_sums(mesh, scheme, codim_mode, X, excl, expo_r, power, workers):
+def _kernel_sums(X, excl, inner, cutoff, expo_r, power, workers):
     """Per outer point x:  Sum_y |pairing|^power / r^expo_r * w(y), or the
-    signed pairing when power is None, over the samples y outside the
-    inner elements marked in x's row of the sparse table excl.
+    signed pairing when power is None, over the inner samples y outside
+    the inner elements marked in x's row of the table excl (sparse, or
+    a dense array for small tables).
 
-    Outer points go in fixed chunks, each written to its own slot, so the
-    result does not depend on the worker count.
+    inner is (Y, W, N, mode) as from _inner_data, ordered by inner
+    element with the same number of samples each; excl has one column
+    per inner element.  A kept pair closer than cutoff raises
+    DegenerateGeometry.  Outer points go in fixed chunks, each written to
+    its own slot, so the result does not depend on the worker count.
     """
-    Y, W, N, mode = _inner_data(mesh, scheme, codim_mode)
-    cutoff = _PAIR_CUTOFF * mesh.diameter
+    Y, W, N, mode = inner
+    k = len(W) // excl.shape[1]
     n = len(X)
     out = np.empty(n)
 
     def do(a):
         b = min(a + _CHUNK, n)
-        skip = np.repeat(excl[a:b].toarray() > 0, scheme.n_per_element, 1)
+        rows = excl[a:b]
+        skip = np.repeat((rows.toarray() if issparse(rows) else rows) > 0,
+                         k, 1)
         diff = X[a:b, None, :] - Y[None, :, :]
         r2 = np.einsum("bsk,bsk->bs", diff, diff)
         if np.any((r2 < cutoff * cutoff) & ~skip):
@@ -329,8 +335,9 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
     expo = mesh.dim_d + 1 + params.s
     power = None if kind == "H" else 1.0
     near = _near_field(mesh, params, vertices, kind)
-    sums = _kernel_sums(mesh, scheme, params.codim_mode, X,
-                        _incidence(mesh)[vertices], expo, power, workers)
+    sums = _kernel_sums(X, _incidence(mesh)[vertices],
+                        _inner_data(mesh, scheme, params.codim_mode),
+                        _PAIR_CUTOFF * mesh.diameter, expo, power, workers)
     return params.c_s * (sums + near)
 
 
@@ -354,10 +361,10 @@ def _energy_outer(mesh, scheme, params, kind, workers):
     """|H_s|^p or |A|_s^p evaluated at the quadrature points themselves."""
     expo = mesh.dim_d + 1 + params.s
     power = None if kind == "H" else 1.0
-    vals = params.c_s * _kernel_sums(mesh, scheme, params.codim_mode,
-                                     scheme.points,
-                                     _sample_exclusions(mesh, scheme),
-                                     expo, power, workers)
+    vals = params.c_s * _kernel_sums(
+        scheme.points, _sample_exclusions(mesh, scheme),
+        _inner_data(mesh, scheme, params.codim_mode),
+        _PAIR_CUTOFF * mesh.diameter, expo, power, workers)
     return float(np.abs(vals) ** params.p @ scheme.weights)
 
 
@@ -398,8 +405,9 @@ def tangent_point_energy(mesh, scheme, p, q, codim_mode="hypersurface",
     if codim_mode not in ("hypersurface", "projection"):
         raise InvalidParams(f"unknown codim mode {codim_mode!r}")
     t0 = time.perf_counter()
-    per_outer = _kernel_sums(mesh, scheme, codim_mode, scheme.points,
-                             _sample_exclusions(mesh, scheme), q - p, p,
+    per_outer = _kernel_sums(scheme.points, _sample_exclusions(mesh, scheme),
+                             _inner_data(mesh, scheme, codim_mode),
+                             _PAIR_CUTOFF * mesh.diameter, q - p, p,
                              get_workers(workers))
     e = float(per_outer @ scheme.weights)
     pd = {"s": None, "p": p, "q": q, "normalization": None}

@@ -25,26 +25,26 @@ def _curve_graph(mesh):
 
 def _triangle_graph(mesh, refine):
     V = mesh.vertices
-    F = mesh.elements
+    e = mesh.edges
     if not refine:
-        e = mesh.edges
         w = np.linalg.norm(V[e[:, 0]] - V[e[:, 1]], axis=1)
         return e[:, 0], e[:, 1], w, mesh.n_vertices
-    # midpoint nodes, one per undirected edge
-    e = mesh.edges
+    # midpoint nodes, one per undirected edge; edges are sorted rows, so
+    # their keys lo * V + hi are sorted too
     nv = mesh.n_vertices
-    mid_id = {tuple(ed): nv + i for i, ed in enumerate(map(tuple, e))}
     P = np.vstack([V, (V[e[:, 0]] + V[e[:, 1]]) / 2])
-    rows, cols = [], []
-    for a, b, c in F:
-        mab = mid_id[(a, b) if a < b else (b, a)]
-        mbc = mid_id[(b, c) if b < c else (c, b)]
-        mca = mid_id[(c, a) if c < a else (a, c)]
-        # split edges, medial triangle, and median chords
-        rows += [a, mab, b, mbc, c, mca, mab, mbc, mca, a, b, c]
-        cols += [mab, b, mbc, c, mca, a, mbc, mca, mab, mbc, mca, mab]
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
+    a, b, c = mesh.elements.T
+    keys = e[:, 0] * nv + e[:, 1]
+
+    def mid(u, v):
+        return nv + np.searchsorted(keys, np.minimum(u, v) * nv
+                                    + np.maximum(u, v))
+
+    mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+    # per face: split edges, medial triangle, and median chords
+    rows = np.stack([a, mab, b, mbc, c, mca, mab, mbc, mca, a, b, c], 1)
+    cols = np.stack([mab, b, mbc, c, mca, a, mbc, mca, mab, mbc, mca, mab], 1)
+    rows, cols = rows.ravel(), cols.ravel()
     w = np.linalg.norm(P[rows] - P[cols], axis=1)
     return rows, cols, w, len(P)
 

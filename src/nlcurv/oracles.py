@@ -54,12 +54,15 @@ def circle_fmc(R, s, crosscheck=False):
              * special.gamma((1 - s) / 2) / special.gamma(1 - s / 2))
     if crosscheck:
         # arc-length reduction: chord |x-y| = 2R sin(t/2),
-        # <x-y, n(y)> = -2R sin^2(t/2), measure R dt over t in (0, 2pi)
-        def integrand(t):
-            return -(2 * R * np.sin(t / 2) ** 2) / (2 * R * np.sin(t / 2)) ** (2 + s) * R
-
-        quad, err = integrate.quad(integrand, 0, 2 * np.pi, epsabs=1e-13,
-                                   epsrel=1e-13, limit=400)
+        # <x-y, n(y)> = -2R sin^2(t/2), measure R dt over t in (0, 2pi);
+        # the integrand is -R (2R)^{-1-s} sin(t/2)^{-s}, i.e. with u = t/2
+        # and symmetry, -R (2R)^{-1-s} 4 int_0^{pi/2} sin(u)^{-s} du.  The
+        # u^{-s} endpoint singularity goes into quad's algebraic weight.
+        scale = -4 * R * (2 * R) ** (-1 - s)
+        quad, err = integrate.quad(lambda u: np.sinc(u / np.pi) ** -s,
+                                   0, np.pi / 2, weight="alg", wvar=(-s, 0),
+                                   epsabs=1e-13, epsrel=1e-13, limit=400)
+        quad, err = scale * quad, abs(scale) * err
         if abs(quad - value) > 1e-10 * abs(value):
             raise ArithmeticError(
                 f"circle oracle self-check failed: {value} vs {quad}")

@@ -83,6 +83,21 @@ class QuadratureScheme:
                 "samples_per_element": self.n_per_element}
 
 
+def _element_samples(vertices, elements, measures, order):
+    """Sample points (m*k, n) and weights (m*k,) of the given elements,
+    ordered by (element, local point), from the order's rule."""
+    if elements.shape[1] == 2:
+        t, wf = _SEG_RULES[order]
+        P = vertices[elements]                     # (m, 2, n)
+        pts = (1 - t)[None, :, None] * P[:, None, 0] + t[None, :, None] * P[:, None, 1]
+    else:
+        bary, wf = _TRI_RULES[order]
+        P = vertices[elements]                     # (m, 3, 3)
+        pts = np.einsum("kj,mjn->mkn", bary, P)
+    weights = (measures[:, None] * wf[None, :]).reshape(-1)
+    return pts.reshape(len(weights), -1), weights
+
+
 def build_scheme(mesh: DiscreteHypersurface, order="gauss3",
                  diagonal_policy="skip_vertex_star") -> QuadratureScheme:
     """Tabulate sample points and weights for every element of the mesh."""
@@ -90,18 +105,16 @@ def build_scheme(mesh: DiscreteHypersurface, order="gauss3",
         raise InvalidParams(f"unknown quadrature order {order!r}")
     if diagonal_policy not in DIAGONAL_POLICIES:
         raise InvalidParams(f"unknown diagonal policy {diagonal_policy!r}")
-    if mesh.dim_d == 1:
-        t, wf = _SEG_RULES[order]
-        P = mesh.vertices[mesh.elements]           # (M, 2, n)
-        pts = (1 - t)[None, :, None] * P[:, None, 0] + t[None, :, None] * P[:, None, 1]
-    else:
-        bary, wf = _TRI_RULES[order]
-        P = mesh.vertices[mesh.elements]           # (M, 3, 3)
-        pts = np.einsum("kj,mjn->mkn", bary, P)
-    k = len(wf)
-    M = mesh.n_elements
-    weights = (mesh.element_measures[:, None] * wf[None, :]).reshape(-1)
-    element_of = np.repeat(np.arange(M), k)
+    if (mesh.dim_d == 2 and order == "gauss3"
+            and diagonal_policy == "skip_same_element"):
+        # adjacent triangles share their edge-midpoint samples
+        raise InvalidParams(
+            "gauss3 triangle samples sit on shared edge midpoints, so "
+            "skip_same_element pairs coincident samples; use order "
+            "'centroid' or 'gauss7', or policy 'skip_vertex_star'")
+    pts, weights = _element_samples(mesh.vertices, mesh.elements,
+                                   mesh.element_measures, order)
+    k = len(weights) // mesh.n_elements
+    element_of = np.repeat(np.arange(mesh.n_elements), k)
     return QuadratureScheme(order, diagonal_policy,
-                            np.ascontiguousarray(pts.reshape(M * k, -1)),
-                            weights, element_of, k)
+                            np.ascontiguousarray(pts), weights, element_of, k)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nlcurv.functionals import _near_field
+from nlcurv.functionals import _near_field, bending_energy
+from nlcurv.quadrature import build_scheme
 from nlcurv.surface import build_surface, make_primitive
 
 
@@ -118,6 +119,38 @@ def naive_energy(mesh, scheme, params, kind):
             acc = abs(acc)
         total += (params.c_s * acc) ** params.p * scheme.weights[i]
     return total
+
+
+def fd_gradient_oracle(mesh, params, h=1e-4, order="gauss3",
+                       diagonal_policy="skip_vertex_star"):
+    """Reference central-difference gradient of B_{s,p}: every perturbed
+    energy rebuilds the mesh and the scheme and runs the full double sum.
+
+    Same stencil as the library: step h times the vertex's mean incident
+    edge length.
+    """
+    V = mesh.vertices
+    e = mesh.edges
+    elen = np.linalg.norm(V[e[:, 0]] - V[e[:, 1]], axis=1)
+    ends = e.T.ravel()
+    deg = np.bincount(ends, minlength=len(V))
+    local = np.bincount(ends, np.tile(elen, 2), len(V)) / np.maximum(deg, 1)
+
+    def energy(Vp):
+        m = mesh.with_vertices(Vp)
+        sc = build_scheme(m, order, diagonal_policy)
+        return bending_energy(m, sc, params, workers=1).energy
+
+    grad = np.zeros_like(V)
+    for i in range(len(V)):
+        step = h * local[i]
+        for k in range(mesh.ambient_n):
+            Vp = V.copy()
+            Vp[i, k] += step
+            ep = energy(Vp)
+            Vp[i, k] -= 2 * step
+            grad[i, k] = (ep - energy(Vp)) / (2 * step)
+    return grad
 
 
 ACCEPTANCE_LINES = []

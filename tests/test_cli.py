@@ -191,6 +191,13 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ParseError"
 
+    def test_gauss3_same_element_triangles_rejected(self, tmp_path, capsys):
+        rc = main(["eval", "--primitive", "sphere_icosub", "--sub", "1",
+                   "--policy", "skip_same_element", "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "InvalidParams"
+
     def test_workers_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLCURV_WORKERS", "4")
         rc = main(["eval", "--primitive", "sphere_icosub", "--sub", "1",

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from conftest import fd_gradient_oracle
 
-from nlcurv.errors import InvalidParams, StallError
+from nlcurv.errors import DegenerateGeometry, InvalidParams, StallError
 from nlcurv.flow import (
+    _diameters_without,
     best_fit_sphere,
     energy_gradient,
     hausdorff_to_best_sphere,
@@ -11,7 +13,7 @@ from nlcurv.flow import (
 )
 from nlcurv.functionals import bending_energy
 from nlcurv.quadrature import build_scheme
-from nlcurv.surface import EnergyParameters, make_primitive
+from nlcurv.surface import EnergyParameters, build_surface, make_primitive
 
 PARAMS = EnergyParameters(s=0.5, p=5.0)  # subcritical: 5 > 2/0.5
 
@@ -45,6 +47,55 @@ class TestGradient:
     def test_invalid_step(self, bumpy):
         with pytest.raises(InvalidParams):
             energy_gradient(bumpy, PARAMS, h=0.0)
+
+    @pytest.mark.parametrize("order,policy", [
+        ("gauss3", "skip_vertex_star"),
+        ("gauss7", "skip_vertex_star"),
+        ("centroid", "skip_same_element"),
+    ])
+    def test_matches_full_rebuild(self, bumpy, order, policy):
+        g = energy_gradient(bumpy, PARAMS, order=order,
+                            diagonal_policy=policy)
+        ref = fd_gradient_oracle(bumpy, PARAMS, order=order,
+                                 diagonal_policy=policy)
+        assert np.abs(g - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("ambient", [2, 3])
+    def test_matches_full_rebuild_curves(self, ambient):
+        # a bumpy 64-gon in the plane, and lifted out of it in 3-space
+        n = 64
+        th = 2 * np.pi * np.arange(n) / n
+        r = 1.0 + 0.05 * np.random.default_rng(2).standard_normal(n)
+        V = np.stack([r * np.cos(th), r * np.sin(th)], 1)
+        E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
+        if ambient == 3:
+            V = np.c_[V, 0.2 * np.sin(3 * th)]
+        mesh = build_surface(V, E, codim2=ambient == 3)
+        params = EnergyParameters(
+            s=0.5, p=5.0,
+            codim_mode="projection" if ambient == 3 else "hypersurface")
+        g = energy_gradient(mesh, params)
+        ref = fd_gradient_oracle(mesh, params)
+        assert np.abs(g - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    def test_coincident_samples_degenerate(self, circle128):
+        n = circle128.n_vertices
+        doubled = build_surface(np.vstack([circle128.vertices] * 2),
+                                np.vstack([circle128.elements,
+                                           circle128.elements + n]))
+        with pytest.raises(DegenerateGeometry):
+            energy_gradient(doubled, PARAMS)
+
+    def test_diameters_without(self, bumpy, sphere1):
+        # sphere1 has many tied antipodal pairs, bumpy one farthest pair
+        for mesh in (bumpy, sphere1):
+            V = mesh.vertices
+            ref = []
+            for i in range(len(V)):
+                rest = np.delete(V, i, 0)
+                d2 = ((rest[:, None, :] - rest[None, :, :]) ** 2).sum(-1)
+                ref.append(np.sqrt(d2.max()))
+            assert np.array_equal(_diameters_without(V), ref)
 
 
 class TestProjection:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlcurv.errors import DisconnectedMesh
-from nlcurv.geodesics import check_connected, intrinsic_distances
+from nlcurv.geodesics import _triangle_graph, check_connected, intrinsic_distances
 from nlcurv.surface import build_surface, make_primitive
 
 
@@ -59,3 +59,34 @@ def test_disconnected_rejected(circle128):
 
 def test_torus_connected():
     check_connected(make_primitive("torus"))
+
+
+def _triangle_graph_loop(mesh):
+    """Refined-graph arcs by the per-face loop with a midpoint dict."""
+    V = mesh.vertices
+    e = mesh.edges
+    nv = mesh.n_vertices
+    mid_id = {tuple(ed): nv + i for i, ed in enumerate(map(tuple, e))}
+    P = np.vstack([V, (V[e[:, 0]] + V[e[:, 1]]) / 2])
+    rows, cols = [], []
+    for a, b, c in mesh.elements:
+        mab = mid_id[(a, b) if a < b else (b, a)]
+        mbc = mid_id[(b, c) if b < c else (c, b)]
+        mca = mid_id[(c, a) if c < a else (a, c)]
+        rows += [a, mab, b, mbc, c, mca, mab, mbc, mca, a, b, c]
+        cols += [mab, b, mbc, c, mca, a, mbc, mca, mab, mbc, mca, mab]
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
+    w = np.linalg.norm(P[rows] - P[cols], axis=1)
+    return rows, cols, w, len(P)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus"])
+def test_refined_graph_matches_loop(request, name):
+    mesh = (make_primitive("torus", n_major=16, n_minor=8) if name == "torus"
+            else request.getfixturevalue(name))
+    got = _triangle_graph(mesh, refine=True)
+    ref = _triangle_graph_loop(mesh)
+    for g, r in zip(got[:3], ref[:3]):
+        assert np.array_equal(g, r)
+    assert got[3] == ref[3]

@@ -75,7 +75,7 @@ def test_degree_four_exactness_gauss7(flat_square):
 
 def test_policies_recorded(sphere1):
     for pol in DIAGONAL_POLICIES:
-        sc = build_scheme(sphere1, diagonal_policy=pol)
+        sc = build_scheme(sphere1, order="gauss7", diagonal_policy=pol)
         assert sc.diagonal_policy == pol
         assert sc.descriptor()["diagonal_policy"] == pol
 
@@ -85,6 +85,15 @@ def test_invalid_inputs(sphere1):
         build_scheme(sphere1, order="gauss99")
     with pytest.raises(InvalidParams):
         build_scheme(sphere1, diagonal_policy="keep_everything")
+
+
+def test_gauss3_same_element_rejected_on_triangles(sphere1, circle128):
+    # gauss3 triangle samples are edge midpoints shared by neighbours
+    with pytest.raises(InvalidParams, match="gauss7"):
+        build_scheme(sphere1, "gauss3", "skip_same_element")
+    # Gauss-Legendre segment nodes are interior, so curves keep gauss3
+    sc = build_scheme(circle128, "gauss3", "skip_same_element")
+    assert sc.n_per_element == 2
 
 
 def test_immutable(sphere1):
