@@ -58,7 +58,6 @@ from .seminorms import (
 from .surface import (
     DiscreteHypersurface,
     EnergyParameters,
-    area,
     build_surface,
     convexity_check,
     load_mesh,

@@ -165,27 +165,24 @@ def parse_config(argv) -> RunConfig:
     return RunConfig(command, opts)
 
 
+_PRIMITIVE_KW = {  # make_primitive keywords per primitive, from the options
+    "circle": lambda o: dict(radius=o["radius"], n=o["n"], **(
+        {"ambient": o["ambient"]} if o.get("ambient") else {})),
+    "sphere_icosub": lambda o: dict(radius=o["radius"], subdivisions=o["sub"]),
+    "ellipsoid": lambda o: dict(semi_axes=tuple(
+        float(x) for x in o["semi_axes"].split(",")), subdivisions=o["sub"]),
+    "torus": lambda o: dict(major_radius=o["major"], minor_radius=o["minor"]),
+    "perturbed_sphere": lambda o: dict(radius=o["radius"], amplitude=o["amp"],
+                                       seed=o["seed"], subdivisions=o["sub"]),
+    "dumbbell": lambda o: dict(neck_radius=o["neck"]),
+}
+
+
 def _get_mesh(o):
     if o.get("mesh"):
         return load_mesh(o["mesh"])
     kind = o["primitive"]
-    if kind == "circle":
-        kw = {"radius": o["radius"], "n": o["n"]}
-        if o.get("ambient"):
-            kw["ambient"] = o["ambient"]
-    elif kind == "sphere_icosub":
-        kw = {"radius": o["radius"], "subdivisions": o["sub"]}
-    elif kind == "ellipsoid":
-        kw = {"semi_axes": tuple(float(x) for x in o["semi_axes"].split(",")),
-              "subdivisions": o["sub"]}
-    elif kind == "torus":
-        kw = {"major_radius": o["major"], "minor_radius": o["minor"]}
-    elif kind == "perturbed_sphere":
-        kw = {"radius": o["radius"], "amplitude": o["amp"],
-              "seed": o["seed"], "subdivisions": o["sub"]}
-    else:
-        kw = {"neck_radius": o["neck"]}
-    return make_primitive(kind, **kw)
+    return make_primitive(kind, **_PRIMITIVE_KW[kind](o))
 
 
 def _params(o):

@@ -1,10 +1,10 @@
 """Nonlocal curvature quantities: pointwise H_s and |A|_s, the energies
 W_{s,p}, B_{s,p}, T_{p,q}, and the tangent-point radius.
 
-All double sums share one chunked kernel driver.  Outer points are split
-into fixed-size chunks regardless of worker count and every chunk writes
-into a preallocated slot, so results are bitwise reproducible for any
-number of threads.
+All double sums share one kernel driver, tiled by sample-pair count so
+that worker memory does not depend on the mesh size.  Tiles and blocks do
+not depend on the worker count and each block writes its own output slot,
+so results are bitwise reproducible for any number of threads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity, issparse
+from scipy.sparse import csr_matrix, identity
 
 from .errors import DegenerateGeometry, InvalidParams, UnsupportedMode
 from .probes import _rotation_to_z
@@ -32,7 +32,7 @@ __all__ = [
     "get_workers",
 ]
 
-_CHUNK = 128          # outer points per work unit (fixed for determinism)
+_TILE_PAIRS = 1 << 16  # sample pairs per kernel tile (fixed for determinism)
 _PAIR_CUTOFF = 1e-14  # times diameter: closer non-excluded pairs are an error
 
 
@@ -84,7 +84,7 @@ def _incidence(mesh):
     el = mesh.elements
     rows = el.ravel()
     cols = np.repeat(np.arange(len(el)), el.shape[1])
-    return csr_matrix((np.ones(el.size), (rows, cols)),
+    return csr_matrix((np.ones(el.size, np.int8), (rows, cols)),
                       shape=(mesh.n_vertices, len(el)))
 
 
@@ -92,7 +92,7 @@ def _sample_exclusions(mesh, scheme):
     """Per quadrature sample, its excluded inner elements as a sparse row:
     its own element, or every element sharing a vertex with it."""
     if scheme.diagonal_policy == "skip_same_element":
-        near = identity(mesh.n_elements, format="csr")
+        near = identity(mesh.n_elements, np.int8, format="csr")
     else:
         inc = _incidence(mesh)
         near = (inc.T @ inc).tocsr()
@@ -117,66 +117,75 @@ def _inner_data(mesh, scheme, codim_mode):
     return Y, W, N, mode
 
 
-def _pairing(diff, r2, N, mode):
-    """|pairing| and signed pairing of x-y with the normal data at y.
-
-    hypersurface: <x-y, n(y)>.  projection: |x-y - <t,x-y> t| (length of
-    the component of x-y in the normal plane of the curve at y); the sign
-    is meaningless there and the magnitude is returned for both slots.
-    """
-    if mode == "hypersurface":
-        dot = np.einsum("bsk,sk->bs", diff, N)
-        return np.abs(dot), dot
-    tang = np.einsum("bsk,sk->bs", diff, N)
-    mag = np.sqrt(np.maximum(r2 - tang * tang, 0.0))
-    return mag, mag
-
-
 def _kernel_sums(X, excl, inner, cutoff, expo_r, power, workers):
     """Per outer point x:  Sum_y |pairing|^power / r^expo_r * w(y), or the
     signed pairing when power is None, over the inner samples y outside
-    the inner elements marked in x's row of the table excl (sparse, or
-    a dense array for small tables).
+    the inner elements marked in x's row of the table excl (sparse or
+    dense).  The pairing is <x-y, n(y)>, or in projection mode
+    |x-y - <t,x-y> t|, the part of x-y normal to the curve at y.
 
-    inner is (Y, W, N, mode) as from _inner_data, ordered by inner
-    element with the same number of samples each; excl has one column
-    per inner element.  A kept pair closer than cutoff raises
-    DegenerateGeometry.  Outer points go in fixed chunks, each written to
-    its own slot, so the result does not depend on the worker count.
+    inner is (Y, W, N, mode) from _inner_data, ordered by element with k
+    samples each.  A kept pair closer than cutoff raises
+    DegenerateGeometry.  Tiles of at most _TILE_PAIRS inner samples (whole
+    elements) and blocks of _TILE_PAIRS // tile outer points keep each
+    worker in four (rows, tile) buffers whatever S is.  Excluded pairs are
+    parked at r^2 = +inf, where r^-expo_r is an exact zero.  Each block sums
+    its tiles in a fixed order into its own slot, so the result does not
+    depend on the worker count; one block runs in the calling thread.
     """
     Y, W, N, mode = inner
     k = len(W) // excl.shape[1]
-    n = len(X)
-    out = np.empty(n)
+    n, S = len(X), len(W)
+    tile = min(S, max(k, _TILE_PAIRS // k * k))
+    rows = max(1, min(n, _TILE_PAIRS // tile))
+    starts = range(0, n, rows)
+    workers = min(workers, len(starts))
+    Yt, Nt = Y.T.copy(), N.T.copy()
+    # nonzero() lists the entries row by row, for sparse and dense tables
+    ex_row, ex_el = excl.nonzero()
+    out = np.zeros(n)
 
-    def do(a):
-        b = min(a + _CHUNK, n)
-        rows = excl[a:b]
-        skip = np.repeat((rows.toarray() if issparse(rows) else rows) > 0,
-                         k, 1)
-        diff = X[a:b, None, :] - Y[None, :, :]
-        r2 = np.einsum("bsk,bsk->bs", diff, diff)
-        if np.any((r2 < cutoff * cutoff) & ~skip):
-            raise DegenerateGeometry(
-                "non-excluded sample pair closer than the degeneracy cutoff")
-        # park excluded pairs at a harmless distance, zero them at the end
-        r2[skip] = 1.0
-        absdot, dot = _pairing(diff, r2, N, mode)
-        r = np.sqrt(r2)
-        if power is None:
-            terms = dot / r ** expo_r
-        else:
-            terms = absdot ** power / r ** expo_r
-        terms[skip] = 0.0
-        out[a:b] = terms @ W
+    def work(first):
+        buf = np.empty((4, rows * tile))
+        for a in starts[first::workers]:
+            b = min(a + rows, n)
+            lo, hi = np.searchsorted(ex_row, (a, b))
+            ex_r, ex_e = ex_row[lo:hi] - a, ex_el[lo:hi]
+            for c in range(0, S, tile):
+                d = min(c + tile, S)
+                r2, dot, diff, tmp = (v.reshape(b - a, d - c)
+                                      for v in buf[:, :(b - a) * (d - c)])
+                for j, (x, y, t) in enumerate(zip(X[a:b].T, Yt[:, c:d],
+                                                  Nt[:, c:d])):
+                    np.subtract(x[:, None], y, out=diff)
+                    if j == 0:
+                        np.multiply(diff, t, out=dot)
+                        np.multiply(diff, diff, out=r2)
+                    else:
+                        dot += np.multiply(diff, t, out=tmp)
+                        r2 += np.multiply(diff, diff, out=tmp)
+                if mode == "projection":
+                    np.subtract(r2, np.multiply(dot, dot, out=tmp), out=tmp)
+                    np.sqrt(np.maximum(tmp, 0.0, out=tmp), out=dot)
+                here = (ex_e >= c // k) & (ex_e < d // k)
+                r2.reshape(b - a, -1, k)[ex_r[here],
+                                         ex_e[here] - c // k] = np.inf
+                if r2.min() < cutoff * cutoff:
+                    raise DegenerateGeometry("non-excluded sample pair "
+                                             "closer than the cutoff")
+                np.power(r2, -expo_r / 2, out=r2)
+                if power is not None:
+                    np.abs(dot, out=dot)
+                    if power != 1.0:
+                        np.power(dot, power, out=dot)
+                r2 *= dot
+                out[a:b] += r2 @ W[c:d]
 
-    starts = range(0, n, _CHUNK)
-    if workers == 1 or n <= _CHUNK:
-        for a in starts:
-            do(a)
+    if workers <= 1:
+        work(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do, starts))
+            list(pool.map(work, range(workers)))
     return out
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "load_mesh",
     "save_off",
     "make_primitive",
-    "area",
     "rescale",
     "signed_volume",
     "convexity_check",
@@ -83,14 +82,14 @@ class DiscreteHypersurface:
 
     @functools.cached_property
     def diameter(self) -> float:
+        """Largest vertex distance, over row blocks of a fixed pair count."""
         V = self.vertices
-        if len(V) <= 2048:
-            d2 = ((V[:, None, :] - V[None, :, :]) ** 2).sum(-1)
-            return float(np.sqrt(d2.max()))
+        rows = max(1, (1 << 16) // len(V))
         best = 0.0
-        for i in range(0, len(V), 1024):
-            chunk = V[i:i + 1024]
-            d2 = ((chunk[:, None, :] - V[None, :, :]) ** 2).sum(-1)
+        for a in range(0, len(V), rows):
+            d2 = (V[a:a + rows, None, 0] - V[:, 0]) ** 2
+            for c in range(1, V.shape[1]):
+                d2 += (V[a:a + rows, None, c] - V[:, c]) ** 2
             best = max(best, float(d2.max()))
         return float(np.sqrt(best))
 
@@ -595,11 +594,6 @@ def make_primitive(kind: str, **params) -> DiscreteHypersurface:
 # --------------------------------------------------------------------------
 # elementary geometry
 # --------------------------------------------------------------------------
-
-def area(mesh: DiscreteHypersurface) -> float:
-    """Total d-dimensional measure (length or area)."""
-    return mesh.area
-
 
 def rescale(mesh: DiscreteHypersurface, lam: float) -> DiscreteHypersurface:
     """Scale about the origin by lam > 0; measures scale by lam**d."""

@@ -75,10 +75,9 @@ def naive_pointwise(mesh, scheme, params, vertex, absolute):
         if int(scheme.element_of[j]) in star:
             continue
         y = scheme.points[j]
-        nrm = mesh.element_normals[scheme.element_of[j]]
         d = x - y
         r = np.linalg.norm(d)
-        dot = float(d @ nrm)
+        dot = naive_pairing(mesh, params.codim_mode, scheme.element_of[j], d)
         if absolute:
             dot = abs(dot)
         total += dot / r ** (mesh.dim_d + 1 + params.s) * scheme.weights[j]
@@ -86,8 +85,16 @@ def naive_pointwise(mesh, scheme, params, vertex, absolute):
     return params.c_s * (total + near)
 
 
-def naive_energy(mesh, scheme, params, kind):
-    """Reference W_{s,p} / B_{s,p} by plain double loops over samples."""
+def naive_pairing(mesh, codim_mode, element, d):
+    """<d, n> on a hypersurface; in projection mode |d - <d, t> t|."""
+    if mesh.codim2 or codim_mode == "projection":
+        t = mesh.element_tangents[element]
+        return float(np.linalg.norm(d - (d @ t) * t))
+    return float(d @ mesh.element_normals[element])
+
+
+def naive_excluded(mesh, scheme):
+    """Per element, the set of elements its samples leave out."""
     star = {}
     for m, el in enumerate(mesh.elements):
         for v in el:
@@ -101,6 +108,12 @@ def naive_energy(mesh, scheme, params, kind):
             for v in el:
                 s |= star[int(v)]
             excl_elem.append(s)
+    return excl_elem
+
+
+def naive_energy(mesh, scheme, params, kind):
+    """Reference W_{s,p} / B_{s,p} by plain double loops over samples."""
+    excl_elem = naive_excluded(mesh, scheme)
     total = 0.0
     for i in range(scheme.n_samples):
         ex = excl_elem[int(scheme.element_of[i])]
@@ -111,13 +124,32 @@ def naive_energy(mesh, scheme, params, kind):
                 continue
             d = x - scheme.points[j]
             r = np.linalg.norm(d)
-            dot = float(d @ mesh.element_normals[scheme.element_of[j]])
+            dot = naive_pairing(mesh, params.codim_mode,
+                                scheme.element_of[j], d)
             if kind == "A":
                 dot = abs(dot)
             acc += dot / r ** (mesh.dim_d + 1 + params.s) * scheme.weights[j]
         if kind == "H":
             acc = abs(acc)
         total += (params.c_s * acc) ** params.p * scheme.weights[i]
+    return total
+
+
+def naive_tangent_point(mesh, scheme, p, q, codim_mode="hypersurface"):
+    """Reference T_{p,q} by plain double loops over samples."""
+    excl_elem = naive_excluded(mesh, scheme)
+    total = 0.0
+    for i in range(scheme.n_samples):
+        ex = excl_elem[int(scheme.element_of[i])]
+        x = scheme.points[i]
+        for j in range(scheme.n_samples):
+            if int(scheme.element_of[j]) in ex:
+                continue
+            d = x - scheme.points[j]
+            r = np.linalg.norm(d)
+            dot = abs(naive_pairing(mesh, codim_mode, scheme.element_of[j], d))
+            total += dot ** p / r ** (q - p) \
+                * scheme.weights[j] * scheme.weights[i]
     return total
 
 

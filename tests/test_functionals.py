@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import naive_energy, naive_pointwise
+from conftest import naive_energy, naive_pointwise, naive_tangent_point
+from nlcurv import functionals
 from nlcurv.errors import DegenerateGeometry, InvalidParams, UnsupportedMode
 from nlcurv.functionals import (
     bending_energy,
@@ -15,7 +18,12 @@ from nlcurv.functionals import (
 )
 from nlcurv.oracles import circle_fmc, sphere_fmc
 from nlcurv.quadrature import build_scheme
-from nlcurv.surface import EnergyParameters, make_primitive, rescale
+from nlcurv.surface import (
+    EnergyParameters,
+    build_surface,
+    make_primitive,
+    rescale,
+)
 
 PARAMS = EnergyParameters(s=0.5, p=4.0)
 
@@ -213,6 +221,114 @@ class TestTangentPoint:
     def test_radius_coincident_rejected(self):
         with pytest.raises(InvalidParams):
             tangent_point_radius([0.0, 0.0], [0.0, 0.0], [0.0, 1.0])
+
+
+def _trefoil(n=96):
+    """A knotted closed curve in 3-space (projection mode only)."""
+    t = 2 * np.pi * np.arange(n) / n
+    V = np.stack([np.sin(t) + 2 * np.sin(2 * t),
+                  np.cos(t) - 2 * np.cos(2 * t), -np.sin(3 * t)], 1)
+    E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
+    return build_surface(V, E, codim2=True)
+
+
+class TestTiling:
+    """The kernel splits the inner samples into tiles and the outer points
+    into blocks; neither split may change a value beyond roundoff, and no
+    value may depend on the worker count."""
+
+    def test_workers_bitwise_several_blocks(self, sphere2):
+        sc = build_scheme(sphere2)
+        # 921,600 sample pairs: several blocks for the energies and for
+        # the pointwise rows at the default budget
+        assert sphere2.n_vertices * sc.n_samples > 2 * functionals._TILE_PAIRS
+
+        def values(w):
+            return [bending_energy(sphere2, sc, PARAMS, workers=w).energy,
+                    willmore_energy(sphere2, sc, PARAMS, workers=w).energy,
+                    tangent_point_energy(sphere2, sc, p=2.0, q=4.5,
+                                         workers=w).energy,
+                    *pointwise_curvature(sphere2, sc, PARAMS, kind="H",
+                                         workers=w)]
+
+        base = values(1)
+        for w in (2, 4):
+            assert np.array_equal(values(w), base)
+
+    @pytest.mark.parametrize("name,order", [("sphere1", "gauss3"),
+                                            ("circle128", "centroid"),
+                                            ("trefoil", "gauss3")])
+    def test_small_tiles_match_naive(self, request, monkeypatch, name, order):
+        mesh = (_trefoil() if name == "trefoil"
+                else request.getfixturevalue(name))
+        sc = build_scheme(mesh, order=order)
+        k = sc.n_per_element
+        mode = "projection" if mesh.codim2 else "hypersurface"
+        params = EnergyParameters(s=0.5, p=4.0, codim_mode=mode)
+        verts = [0, 7, mesh.n_vertices - 1]
+        kinds = ("A",) if mesh.codim2 else ("H", "A")
+
+        def values(w):
+            out = {"B": bending_energy(mesh, sc, params, workers=w).energy,
+                   "T": tangent_point_energy(mesh, sc, p=2.0, q=4.5,
+                                             codim_mode=mode,
+                                             workers=w).energy}
+            if not mesh.codim2:
+                out["W"] = willmore_energy(mesh, sc, params, workers=w).energy
+            for kind in kinds:
+                out[kind] = pointwise_curvature(mesh, sc, params, verts,
+                                                kind=kind, workers=w)
+            return out
+
+        ref = {"B": naive_energy(mesh, sc, params, "A"),
+               "T": naive_tangent_point(mesh, sc, 2.0, 4.5, mode)}
+        if not mesh.codim2:
+            ref["W"] = naive_energy(mesh, sc, params, "H")
+        for kind in kinds:
+            ref[kind] = [naive_pointwise(mesh, sc, params, v, kind == "A")
+                         for v in verts]
+        # some sample excludes elements on both sides of a tile boundary
+        excl = functionals._sample_exclusions(mesh, sc).toarray() > 0
+        split = 100 // k
+        assert np.any(excl[:, :split].any(1) & excl[:, split:].any(1))
+        # 100 pairs: one-row blocks over several tiles; 1000: one tile,
+        # several rows per block
+        for budget in (100, 1000):
+            monkeypatch.setattr(functionals, "_TILE_PAIRS", budget)
+            got = values(1)
+            for key, val in ref.items():
+                assert np.allclose(got[key], val, rtol=1e-12, atol=0), key
+            other = values(4)
+            for key in got:
+                assert np.array_equal(got[key], other[key]), key
+
+    def test_small_tiles_coincident_degenerate(self, monkeypatch, circle128):
+        n = circle128.n_vertices
+        doubled = build_surface(
+            np.vstack([circle128.vertices, circle128.vertices]),
+            np.vstack([circle128.elements, circle128.elements + n]))
+        sc = build_scheme(doubled)
+        monkeypatch.setattr(functionals, "_TILE_PAIRS", 100)
+        for w in (1, 4):
+            with pytest.raises(DegenerateGeometry):
+                bending_energy(doubled, sc, PARAMS, workers=w)
+
+    def test_memory_independent_of_samples(self):
+        # numpy reports its buffers to tracemalloc, so the peak is exact;
+        # the diameter is computed beforehand, outside the trace
+        peaks = []
+        for sub in (2, 3):
+            mesh = make_primitive("sphere_icosub", subdivisions=sub)
+            mesh.diameter
+            sc = build_scheme(mesh)
+            tracemalloc.start()
+            try:
+                bending_energy(mesh, sc, PARAMS, workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+        assert peaks[1] < 16e6
 
 
 class TestWorkers:

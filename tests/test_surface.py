@@ -6,7 +6,6 @@ import pytest
 from nlcurv import errors
 from nlcurv.surface import (
     EnergyParameters,
-    area,
     build_surface,
     convexity_check,
     load_mesh,
@@ -190,12 +189,19 @@ class TestGeometry:
         assert not res["is_convex"]
         assert abs(res["max_violation"] - brute) < 1e-14
 
+    def test_diameter_matches_pdist(self):
+        from scipy.spatial.distance import pdist
+
+        # over 2048 vertices, several row blocks of the diameter search
+        m = make_primitive("perturbed_sphere", amplitude=0.2, seed=1,
+                           subdivisions=4)
+        ref = pdist(m.vertices).max()
+        assert m.n_vertices > 2048
+        assert abs(m.diameter - ref) <= 1e-15 * ref
+
     def test_convexity_codim2_unsupported(self):
         with pytest.raises(errors.UnsupportedMode):
             convexity_check(make_primitive("circle", n=32, ambient=3))
-
-    def test_area_function(self, sphere2):
-        assert area(sphere2) == sphere2.area
 
 
 class TestEnergyParameters:
