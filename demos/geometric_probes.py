@@ -27,14 +27,15 @@ def patches():
 
 
 def ahlfors():
-    print("\nAhlfors ratios area(B(x,r) cap Sigma) / r^2:")
-    for name, mesh in [("sphere sub 3",
-                        make_primitive("sphere_icosub", subdivisions=3)),
-                       ("icosahedron",
-                        make_primitive("sphere_icosub", subdivisions=0))]:
+    print("\nAhlfors ratios area(B(x,r) cap Sigma) / r^2, in closed form:")
+    for name, mesh, exact in [
+            ("sphere sub 3", make_primitive("sphere_icosub", subdivisions=3),
+             f"smooth sphere pi = {np.pi:.3f}"),
+            ("icosahedron", make_primitive("sphere_icosub", subdivisions=0),
+             f"five pi/3 corners: 5pi/6 = {5 * np.pi / 6:.3f}")]:
         out = ahlfors_ratio(mesh, 0, [0.2, 0.4, 0.8])
         row = "  ".join(f"r={r:.1f}: {v:.3f}" for r, v in out)
-        print(f"  {name:<14} {row}   (flat value pi = {np.pi:.3f})")
+        print(f"  {name:<14} {row}   ({exact})")
 
 
 def chord_arc():

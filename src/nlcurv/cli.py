@@ -165,12 +165,19 @@ def parse_config(argv) -> RunConfig:
     return RunConfig(command, opts)
 
 
+def _floats(text, flag):
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} needs comma-separated numbers") from None
+
+
 _PRIMITIVE_KW = {  # make_primitive keywords per primitive, from the options
     "circle": lambda o: dict(radius=o["radius"], n=o["n"], **(
         {"ambient": o["ambient"]} if o.get("ambient") else {})),
     "sphere_icosub": lambda o: dict(radius=o["radius"], subdivisions=o["sub"]),
     "ellipsoid": lambda o: dict(semi_axes=tuple(
-        float(x) for x in o["semi_axes"].split(",")), subdivisions=o["sub"]),
+        _floats(o["semi_axes"], "--semi-axes")), subdivisions=o["sub"]),
     "torus": lambda o: dict(major_radius=o["major"], minor_radius=o["minor"]),
     "perturbed_sphere": lambda o: dict(radius=o["radius"], amplitude=o["amp"],
                                        seed=o["seed"], subdivisions=o["sub"]),
@@ -232,7 +239,7 @@ def _cmd_probe(cfg):
     mesh = _get_mesh(o)
     mode = o["mode"]
     if mode == "ahlfors":
-        radii = [float(x) for x in o["radii"].split(",")]
+        radii = _floats(o["radii"], "--radii")
         res = probes.ahlfors_ratio(mesh, o["vertex"], radii)
         payload = {"mode": mode, "vertex": o["vertex"],
                    "ratios": [{"r": r, "ratio": v} for r, v in res]}
@@ -354,29 +361,14 @@ _COMMANDS = {"eval": _cmd_eval, "probe": _cmd_probe, "sobolev": _cmd_sobolev,
              "flow": _cmd_flow, "oracle": _cmd_oracle}
 
 
-def run(cfg: RunConfig) -> int:
+def main(argv=None) -> int:
     try:
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(json.dumps({"error": {"kind": "UsageError",
-                                    "message": str(exc)}}), file=sys.stderr)
-        return 2
     except NlcurvError as exc:
         print(json.dumps({"error": {"kind": type(exc).__name__,
                                     "message": str(exc)}}), file=sys.stderr)
-        return 1
-
-
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        cfg = parse_config(argv)
-    except UsageError as exc:
-        print(json.dumps({"error": {"kind": "UsageError",
-                                    "message": str(exc)}}), file=sys.stderr)
-        return 2
-    return run(cfg)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -63,10 +63,11 @@ def _bending(mesh, params, order, policy, workers):
 def _diameters_without(V):
     """Per vertex i, the diameter of the vertex set without vertex i."""
     n = len(V)
+    block = max(1, (1 << 16) // n)
     first, second = np.empty(n), np.empty(n)
     far = np.empty(n, int)
-    for a in range(0, n, 1024):
-        d2 = ((V[a:a + 1024, None, :] - V[None, :, :]) ** 2).sum(-1)
+    for a in range(0, n, block):
+        d2 = ((V[a:a + block, None, :] - V[None, :, :]) ** 2).sum(-1)
         rows = np.arange(len(d2))
         far[a:a + len(d2)] = j = d2.argmax(1)
         first[a:a + len(d2)] = d2[rows, j]
@@ -74,8 +75,8 @@ def _diameters_without(V):
         second[a:a + len(d2)] = d2.max(1)
     # without column i, row j keeps its largest entry unless that was i
     out = np.empty(n)
-    for a in range(0, n, 1024):
-        i = np.arange(a, min(a + 1024, n))
+    for a in range(0, n, block):
+        i = np.arange(a, min(a + block, n))
         d2 = np.where(far[None, :] == i[:, None], second, first)
         d2[np.arange(len(i)), i] = -1.0
         out[i] = d2.max(1)

@@ -65,6 +65,12 @@ class PatchChart:
                 "holder_exponent": self.holder_exponent}
 
 
+def _check_vertex(mesh, vertex):
+    if not 0 <= vertex < mesh.n_vertices:
+        raise InvalidParams(
+            f"vertex {vertex} outside [0, {mesh.n_vertices})")
+
+
 def _rotation_to_z(n):
     """Orthogonal matrix R with R @ n = e_z (rows are the local axes)."""
     n = np.asarray(n, float)
@@ -194,6 +200,7 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
     """
     if mesh.dim_d != 2:
         raise InvalidParams("patch extraction expects a surface in 3-space")
+    _check_vertex(mesh, vertex)
     nrm = mesh.vertex_normals[vertex]
     if not np.all(np.isfinite(nrm)):
         raise DegenerateGeometry(f"undefined normal at vertex {vertex}")
@@ -304,59 +311,58 @@ def patch_radii(mesh, vertices=None, workers=1, **kwargs):
 # Ahlfors regularity
 # --------------------------------------------------------------------------
 
-def _simplex_areas(T):
-    if T.shape[1] == 2:
-        return np.linalg.norm(T[:, 1] - T[:, 0], axis=1)
-    return np.linalg.norm(np.cross(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]),
-                          axis=1) / 2
+def _clip_roots(p, d, r2):
+    """Parameters t1 <= t2 in [0, 1] of the part of p + t d inside
+    |.|^2 <= r2; t1 == t2 where the line misses the ball."""
+    a, b = (d * d).sum(-1), (p * d).sum(-1)
+    s = np.sqrt(np.maximum(b * b - a * ((p * p).sum(-1) - r2), 0.0))
+    t1 = np.clip((-b - s) / a, 0.0, 1.0)
+    return t1, np.clip((-b + s) / a, t1, 1.0)
 
 
-def _subdivide(T):
-    if T.shape[1] == 2:
-        m = (T[:, 0] + T[:, 1]) / 2
-        return np.concatenate([np.stack([T[:, 0], m], 1),
-                               np.stack([m, T[:, 1]], 1)])
-    a, b, c = T[:, 0], T[:, 1], T[:, 2]
-    ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-    return np.concatenate([np.stack([a, ab, ca], 1),
-                           np.stack([ab, b, bc], 1),
-                           np.stack([ca, bc, c], 1),
-                           np.stack([ab, bc, ca], 1)])
+def _ball_measure(mesh, x, r):
+    """Exact measure of the mesh inside the closed ball B(x, r).
 
+    A segment keeps its parameter interval [t1, t2] inside the ball.  A
+    triangle meets the ball in the disc of radius rho about c, the
+    projection of x onto its plane.  Each directed edge (p, q), taken
+    relative to c, adds the signed area of (c, p, q) cap disc: the sector
+    from p to the first crossing p1, the triangle (c, p1, p2) and the
+    sector from the last crossing p2 to q.  Angles are signed about the
+    element normal and vanish at p = 0, where x is a vertex.
+    """
+    T = mesh.vertices[mesh.elements] - x
+    if mesh.dim_d == 1:
+        d = T[:, 1] - T[:, 0]
+        t1, t2 = _clip_roots(T[:, 0], d, r * r)
+        return float(((t2 - t1) * np.linalg.norm(d, axis=1)).sum())
+    n = mesh.element_normals[:, None, :]
+    h = (T[:, :1] * n).sum(-1)
+    P = T - h[..., None] * n
+    rho2 = np.maximum(r * r - h * h, 0.0)
+    Q = np.roll(P, -1, axis=1)
+    t1, t2 = _clip_roots(P, Q - P, rho2)
+    P1, P2 = P + t1[..., None] * (Q - P), P + t2[..., None] * (Q - P)
 
-def _clipped_measure(T, center, r, rel_tol=1e-4, max_depth=24):
-    """Measure of the mesh fragment inside the ball, by recursive clipping."""
-    total = 0.0
-    for _ in range(max_depth):
-        if len(T) == 0:
-            break
-        d = np.linalg.norm(T - center[None, None, :], axis=-1)
-        edge = np.linalg.norm(T - np.roll(T, 1, axis=1), axis=-1).max(axis=1)
-        inside = np.all(d <= r, axis=1)
-        outside = d.min(axis=1) - edge >= r
-        total += _simplex_areas(T[inside]).sum()
-        T = T[~inside & ~outside]
-        pending = _simplex_areas(T).sum()
-        if pending <= 2 * rel_tol * max(total, 1e-300):
-            total += pending / 2  # straddling strip, split the difference
-            return total
-        T = _subdivide(T)
-    total += _simplex_areas(T).sum() / 2
-    return total
+    def angle(u, v):
+        return np.arctan2((np.cross(u, v) * n).sum(-1), (u * v).sum(-1))
+
+    inner = (np.cross(P1, P2) * n).sum(-1)
+    return float((rho2 * (angle(P, P1) + angle(P2, Q)) + inner).sum()) / 2
 
 
 def ahlfors_ratio(mesh: DiscreteHypersurface, vertex, radii):
-    """[(r, area(mesh within B(x, r)) / r^d) for each r]."""
+    """[(r, measure(mesh within the closed ball B(x, r)) / r^d) for each r].
+
+    The measure is exact, in closed form per segment or triangle.
+    """
     radii = np.atleast_1d(np.asarray(radii, float))
-    if np.any(radii <= 0) or np.any(radii > mesh.diameter):
+    if not np.all((radii > 0) & (radii <= mesh.diameter)):
         raise InvalidParams("radii must lie in (0, diameter]")
+    _check_vertex(mesh, vertex)
     x = mesh.vertices[vertex]
-    T0 = mesh.vertices[mesh.elements]
-    out = []
-    for r in radii:
-        m = _clipped_measure(T0.copy(), x, float(r))
-        out.append((float(r), m / float(r) ** mesh.dim_d))
-    return out
+    return [(r, _ball_measure(mesh, x, r) / r ** mesh.dim_d)
+            for r in radii.tolist()]
 
 
 # --------------------------------------------------------------------------

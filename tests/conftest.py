@@ -185,6 +185,56 @@ def fd_gradient_oracle(mesh, params, h=1e-4, order="gauss3",
     return grad
 
 
+# Reference for ahlfors_ratio: the library's former recursive clipper,
+# accurate to about rel_tol (it counts half of the unresolved strip).
+
+def _simplex_areas(T):
+    if T.shape[1] == 2:
+        return np.linalg.norm(T[:, 1] - T[:, 0], axis=1)
+    return np.linalg.norm(np.cross(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]),
+                          axis=1) / 2
+
+
+def _subdivide(T):
+    if T.shape[1] == 2:
+        m = (T[:, 0] + T[:, 1]) / 2
+        return np.concatenate([np.stack([T[:, 0], m], 1),
+                               np.stack([m, T[:, 1]], 1)])
+    a, b, c = T[:, 0], T[:, 1], T[:, 2]
+    ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+    return np.concatenate([np.stack([a, ab, ca], 1),
+                           np.stack([ab, b, bc], 1),
+                           np.stack([ca, bc, c], 1),
+                           np.stack([ab, bc, ca], 1)])
+
+
+def _clipped_measure(T, center, r, rel_tol=1e-4, max_depth=24):
+    """Measure of the mesh fragment inside the ball, by recursive clipping."""
+    total = 0.0
+    for _ in range(max_depth):
+        if len(T) == 0:
+            break
+        d = np.linalg.norm(T - center[None, None, :], axis=-1)
+        edge = np.linalg.norm(T - np.roll(T, 1, axis=1), axis=-1).max(axis=1)
+        inside = np.all(d <= r, axis=1)
+        outside = d.min(axis=1) - edge >= r
+        total += _simplex_areas(T[inside]).sum()
+        T = T[~inside & ~outside]
+        pending = _simplex_areas(T).sum()
+        if pending <= 2 * rel_tol * max(total, 1e-300):
+            total += pending / 2  # straddling strip, split the difference
+            return total
+        T = _subdivide(T)
+    total += _simplex_areas(T).sum() / 2
+    return total
+
+
+def clipped_measure_oracle(mesh, vertex, r):
+    """Mesh measure inside B(vertices[vertex], r), to about 1e-4 relative."""
+    T = mesh.vertices[mesh.elements].copy()
+    return _clipped_measure(T, mesh.vertices[vertex], float(r))
+
+
 ACCEPTANCE_LINES = []
 
 

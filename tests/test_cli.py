@@ -198,6 +198,31 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "InvalidParams"
 
+    @pytest.mark.parametrize("argv", [
+        ["probe", "--mode", "ahlfors", "--radii", "a,b"],
+        ["probe", "--mode", "ahlfors", "--radii", ","],
+        ["eval", "--semi-axes", "1,x,2"],
+    ])
+    def test_bad_number_list_exit_code(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--primitive", "ellipsoid", "--sub", "1",
+                          "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "UsageError"
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "ahlfors", "--radii", "nan,0.5"],
+        ["--mode", "ahlfors", "--vertex", "9999"],
+        ["--mode", "ahlfors", "--vertex", "-1"],
+        ["--mode", "patch", "--vertex", "9999"],
+    ])
+    def test_bad_probe_input_exit_code(self, tmp_path, capsys, argv):
+        rc = main(["probe", "--primitive", "sphere_icosub", "--sub", "1"]
+                  + argv + ["--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "InvalidParams"
+
     def test_workers_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLCURV_WORKERS", "4")
         rc = main(["eval", "--primitive", "sphere_icosub", "--sub", "1",

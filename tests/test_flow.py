@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import fd_gradient_oracle
@@ -96,6 +98,27 @@ class TestGradient:
                 d2 = ((rest[:, None, :] - rest[None, :, :]) ** 2).sum(-1)
                 ref.append(np.sqrt(d2.max()))
             assert np.array_equal(_diameters_without(V), ref)
+
+    def test_diameters_without_memory_bounded(self):
+        # numpy reports its buffers to tracemalloc, so the peak is exact;
+        # sub3 and sub4 both run in several row blocks
+        peaks = []
+        for sub in (3, 4):
+            V = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                               subdivisions=sub).vertices
+            tracemalloc.start()
+            try:
+                got = _diameters_without(V)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+        assert peaks[1] < 8e6
+        d2 = ((V[:, None, :] - V[None, :, :]) ** 2).sum(-1)
+        for i in range(0, len(V), 97):
+            rest = d2.copy()
+            rest[i] = rest[:, i] = -1.0
+            assert got[i] == np.sqrt(rest.max())
 
 
 class TestProjection:

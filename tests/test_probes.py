@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import clipped_measure_oracle
 from nlcurv.errors import InvalidParams, NonGraphical
 from nlcurv.probes import (
     ahlfors_ratio,
@@ -92,7 +95,7 @@ class TestAhlfors:
     def test_whole_surface_limit(self, sphere1):
         out = ahlfors_ratio(sphere1, 0, [2.0])
         r, ratio = out[0]
-        assert abs(ratio * r ** 2 - sphere1.area) < 1e-6 * sphere1.area
+        assert abs(ratio * r ** 2 - sphere1.area) < 1e-14 * sphere1.area
 
     def test_circle_ratio_near_two(self, circle128):
         # length(B(x,r) cap circle) ~ 2r for small r
@@ -100,11 +103,60 @@ class TestAhlfors:
         for r, ratio in out:
             assert abs(ratio - 2.0) < 0.05
 
+    def test_icosahedron_vertex_exact(self):
+        # five equilateral corners of angle pi/3 inside the ball
+        ico = make_primitive("sphere_icosub", subdivisions=0)
+        for r, ratio in ahlfors_ratio(ico, 0, [0.1, 0.2, 0.4]):
+            assert abs(ratio - 5 * np.pi / 6) < 1e-14
+
+    def test_flat_square_interior_exact(self, flat_square):
+        # the ball meets the plane in a disc inside the square
+        x = np.array([0.5, 0.5, 0.0])
+        v = int(np.argmin(np.linalg.norm(flat_square.vertices - x, axis=1)))
+        assert np.array_equal(flat_square.vertices[v], x)
+        for r, ratio in ahlfors_ratio(flat_square, v, [0.05, 0.2, 0.45]):
+            assert abs(ratio - np.pi) < 1e-14
+
+    def test_curves_exact_below_edge_length(self, circle128, flat_strip):
+        for mesh, v in ((circle128, 0), (flat_strip, 16)):
+            edge = mesh.element_measures.min()
+            for r, ratio in ahlfors_ratio(mesh, v, [0.3 * edge, 0.9 * edge]):
+                assert abs(ratio - 2.0) < 1e-14
+
+    def test_matches_recursive_clipper(self, circle128):
+        # the clipper costs seconds per surface radius: four radii in all
+        bumpy = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                               subdivisions=2)
+        ellipsoid = make_primitive("ellipsoid", semi_axes=(1.0, 1.0, 2.0),
+                                   subdivisions=2)
+        for mesh, v, r in ((bumpy, 7, 0.3), (bumpy, 7, 0.9),
+                           (ellipsoid, 0, 0.5), (circle128, 0, 0.5)):
+            ref = clipped_measure_oracle(mesh, v, r)
+            got = ahlfors_ratio(mesh, v, [r])[0][1] * r ** mesh.dim_d
+            assert abs(got - ref) <= 1e-4 * ref
+
+    def test_memory_bounded(self):
+        mesh = make_primitive("sphere_icosub", subdivisions=4)
+        mesh.diameter  # cached outside the trace
+        tracemalloc.start()
+        try:
+            ahlfors_ratio(mesh, 0, [0.1, 0.5, 1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
     def test_invalid_radius(self, sphere1):
-        with pytest.raises(InvalidParams):
-            ahlfors_ratio(sphere1, 0, [0.0])
-        with pytest.raises(InvalidParams):
-            ahlfors_ratio(sphere1, 0, [100.0])
+        for radii in ([0.0], [100.0], [np.nan, 0.5], [np.inf]):
+            with pytest.raises(InvalidParams):
+                ahlfors_ratio(sphere1, 0, radii)
+
+    def test_invalid_vertex(self, sphere1):
+        for vertex in (-1, sphere1.n_vertices):
+            with pytest.raises(InvalidParams):
+                ahlfors_ratio(sphere1, vertex, [0.5])
+            with pytest.raises(InvalidParams):
+                extract_patch(sphere1, vertex)
 
 
 class TestChordArc:
