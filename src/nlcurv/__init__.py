@@ -48,7 +48,6 @@ from .probes import (
 from .quadrature import QuadratureScheme, build_scheme
 from .seminorms import (
     ScalarField,
-    SeminormReport,
     graph_linearization_functional,
     holder_seminorm,
     lq_norm,

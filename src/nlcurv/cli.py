@@ -47,8 +47,15 @@ class RunConfig:
                 "schema_version": SCHEMA_VERSION}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as UsageError; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(prog="nlcurv", description=__doc__)
+    top = _Parser(prog="nlcurv", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_mesh_opts(p):
@@ -295,15 +302,19 @@ def _cmd_sobolev(cfg):
             raise UsageError(f"field {o['field']} needs ambient axis {axis}")
         vals = mesh.vertices[:, axis]
     f = seminorms.ScalarField(mesh, vals)
-    sob = seminorms.sobolev_seminorm(f, o["alpha"], o["fq"], o["distance"],
-                                     report=True)
-    lq = seminorms.lq_norm(f, o["fq"], report=True)
-    hol = seminorms.holder_seminorm(f, o["beta"], o["distance"], report=True)
-    payload = {"field": o["field"], "sobolev": sob.to_dict(),
-               "lq": lq.to_dict(), "holder": hol.to_dict()}
+    sob = seminorms.sobolev_seminorm(f, o["alpha"], o["fq"], o["distance"])
+    lq = seminorms.lq_norm(f, o["fq"])
+    hol = seminorms.holder_seminorm(f, o["beta"], o["distance"])
+    payload = {"field": o["field"],
+               "sobolev": {"kind": "sobolev", "value": sob, "q": o["fq"],
+                           "alpha": o["alpha"],
+                           "distance_mode": o["distance"]},
+               "lq": {"kind": "lq", "value": lq, "q": o["fq"],
+                      "distance_mode": None},
+               "holder": {"kind": "holder", "value": hol, "beta": o["beta"],
+                          "distance_mode": o["distance"]}}
     path = _write_report(cfg, payload)
-    print(f"sobolev: [f]={sob.value:.9g} ||f||={lq.value:.9g} "
-          f"holder={hol.value:.9g} -> {path}")
+    print(f"sobolev: [f]={sob:.9g} ||f||={lq:.9g} holder={hol:.9g} -> {path}")
     return 0
 
 

@@ -115,7 +115,7 @@ def energy_gradient(mesh, params, h=1e-4, order="gauss3",
     local = np.bincount(ends, np.tile(elen, 2), len(V)) / np.maximum(deg, 1)
 
     scheme = build_scheme(mesh, order, diagonal_policy)
-    Y, W, N, mode = inner = _inner_data(mesh, scheme, params.codim_mode)
+    Y, W, N, mode = inner = _inner_data(mesh, scheme)
     excl = _sample_exclusions(mesh, scheme)
     expo = mesh.dim_d + 1 + params.s
     cutoff = _PAIR_CUTOFF * mesh.diameter
@@ -204,9 +204,14 @@ def _smooth_tangential(mesh, eta):
     return V + eta * u
 
 
+# line search: a rejected trial multiplies the step by _SHRINK, an accepted
+# one by _GROW (capped at 1e3 step0); below _MIN_STEP the search stalls
+_SHRINK, _GROW, _MIN_STEP = 0.5, 2.0, 1e-12
+_SMOOTHING_ETA = 0.5  # fraction of the tangential umbrella move per trial
+
+
 def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
-             shrink=0.5, grow=2.0, grad_tol=1e-3, min_step=1e-12,
-             smoothing=False, smoothing_eta=0.5, fd_h=1e-4, order="gauss3",
+             grad_tol=1e-3, smoothing=False, fd_h=1e-4, order="gauss3",
              diagonal_policy="skip_vertex_star", workers=None,
              callback=None) -> FlowState:
     """Backtracking gradient descent on B_{s,p} under area == 1.
@@ -215,6 +220,9 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
     projects back to unit area; a trial is accepted only if the energy
     strictly decreases, so the accepted-energy sequence is monotone.
     """
+    if not (0.0 < step0 < np.inf) or not np.isfinite(grad_tol):
+        raise InvalidParams("step0 must be finite and positive and grad_tol "
+                            "finite")
     if not params.subcritical(mesh.dim_d):
         warnings.warn("p <= d/s: energy is not subcritical; descent may "
                       "not be meaningful", stacklevel=2)
@@ -241,12 +249,12 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
         if gnorm < grad_tol:
             break
         accepted = False
-        while step >= min_step:
+        while step >= _MIN_STEP:
             Vt = mesh.vertices - step * grad
             trial = mesh.with_vertices(Vt)
             if smoothing:
                 trial = trial.with_vertices(
-                    _smooth_tangential(trial, smoothing_eta))
+                    _smooth_tangential(trial, _SMOOTHING_ETA))
             trial = project_area(trial)
             if trial.element_measures.min() < 1e-10 * min_measure0:
                 raise MeshDegenerationError(
@@ -255,9 +263,9 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
             if e_trial < energy:
                 mesh, energy = trial, e_trial
                 accepted = True
-                step = min(step * grow, 1e3 * step0)
+                step = min(step * _GROW, 1e3 * step0)
                 break
-            step *= shrink
+            step *= _SHRINK
         if not accepted:
             raise StallError(f"no descent step found at iteration {it} "
                              f"(energy {energy:.6g})")

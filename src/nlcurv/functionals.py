@@ -99,22 +99,15 @@ def _sample_exclusions(mesh, scheme):
     return near[scheme.element_of]
 
 
-def _inner_data(mesh, scheme, codim_mode):
-    """Sample positions, weights, and the pairing-direction data n(y)."""
-    Y = scheme.points
-    W = scheme.weights
-    if mesh.codim2 or codim_mode == "projection":
-        if mesh.dim_d != 1 or mesh.ambient_n != 3:
-            raise UnsupportedMode("projection mode is for curves in 3-space; "
-                                  "embed plane curves with ambient=3")
-        N = mesh.element_tangents[scheme.element_of]
-        mode = "projection"
+def _inner_data(mesh, scheme):
+    """Sample positions, weights, and the pairing-direction data n(y):
+    element normals, or unit tangents for a curve in 3-space (projection
+    mode)."""
+    if mesh.codim2:
+        N, mode = mesh.element_tangents, "projection"
     else:
-        if mesh.element_normals.size == 0:
-            raise UnsupportedMode("mesh has no normals; use projection mode")
-        N = mesh.element_normals[scheme.element_of]
-        mode = "hypersurface"
-    return Y, W, N, mode
+        N, mode = mesh.element_normals, "hypersurface"
+    return scheme.points, scheme.weights, N[scheme.element_of], mode
 
 
 def _kernel_sums(X, excl, inner, cutoff, expo_r, power, workers):
@@ -333,7 +326,7 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
     """
     if kind not in ("H", "A"):
         raise InvalidParams("kind must be 'H' or 'A'")
-    if kind == "H" and (mesh.codim2 or params.codim_mode == "projection"):
+    if kind == "H" and mesh.codim2:
         raise UnsupportedMode("H_s is signed and needs a hypersurface; "
                               "use kind='A' in projection mode")
     workers = get_workers(workers)
@@ -345,7 +338,7 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
     power = None if kind == "H" else 1.0
     near = _near_field(mesh, params, vertices, kind)
     sums = _kernel_sums(X, _incidence(mesh)[vertices],
-                        _inner_data(mesh, scheme, params.codim_mode),
+                        _inner_data(mesh, scheme),
                         _PAIR_CUTOFF * mesh.diameter, expo, power, workers)
     return params.c_s * (sums + near)
 
@@ -372,7 +365,7 @@ def _energy_outer(mesh, scheme, params, kind, workers):
     power = None if kind == "H" else 1.0
     vals = params.c_s * _kernel_sums(
         scheme.points, _sample_exclusions(mesh, scheme),
-        _inner_data(mesh, scheme, params.codim_mode),
+        _inner_data(mesh, scheme),
         _PAIR_CUTOFF * mesh.diameter, expo, power, workers)
     return float(np.abs(vals) ** params.p @ scheme.weights)
 
@@ -384,7 +377,7 @@ def _report(kind, energy, mesh, scheme, pdict, t0):
 
 def willmore_energy(mesh, scheme, params, workers=None) -> EnergyReport:
     """W_{s,p} = integral of |H_s|^p over the surface."""
-    if mesh.codim2 or params.codim_mode == "projection":
+    if mesh.codim2:
         raise UnsupportedMode("W_{s,p} needs a hypersurface; "
                               "use bending_energy in projection mode")
     t0 = time.perf_counter()
@@ -403,19 +396,16 @@ def bending_energy(mesh, scheme, params, workers=None) -> EnergyReport:
     return _report("bending", e, mesh, scheme, pd, t0)
 
 
-def tangent_point_energy(mesh, scheme, p, q, codim_mode="hypersurface",
-                         workers=None) -> EnergyReport:
+def tangent_point_energy(mesh, scheme, p, q, workers=None) -> EnergyReport:
     """T_{p,q}: double integral of |<x-y, n(y)>|^p / |x-y|^{q-p}.
 
     T has no c_s, so it takes no normalization.
     """
-    if not (q > p > 0):
-        raise InvalidParams("tangent-point energy needs q > p > 0")
-    if codim_mode not in ("hypersurface", "projection"):
-        raise InvalidParams(f"unknown codim mode {codim_mode!r}")
+    if not (0 < p < q < np.inf):
+        raise InvalidParams("tangent-point energy needs finite q > p > 0")
     t0 = time.perf_counter()
     per_outer = _kernel_sums(scheme.points, _sample_exclusions(mesh, scheme),
-                             _inner_data(mesh, scheme, codim_mode),
+                             _inner_data(mesh, scheme),
                              _PAIR_CUTOFF * mesh.diameter, q - p, p,
                              get_workers(workers))
     e = float(per_outer @ scheme.weights)

@@ -51,7 +51,6 @@ class PatchChart:
     gradients: np.ndarray
     grad_sup: float
     grad_holder: float
-    holder_exponent: float
 
     def __post_init__(self):
         for a in (self.base_point, self.rotation, self.grid, self.heights,
@@ -62,7 +61,7 @@ class PatchChart:
         return {"base_vertex": self.base_vertex, "radius": self.radius,
                 "grid_step": self.grid_step, "n_nodes": len(self.grid),
                 "grad_sup": self.grad_sup, "grad_holder": self.grad_holder,
-                "holder_exponent": self.holder_exponent}
+                "holder_exponent": _HOLDER_EXPONENT}
 
 
 def _check_vertex(mesh, vertex):
@@ -151,6 +150,8 @@ def _raycast_heights(Pl, F, delta, nh, zmax, tol):
 
 
 _STENCIL = 3  # half-width of the quadratic-fit window, in grid cells
+_HOLDER_EXPONENT = 0.25  # of the gradient Hölder quotient grad_holder
+_MAX_REFIT = 12  # base point and rotation refits before the final raycast
 
 
 def _design(dx, dy):
@@ -186,8 +187,8 @@ def _fit_gradients(H, delta):
 
 
 def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
-                  grid_step=0.02, rmax=0.6, zmax=0.6, holder_exponent=0.25,
-                  max_refit=12, compute_holder=True) -> PatchChart:
+                  grid_step=0.02, rmax=0.6, zmax=0.6,
+                  compute_holder=True) -> PatchChart:
     """Largest validated Monge patch around a vertex.
 
     The vertex normal is rotated to the vertical; heights over a Cartesian
@@ -200,6 +201,9 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
     """
     if mesh.dim_d != 2:
         raise InvalidParams("patch extraction expects a surface in 3-space")
+    if not all(0.0 < v < np.inf for v in (grad_bound, grid_step, rmax, zmax)):
+        raise InvalidParams("grad_bound, grid_step, rmax and zmax must be "
+                            "finite and positive")
     _check_vertex(mesh, vertex)
     nrm = mesh.vertex_normals[vertex]
     if not np.all(np.isfinite(nrm)):
@@ -230,7 +234,7 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
     SX, SY = np.meshgrid(off, off, indexing="ij")
     ctr_small = len(off) ** 2 // 2
     pinv_small = np.linalg.pinv(_design(SX.ravel(), SY.ravel()))
-    for it in range(max_refit):
+    for _ in range(_MAX_REFIT):
         Pl = (mesh.vertices - base) @ R.T
         hs, vs = _raycast_heights(Pl, F, grid_step, _STENCIL, zmax, tol)
         if not vs[ctr_small]:
@@ -276,11 +280,11 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
         r = np.linalg.norm(grid[:, None, :] - grid[None, :, :], axis=-1)
         np.fill_diagonal(r, np.inf)
         dg = np.linalg.norm(grads[:, None, :] - grads[None, :, :], axis=-1)
-        grad_holder = float(np.max(dg / r ** holder_exponent))
+        grad_holder = float(np.max(dg / r ** _HOLDER_EXPONENT))
     else:
         grad_holder = float("nan")
     return PatchChart(int(vertex), base, R, radius, grid_step, grid, heights,
-                      grads, grad_sup, grad_holder, holder_exponent)
+                      grads, grad_sup, grad_holder)
 
 
 def patch_radii(mesh, vertices=None, workers=1, **kwargs):
@@ -375,6 +379,8 @@ def chord_arc_constant(mesh: DiscreteHypersurface, sample_pairs=20000, seed=0):
     Sources are seeded random vertices; each source contributes all V
     pairs, so gamma is a max over >= sample_pairs pairs (or all of them).
     """
+    if not sample_pairs >= 1:
+        raise InvalidParams(f"sample_pairs must be >= 1, got {sample_pairs}")
     V = mesh.n_vertices
     n_src = min(V, max(1, -(-int(sample_pairs) // V)))
     rng = np.random.default_rng(seed)
@@ -477,8 +483,11 @@ def _fibonacci_sphere(n):
                      np.sin(theta) * np.sin(phi), np.cos(phi)], 1)
 
 
-def stability_probe(mesh: DiscreteHypersurface, alpha=0.5, q=2.0,
-                    n_sphere_samples=2048) -> StabilityReport:
+_SPHERE_SAMPLES = 2048  # points on the comparison sphere (circle)
+
+
+def stability_probe(mesh: DiscreteHypersurface, alpha=0.5,
+                    q=2.0) -> StabilityReport:
     """Support-function statistics against the comparison sphere S(R0).
 
     center = measure-weighted vertex centroid; u = <x - center, n(x)>;
@@ -499,9 +508,9 @@ def stability_probe(mesh: DiscreteHypersurface, alpha=0.5, q=2.0,
     radial = np.linalg.norm(X - center, axis=1)
     term1 = float(np.max(np.abs(radial - R0)))
     if mesh.ambient_n == 3:
-        S = center + R0 * _fibonacci_sphere(n_sphere_samples)
+        S = center + R0 * _fibonacci_sphere(_SPHERE_SAMPLES)
     else:
-        th = 2 * np.pi * np.arange(n_sphere_samples) / n_sphere_samples
+        th = 2 * np.pi * np.arange(_SPHERE_SAMPLES) / _SPHERE_SAMPLES
         S = center + R0 * np.stack([np.cos(th), np.sin(th)], 1)
     term2 = float(_dist_to_surface(S, mesh).max())
     return StabilityReport(center, R0, float(useminorm),

@@ -15,7 +15,6 @@ from .surface import DiscreteHypersurface
 
 __all__ = [
     "ScalarField",
-    "SeminormReport",
     "sobolev_seminorm",
     "lq_norm",
     "holder_seminorm",
@@ -43,20 +42,6 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class SeminormReport:
-    kind: str
-    value: float
-    params: dict
-    distance_mode: str | None
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "value": self.value,
-             "distance_mode": self.distance_mode}
-        d.update(self.params)
-        return d
-
-
 def _distances(mesh, mode):
     if mode not in DISTANCE_MODES:
         raise InvalidParams(f"unknown distance mode {mode!r}")
@@ -66,16 +51,15 @@ def _distances(mesh, mode):
     return intrinsic_distances(mesh)
 
 
-def sobolev_seminorm(field: ScalarField, alpha, q, distance_mode="extrinsic",
-                     report=False):
+def sobolev_seminorm(field: ScalarField, alpha, q, distance_mode="extrinsic"):
     """Discrete Gagliardo seminorm [f]_{W^{alpha,q}} with vertex weights.
 
     ( sum_{i != j} |f_i - f_j|^q / dist_ij^{d + alpha q} w_i w_j )^{1/q}
     """
     if not (0.0 < alpha <= 1.0):
         raise InvalidParams(f"alpha must lie in (0,1], got {alpha}")
-    if q <= 1:
-        raise InvalidParams(f"q must exceed 1, got {q}")
+    if not (1.0 < q < np.inf):
+        raise InvalidParams(f"q must be finite and exceed 1, got {q}")
     mesh = field.mesh
     D = _distances(mesh, distance_mode)
     np.fill_diagonal(D, np.inf)
@@ -84,36 +68,25 @@ def sobolev_seminorm(field: ScalarField, alpha, q, distance_mode="extrinsic",
     expo = mesh.dim_d + alpha * q
     total = float(np.einsum(
         "ij,i,j->", np.abs(f[:, None] - f[None, :]) ** q / D ** expo, w, w))
-    value = total ** (1.0 / q)
-    if report:
-        return SeminormReport("sobolev", value,
-                              {"alpha": alpha, "q": q}, distance_mode)
-    return value
+    return total ** (1.0 / q)
 
 
-def lq_norm(field: ScalarField, q, report=False):
+def lq_norm(field: ScalarField, q):
     """Weighted L^q norm ( sum_i |f_i|^q w_i )^{1/q}."""
-    if q < 1:
-        raise InvalidParams(f"q must be >= 1, got {q}")
-    value = float((np.abs(field.values) ** q
-                   @ field.mesh.vertex_measures) ** (1.0 / q))
-    if report:
-        return SeminormReport("lq", value, {"q": q}, None)
-    return value
+    if not (1.0 <= q < np.inf):
+        raise InvalidParams(f"q must be finite and >= 1, got {q}")
+    return float((np.abs(field.values) ** q
+                  @ field.mesh.vertex_measures) ** (1.0 / q))
 
 
-def holder_seminorm(field: ScalarField, beta, distance_mode="extrinsic",
-                    report=False):
+def holder_seminorm(field: ScalarField, beta, distance_mode="extrinsic"):
     """Discrete Hölder seminorm max_{i != j} |f_i - f_j| / dist_ij^beta."""
     if not (0.0 < beta <= 1.0):
         raise InvalidParams(f"beta must lie in (0,1], got {beta}")
     D = _distances(field.mesh, distance_mode)
     np.fill_diagonal(D, np.inf)
     f = field.values
-    value = float(np.max(np.abs(f[:, None] - f[None, :]) / D ** beta))
-    if report:
-        return SeminormReport("holder", value, {"beta": beta}, distance_mode)
-    return value
+    return float(np.max(np.abs(f[:, None] - f[None, :]) / D ** beta))
 
 
 def _patch_arrays(patch):
@@ -125,7 +98,7 @@ def _patch_arrays(patch):
     return X, f, G
 
 
-def graph_linearization_functional(patch, s, p, report=False):
+def graph_linearization_functional(patch, s, p):
     """int_B ( int_B |f(x)-f(y)-Df(y)(x-y)| / |x-y|^{d+1+s} dy )^p dx
     on a patch grid (d = 2), diagonal skipped, cell weight = spacing^2.
 
@@ -144,12 +117,7 @@ def graph_linearization_functional(patch, s, p, report=False):
     np.fill_diagonal(r, np.inf)
     lin = f[:, None] - f[None, :] - np.einsum("jk,ijk->ij", G, diff)
     inner = (np.abs(lin) / r ** (d + 1 + s)).sum(axis=1) * cell
-    value = float((inner ** p).sum() * cell)
-    if report:
-        return SeminormReport("graph_linearization", value,
-                              {"s": s, "p": p, "grid_step": patch.grid_step},
-                              None)
-    return value
+    return float((inner ** p).sum() * cell)
 
 
 def morrey_check(patch, s, p):

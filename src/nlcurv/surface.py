@@ -161,19 +161,16 @@ class EnergyParameters:
     p: float = 4.0
     q: float | None = None
     normalization: str = "raw"
-    codim_mode: str = "hypersurface"
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise InvalidParams(f"s must lie in (0,1), got {self.s}")
-        if self.p <= 0:
-            raise InvalidParams(f"p must be positive, got {self.p}")
-        if self.q is not None and self.q <= self.p:
-            raise InvalidParams("tangent-point energies need q > p")
+        if not (0.0 < self.p < np.inf):
+            raise InvalidParams(f"p must be finite and positive, got {self.p}")
+        if self.q is not None and not (self.p < self.q < np.inf):
+            raise InvalidParams("tangent-point energies need finite q > p")
         if self.normalization not in ("raw", "limit_normalized"):
             raise InvalidParams(f"unknown normalization {self.normalization!r}")
-        if self.codim_mode not in ("hypersurface", "projection"):
-            raise InvalidParams(f"unknown codim mode {self.codim_mode!r}")
 
     @property
     def c_s(self) -> float:
@@ -309,16 +306,12 @@ def _tokens(path):
         raise ParseError(str(exc)) from exc
 
 
-def load_mesh(path, fmt=None) -> DiscreteHypersurface:
-    """Read an ASCII OFF or OBJ file (triangles or closed polylines)."""
-    if fmt is None:
-        fmt = "OBJ" if str(path).lower().endswith(".obj") else "OFF"
-    fmt = fmt.upper()
-    if fmt == "OFF":
-        return _load_off(path)
-    if fmt == "OBJ":
+def load_mesh(path) -> DiscreteHypersurface:
+    """Read an ASCII OBJ (by its .obj extension) or OFF file (triangles or
+    closed polylines)."""
+    if str(path).lower().endswith(".obj"):
         return _load_obj(path)
-    raise InvalidParams(f"unknown mesh format {fmt!r}")
+    return _load_off(path)
 
 
 def _load_off(path):
@@ -358,11 +351,11 @@ def _load_obj(path):
 def _from_polygons(verts, faces):
     sizes = {len(f) for f in faces}
     if sizes == {2}:
-        E = np.array(faces)
-        if np.allclose(verts[:, 2] if verts.shape[1] == 3 else 0.0, 0.0) \
-                and verts.shape[1] == 3:
-            verts = verts[:, :2]
-        return build_surface(verts, E)
+        # a curve in the z = 0 plane is a plane curve; any other is a curve
+        # in 3-space (codimension 2)
+        planar = verts.shape[1] != 3 or np.allclose(verts[:, 2], 0.0)
+        return build_surface(verts[:, :2] if planar else verts,
+                             np.array(faces), codim2=not planar)
     if sizes == {3}:
         return build_surface(verts, np.array(faces))
     raise ParseError(f"unsupported polygon sizes {sorted(sizes)}")
@@ -602,7 +595,10 @@ def rescale(mesh: DiscreteHypersurface, lam: float) -> DiscreteHypersurface:
     return mesh.with_vertices(mesh.vertices * lam)
 
 
-def convexity_check(mesh: DiscreteHypersurface, tol=None):
+_CONVEX_TOL = 1e-9  # times diameter: the violation convexity_check forgives
+
+
+def convexity_check(mesh: DiscreteHypersurface):
     """Half-space test of every vertex against every supporting element plane.
 
     Returns {'is_convex': bool, 'max_violation': float}; the violation is
@@ -610,8 +606,7 @@ def convexity_check(mesh: DiscreteHypersurface, tol=None):
     """
     if mesh.codim2:
         raise UnsupportedMode("convexity needs a hypersurface bounding a region")
-    if tol is None:
-        tol = 1e-9 * mesh.diameter
+    tol = _CONVEX_TOL * mesh.diameter
     C = mesh.element_centroids
     n = mesh.element_normals
     worst = -np.inf

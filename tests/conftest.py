@@ -26,6 +26,15 @@ def make_flat_square(n=8, scale=1.0):
     return build_surface(V, np.asarray(F), allow_boundary=True)
 
 
+def make_trefoil(n=96):
+    """A knotted closed curve in 3-space (projection mode only)."""
+    t = 2 * np.pi * np.arange(n) / n
+    V = np.stack([np.sin(t) + 2 * np.sin(2 * t),
+                  np.cos(t) - 2 * np.cos(2 * t), -np.sin(3 * t)], 1)
+    E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
+    return build_surface(V, E, codim2=True)
+
+
 def make_flat_strip(n=32, scale=1.0):
     """Straight open polyline in the plane."""
     x = np.linspace(0, scale, n + 1)
@@ -77,7 +86,7 @@ def naive_pointwise(mesh, scheme, params, vertex, absolute):
         y = scheme.points[j]
         d = x - y
         r = np.linalg.norm(d)
-        dot = naive_pairing(mesh, params.codim_mode, scheme.element_of[j], d)
+        dot = naive_pairing(mesh, scheme.element_of[j], d)
         if absolute:
             dot = abs(dot)
         total += dot / r ** (mesh.dim_d + 1 + params.s) * scheme.weights[j]
@@ -85,9 +94,9 @@ def naive_pointwise(mesh, scheme, params, vertex, absolute):
     return params.c_s * (total + near)
 
 
-def naive_pairing(mesh, codim_mode, element, d):
-    """<d, n> on a hypersurface; in projection mode |d - <d, t> t|."""
-    if mesh.codim2 or codim_mode == "projection":
+def naive_pairing(mesh, element, d):
+    """<d, n> on a hypersurface; for a curve in 3-space |d - <d, t> t|."""
+    if mesh.codim2:
         t = mesh.element_tangents[element]
         return float(np.linalg.norm(d - (d @ t) * t))
     return float(d @ mesh.element_normals[element])
@@ -124,8 +133,7 @@ def naive_energy(mesh, scheme, params, kind):
                 continue
             d = x - scheme.points[j]
             r = np.linalg.norm(d)
-            dot = naive_pairing(mesh, params.codim_mode,
-                                scheme.element_of[j], d)
+            dot = naive_pairing(mesh, scheme.element_of[j], d)
             if kind == "A":
                 dot = abs(dot)
             acc += dot / r ** (mesh.dim_d + 1 + params.s) * scheme.weights[j]
@@ -135,7 +143,7 @@ def naive_energy(mesh, scheme, params, kind):
     return total
 
 
-def naive_tangent_point(mesh, scheme, p, q, codim_mode="hypersurface"):
+def naive_tangent_point(mesh, scheme, p, q):
     """Reference T_{p,q} by plain double loops over samples."""
     excl_elem = naive_excluded(mesh, scheme)
     total = 0.0
@@ -147,7 +155,7 @@ def naive_tangent_point(mesh, scheme, p, q, codim_mode="hypersurface"):
                 continue
             d = x - scheme.points[j]
             r = np.linalg.norm(d)
-            dot = abs(naive_pairing(mesh, codim_mode, scheme.element_of[j], d))
+            dot = abs(naive_pairing(mesh, scheme.element_of[j], d))
             total += dot ** p / r ** (q - p) \
                 * scheme.weights[j] * scheme.weights[i]
     return total

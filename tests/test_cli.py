@@ -150,6 +150,28 @@ class TestCommands:
         doc = read_report(tmp_path)
         assert doc["sobolev"]["value"] > 0 and doc["holder"]["value"] > 0
 
+    def test_sobolev_report_entries(self, tmp_path):
+        from nlcurv import seminorms
+        from nlcurv.surface import make_primitive
+
+        rc = main(["sobolev", "--primitive", "sphere_icosub", "--sub", "1",
+                   "--field", "y", "--fq", "3", "--alpha", "0.25",
+                   "--beta", "0.75", "--distance", "intrinsic",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        doc = read_report(tmp_path)
+        mesh = make_primitive("sphere_icosub", subdivisions=1)
+        f = seminorms.ScalarField(mesh, mesh.vertices[:, 1])
+        assert doc["sobolev"] == {
+            "kind": "sobolev", "alpha": 0.25, "q": 3.0,
+            "distance_mode": "intrinsic",
+            "value": seminorms.sobolev_seminorm(f, 0.25, 3.0, "intrinsic")}
+        assert doc["lq"] == {"kind": "lq", "q": 3.0, "distance_mode": None,
+                             "value": seminorms.lq_norm(f, 3.0)}
+        assert doc["holder"] == {
+            "kind": "holder", "beta": 0.75, "distance_mode": "intrinsic",
+            "value": seminorms.holder_seminorm(f, 0.75, "intrinsic")}
+
     def test_flow_writes_trajectory_and_snapshots(self, tmp_path):
         rc = main(["flow", "--primitive", "perturbed_sphere", "--sub", "0",
                    "--amp", "0.05", "--seed", "3", "--p", "5",
@@ -215,6 +237,9 @@ class TestCommands:
         ["--mode", "ahlfors", "--vertex", "9999"],
         ["--mode", "ahlfors", "--vertex", "-1"],
         ["--mode", "patch", "--vertex", "9999"],
+        ["--mode", "patch", "--grid-step", "nan"],
+        ["--mode", "patch", "--grad-bound", "nan"],
+        ["--mode", "chordarc", "--pairs", "-5"],
     ])
     def test_bad_probe_input_exit_code(self, tmp_path, capsys, argv):
         rc = main(["probe", "--primitive", "sphere_icosub", "--sub", "1"]
@@ -222,6 +247,37 @@ class TestCommands:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "InvalidParams"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--p", "nan"],
+        ["eval", "--p", "inf"],
+        ["sobolev", "--fq", "nan"],
+        ["flow", "--step0", "nan"],
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--primitive", "sphere_icosub", "--sub", "1",
+                          "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "InvalidParams"
+
+    @pytest.mark.parametrize("argv", [
+        ["probe", "--mode", "ahlfors", "--primitive", "sphere_icosub",
+         "--vertex", "abc"],
+        ["probe", "--primitive", "sphere_icosub"],
+        ["frobnicate"],
+    ])
+    def test_argparse_error_exit_code(self, capsys, argv):
+        rc = main(argv)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "UsageError"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: nlcurv" in capsys.readouterr().out
 
     def test_workers_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLCURV_WORKERS", "4")

@@ -73,11 +73,8 @@ class TestGradient:
         if ambient == 3:
             V = np.c_[V, 0.2 * np.sin(3 * th)]
         mesh = build_surface(V, E, codim2=ambient == 3)
-        params = EnergyParameters(
-            s=0.5, p=5.0,
-            codim_mode="projection" if ambient == 3 else "hypersurface")
-        g = energy_gradient(mesh, params)
-        ref = fd_gradient_oracle(mesh, params)
+        g = energy_gradient(mesh, PARAMS)
+        ref = fd_gradient_oracle(mesh, PARAMS)
         assert np.abs(g - ref).max() <= 1e-8 * np.abs(ref).max()
 
     def test_coincident_samples_degenerate(self, circle128):
@@ -170,11 +167,17 @@ class TestMinimize:
             minimize(bumpy, crit, max_iter=1, step0=1e-3, grad_tol=1e-6)
 
     def test_stall_on_minimum(self):
-        # near-minimal sphere with a tiny step budget stalls immediately
+        # near-minimal sphere with a step below the line search's minimum
+        # step stalls immediately
         m = make_primitive("sphere_icosub", subdivisions=1)
         with pytest.raises(StallError):
-            minimize(m, PARAMS, max_iter=2, step0=1e-30, min_step=1e-31,
-                     grad_tol=1e-12)
+            minimize(m, PARAMS, max_iter=2, step0=1e-13, grad_tol=1e-12)
+
+    @pytest.mark.parametrize("kw", [{"step0": 0.0}, {"step0": np.nan},
+                                    {"step0": np.inf}, {"grad_tol": np.nan}])
+    def test_invalid_step_and_tolerance(self, bumpy, kw):
+        with pytest.raises(InvalidParams):
+            minimize(bumpy, PARAMS, max_iter=1, **kw)
 
     def test_grad_tol_stop(self, bumpy):
         state = minimize(bumpy, PARAMS, max_iter=2, step0=1e-3,

@@ -3,7 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import naive_energy, naive_pointwise, naive_tangent_point
+from conftest import (
+    make_trefoil,
+    naive_energy,
+    naive_pointwise,
+    naive_tangent_point,
+)
 from nlcurv import functionals
 from nlcurv.errors import DegenerateGeometry, InvalidParams, UnsupportedMode
 from nlcurv.functionals import (
@@ -91,8 +96,7 @@ class TestPointwise:
         scp = build_scheme(plane)
         scs = build_scheme(space)
         a = pointwise_curvature(plane, scp, PARAMS, kind="A")
-        proj = EnergyParameters(s=0.5, p=4.0, codim_mode="projection")
-        b = pointwise_curvature(space, scs, proj, kind="A")
+        b = pointwise_curvature(space, scs, PARAMS, kind="A")
         assert np.allclose(a, b, rtol=1e-12)
 
     def test_flat_meshes_zero(self, flat_square, flat_strip):
@@ -203,8 +207,9 @@ class TestTangentPoint:
 
     def test_invalid_exponents(self, circle128):
         sc = build_scheme(circle128)
-        with pytest.raises(InvalidParams):
-            tangent_point_energy(circle128, sc, p=4.0, q=2.0)
+        for p, q in ((4.0, 2.0), (2.0, np.inf), (np.nan, 4.0), (2.0, np.nan)):
+            with pytest.raises(InvalidParams):
+                tangent_point_energy(circle128, sc, p=p, q=q)
 
     def test_radius_circle(self):
         th = 1.3
@@ -221,15 +226,6 @@ class TestTangentPoint:
     def test_radius_coincident_rejected(self):
         with pytest.raises(InvalidParams):
             tangent_point_radius([0.0, 0.0], [0.0, 0.0], [0.0, 1.0])
-
-
-def _trefoil(n=96):
-    """A knotted closed curve in 3-space (projection mode only)."""
-    t = 2 * np.pi * np.arange(n) / n
-    V = np.stack([np.sin(t) + 2 * np.sin(2 * t),
-                  np.cos(t) - 2 * np.cos(2 * t), -np.sin(3 * t)], 1)
-    E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
-    return build_surface(V, E, codim2=True)
 
 
 class TestTiling:
@@ -259,33 +255,30 @@ class TestTiling:
                                             ("circle128", "centroid"),
                                             ("trefoil", "gauss3")])
     def test_small_tiles_match_naive(self, request, monkeypatch, name, order):
-        mesh = (_trefoil() if name == "trefoil"
+        mesh = (make_trefoil() if name == "trefoil"
                 else request.getfixturevalue(name))
         sc = build_scheme(mesh, order=order)
         k = sc.n_per_element
-        mode = "projection" if mesh.codim2 else "hypersurface"
-        params = EnergyParameters(s=0.5, p=4.0, codim_mode=mode)
         verts = [0, 7, mesh.n_vertices - 1]
         kinds = ("A",) if mesh.codim2 else ("H", "A")
 
         def values(w):
-            out = {"B": bending_energy(mesh, sc, params, workers=w).energy,
+            out = {"B": bending_energy(mesh, sc, PARAMS, workers=w).energy,
                    "T": tangent_point_energy(mesh, sc, p=2.0, q=4.5,
-                                             codim_mode=mode,
                                              workers=w).energy}
             if not mesh.codim2:
-                out["W"] = willmore_energy(mesh, sc, params, workers=w).energy
+                out["W"] = willmore_energy(mesh, sc, PARAMS, workers=w).energy
             for kind in kinds:
-                out[kind] = pointwise_curvature(mesh, sc, params, verts,
+                out[kind] = pointwise_curvature(mesh, sc, PARAMS, verts,
                                                 kind=kind, workers=w)
             return out
 
-        ref = {"B": naive_energy(mesh, sc, params, "A"),
-               "T": naive_tangent_point(mesh, sc, 2.0, 4.5, mode)}
+        ref = {"B": naive_energy(mesh, sc, PARAMS, "A"),
+               "T": naive_tangent_point(mesh, sc, 2.0, 4.5)}
         if not mesh.codim2:
-            ref["W"] = naive_energy(mesh, sc, params, "H")
+            ref["W"] = naive_energy(mesh, sc, PARAMS, "H")
         for kind in kinds:
-            ref[kind] = [naive_pointwise(mesh, sc, params, v, kind == "A")
+            ref[kind] = [naive_pointwise(mesh, sc, PARAMS, v, kind == "A")
                          for v in verts]
         # some sample excludes elements on both sides of a tile boundary
         excl = functionals._sample_exclusions(mesh, sc).toarray() > 0

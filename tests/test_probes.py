@@ -51,8 +51,7 @@ class TestPatch:
         assert p.radius <= 0.3
 
     def test_holder_quantities(self, sphere3):
-        p = extract_patch(sphere3, 0, grid_step=0.05, rmax=0.3,
-                          holder_exponent=0.25)
+        p = extract_patch(sphere3, 0, grid_step=0.05, rmax=0.3)
         assert p.grad_sup > 0 and np.isfinite(p.grad_holder)
         d = p.to_dict()
         assert d["holder_exponent"] == 0.25 and d["n_nodes"] == len(p.grid)
@@ -157,6 +156,13 @@ class TestAhlfors:
                 ahlfors_ratio(sphere1, vertex, [0.5])
             with pytest.raises(InvalidParams):
                 extract_patch(sphere1, vertex)
+
+    @pytest.mark.parametrize("key", ["grad_bound", "grid_step", "rmax",
+                                     "zmax"])
+    def test_invalid_patch_sizes(self, sphere1, key):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParams):
+                extract_patch(sphere1, 0, **{key: bad})
 
 
 class TestChordArc:

@@ -3,7 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from conftest import make_trefoil
 from nlcurv import errors
+from nlcurv.functionals import bending_energy
+from nlcurv.quadrature import build_scheme
 from nlcurv.surface import (
     EnergyParameters,
     build_surface,
@@ -125,6 +128,24 @@ class TestIO:
         assert np.allclose(m.vertices, sphere1.vertices)
         assert np.array_equal(m.elements, sphere1.elements)
 
+    def test_space_curve_roundtrip(self, tmp_path):
+        # a non-planar curve loads as a curve in 3-space (codimension 2)
+        knot = make_trefoil()
+        p = os.path.join(tmp_path, "knot.off")
+        save_off(knot, p)
+        m = load_mesh(p)
+        assert m.codim2 and np.array_equal(m.vertices, knot.vertices)
+        params = EnergyParameters(s=0.5, p=4.0)
+        assert bending_energy(m, build_scheme(m), params).energy \
+            == bending_energy(knot, build_scheme(knot), params).energy
+        p = os.path.join(tmp_path, "knot.obj")
+        with open(p, "w") as fh:
+            for v in knot.vertices:
+                fh.write("v %.17g %.17g %.17g\n" % tuple(v))
+            n = knot.n_vertices
+            fh.write("l " + " ".join(str(i % n + 1) for i in range(n + 1)))
+        assert np.array_equal(load_mesh(p).elements, knot.elements)
+
     def test_obj_cube_inward_flipped(self, tmp_path):
         # all faces wound inward: loader flips to positive volume
         V = np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
@@ -218,6 +239,8 @@ class TestEnergyParameters:
         {"s": 0.0}, {"s": 1.0}, {"s": 0.5, "p": 0.0},
         {"s": 0.5, "q": 2.0, "p": 4.0},
         {"s": 0.5, "normalization": "weird"},
+        {"s": 0.5, "p": np.nan}, {"s": 0.5, "p": np.inf},
+        {"s": 0.5, "p": 2.0, "q": np.nan}, {"s": 0.5, "p": 2.0, "q": np.inf},
     ])
     def test_invalid(self, kw):
         with pytest.raises(errors.InvalidParams):
