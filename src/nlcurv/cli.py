@@ -218,23 +218,17 @@ def _write_report(cfg, payload, name="report.json"):
 
 def _cmd_eval(cfg):
     o = cfg.options
+    if o.get("tangent_point") and o.get("q") is None:
+        raise UsageError("--tangent-point needs --q")
     mesh = _get_mesh(o)
     params = _params(o)
     scheme = build_scheme(mesh, o["order"], o["policy"])
-    w = o["workers"]
-    reports = {}
-    bend = functionals.bending_energy(mesh, scheme, params, workers=w)
-    reports["bending"] = bend.to_dict()
-    if not mesh.codim2:
-        reports["willmore"] = functionals.willmore_energy(
-            mesh, scheme, params, workers=w).to_dict()
-    if o.get("tangent_point"):
-        if o.get("q") is None:
-            raise UsageError("--tangent-point needs --q")
-        reports["tangent_point"] = functionals.tangent_point_energy(
-            mesh, scheme, o["p"], o["q"], workers=w).to_dict()
+    kinds = ["bending"] + ([] if mesh.codim2 else ["willmore"]) \
+        + (["tangent_point"] if o.get("tangent_point") else [])
+    reports = {r.kind: r.to_dict() for r in functionals._energies(
+        mesh, scheme, kinds, o["workers"], params, o["p"], o["q"])}
     path = _write_report(cfg, {"results": reports})
-    print(f"eval: B={bend.energy:.9g}"
+    print(f"eval: B={reports['bending']['energy']:.9g}"
           + (f" W={reports['willmore']['energy']:.9g}"
              if "willmore" in reports else "")
           + f" -> {path}")

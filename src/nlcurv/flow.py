@@ -120,7 +120,7 @@ def energy_gradient(mesh, params, h=1e-4, order="gauss3",
     expo = mesh.dim_d + 1 + params.s
     cutoff = _PAIR_CUTOFF * mesh.diameter
     # |A|_s sums (pairing power 1) at every sample, in one thread
-    a = _kernel_sums(Y, excl, inner, cutoff, expo, 1.0, 1)
+    a = _kernel_sums(Y, excl, inner, cutoff, [(expo, 1.0)], 1)[0]
     stars = _incidence(mesh)
     diam = _diameters_without(V)
     geometry = _segment_geometry if mesh.dim_d == 1 else _triangle_geometry
@@ -142,9 +142,9 @@ def energy_gradient(mesh, params, h=1e-4, order="gauss3",
         Yp[J], Wp[J], Np[J] = Ys, Ws, Ns
         ap = np.empty_like(a)
         ap[out] = b + _kernel_sums(Y[out], excl_cols, (Ys, Ws, Ns, mode),
-                                   cut, expo, 1.0, 1)
-        ap[J] = _kernel_sums(Ys, excl_rows, (Yp, Wp, Np, mode), cut, expo,
-                             1.0, 1)
+                                   cut, [(expo, 1.0)], 1)[0]
+        ap[J] = _kernel_sums(Ys, excl_rows, (Yp, Wp, Np, mode), cut,
+                             [(expo, 1.0)], 1)[0]
         return float(np.abs(params.c_s * ap) ** params.p @ Wp)
 
     grad = np.empty_like(V)
@@ -154,7 +154,7 @@ def energy_gradient(mesh, params, h=1e-4, order="gauss3",
         out = np.setdiff1d(np.arange(len(W)), J)
         excl_cols = excl[out][:, el].toarray()
         b = a[out] - _kernel_sums(Y[out], excl_cols, (Y[J], W[J], N[J], mode),
-                                  cutoff, expo, 1.0, 1)
+                                  cutoff, [(expo, 1.0)], 1)[0]
         star = (mesh.elements[el], J, out, b, excl_cols, excl[J].toarray())
         step = h * local[i]
         for c in range(mesh.ambient_n):

@@ -2,9 +2,11 @@
 W_{s,p}, B_{s,p}, T_{p,q}, and the tangent-point radius.
 
 All double sums share one kernel driver, tiled by sample-pair count so
-that worker memory does not depend on the mesh size.  Tiles and blocks do
-not depend on the worker count and each block writes its own output slot,
-so results are bitwise reproducible for any number of threads.
+that worker memory does not depend on the mesh size; one pass evaluates
+several kernels over the same pairs, as `eval` does for B, W and T.  Tiles
+and blocks do not depend on the worker count and each block writes its own
+output slots, so results are bitwise reproducible for any number of
+threads.
 """
 
 from __future__ import annotations
@@ -110,21 +112,26 @@ def _inner_data(mesh, scheme):
     return scheme.points, scheme.weights, N[scheme.element_of], mode
 
 
-def _kernel_sums(X, excl, inner, cutoff, expo_r, power, workers):
-    """Per outer point x:  Sum_y |pairing|^power / r^expo_r * w(y), or the
-    signed pairing when power is None, over the inner samples y outside
-    the inner elements marked in x's row of the table excl (sparse or
-    dense).  The pairing is <x-y, n(y)>, or in projection mode
-    |x-y - <t,x-y> t|, the part of x-y normal to the curve at y.
+def _kernel_sums(X, excl, inner, cutoff, terms, workers):
+    """Per term (expo_r, power) and outer point x:  Sum_y |pairing|^power
+    / r^expo_r * w(y), or the signed pairing when power is None, over the
+    inner samples y outside the inner elements marked in x's row of the
+    table excl (sparse or dense); returns a (len(terms), len(X)) array.
+    The pairing is <x-y, n(y)>, or in projection mode |x-y - <t,x-y> t|,
+    the part of x-y normal to the curve at y.
 
     inner is (Y, W, N, mode) from _inner_data, ordered by element with k
     samples each.  A kept pair closer than cutoff raises
     DegenerateGeometry.  Tiles of at most _TILE_PAIRS inner samples (whole
     elements) and blocks of _TILE_PAIRS // tile outer points keep each
-    worker in four (rows, tile) buffers whatever S is.  Excluded pairs are
-    parked at r^2 = +inf, where r^-expo_r is an exact zero.  Each block sums
-    its tiles in a fixed order into its own slot, so the result does not
-    depend on the worker count; one block runs in the calling thread.
+    worker in four (rows, tile) buffers whatever S is.  The geometry, the
+    exclusions and the cutoff check are done once per tile for all terms;
+    the signed terms run first, so that |pairing| can then be taken in
+    place, and r^-expo_r is recomputed only where the exponent changes.
+    Excluded pairs are parked at r^2 = +inf, where r^-expo_r is an exact
+    zero.  Each block sums its tiles in a fixed order into its own slots,
+    so the result does not depend on the worker count; one block runs in
+    the calling thread.
     """
     Y, W, N, mode = inner
     k = len(W) // excl.shape[1]
@@ -136,7 +143,8 @@ def _kernel_sums(X, excl, inner, cutoff, expo_r, power, workers):
     Yt, Nt = Y.T.copy(), N.T.copy()
     # nonzero() lists the entries row by row, for sparse and dense tables
     ex_row, ex_el = excl.nonzero()
-    out = np.zeros(n)
+    order = sorted(range(len(terms)), key=lambda i: terms[i][1] is not None)
+    out = np.zeros((len(terms), n))
 
     def work(first):
         buf = np.empty((4, rows * tile))
@@ -146,17 +154,17 @@ def _kernel_sums(X, excl, inner, cutoff, expo_r, power, workers):
             ex_r, ex_e = ex_row[lo:hi] - a, ex_el[lo:hi]
             for c in range(0, S, tile):
                 d = min(c + tile, S)
-                r2, dot, diff, tmp = (v.reshape(b - a, d - c)
+                r2, dot, kern, tmp = (v.reshape(b - a, d - c)
                                       for v in buf[:, :(b - a) * (d - c)])
                 for j, (x, y, t) in enumerate(zip(X[a:b].T, Yt[:, c:d],
                                                   Nt[:, c:d])):
-                    np.subtract(x[:, None], y, out=diff)
+                    np.subtract(x[:, None], y, out=kern)
                     if j == 0:
-                        np.multiply(diff, t, out=dot)
-                        np.multiply(diff, diff, out=r2)
+                        np.multiply(kern, t, out=dot)
+                        np.multiply(kern, kern, out=r2)
                     else:
-                        dot += np.multiply(diff, t, out=tmp)
-                        r2 += np.multiply(diff, diff, out=tmp)
+                        dot += np.multiply(kern, t, out=tmp)
+                        r2 += np.multiply(kern, kern, out=tmp)
                 if mode == "projection":
                     np.subtract(r2, np.multiply(dot, dot, out=tmp), out=tmp)
                     np.sqrt(np.maximum(tmp, 0.0, out=tmp), out=dot)
@@ -166,13 +174,24 @@ def _kernel_sums(X, excl, inner, cutoff, expo_r, power, workers):
                 if r2.min() < cutoff * cutoff:
                     raise DegenerateGeometry("non-excluded sample pair "
                                              "closer than the cutoff")
-                np.power(r2, -expo_r / 2, out=r2)
-                if power is not None:
-                    np.abs(dot, out=dot)
-                    if power != 1.0:
-                        np.power(dot, power, out=dot)
-                r2 *= dot
-                out[a:b] += r2 @ W[c:d]
+                expo, signed = None, True
+                for i in order:
+                    e, power = terms[i]
+                    if e != expo:
+                        expo = e
+                        np.power(r2, -expo / 2, out=kern)
+                    if power is None:
+                        np.multiply(kern, dot, out=tmp)
+                    else:
+                        if signed:
+                            signed = False
+                            np.abs(dot, out=dot)
+                        if power == 1.0:
+                            np.multiply(kern, dot, out=tmp)
+                        else:
+                            np.power(dot, power, out=tmp)
+                            tmp *= kern
+                    out[i, a:b] += tmp @ W[c:d]
 
     if workers <= 1:
         work(0)
@@ -339,7 +358,8 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
     near = _near_field(mesh, params, vertices, kind)
     sums = _kernel_sums(X, _incidence(mesh)[vertices],
                         _inner_data(mesh, scheme),
-                        _PAIR_CUTOFF * mesh.diameter, expo, power, workers)
+                        _PAIR_CUTOFF * mesh.diameter, [(expo, power)],
+                        workers)[0]
     return params.c_s * (sums + near)
 
 
@@ -359,41 +379,50 @@ def nonlocal_second_fundamental(mesh, scheme, vertex, params, workers=None):
 # energies
 # --------------------------------------------------------------------------
 
-def _energy_outer(mesh, scheme, params, kind, workers):
-    """|H_s|^p or |A|_s^p evaluated at the quadrature points themselves."""
-    expo = mesh.dim_d + 1 + params.s
-    power = None if kind == "H" else 1.0
-    vals = params.c_s * _kernel_sums(
-        scheme.points, _sample_exclusions(mesh, scheme),
-        _inner_data(mesh, scheme),
-        _PAIR_CUTOFF * mesh.diameter, expo, power, workers)
-    return float(np.abs(vals) ** params.p @ scheme.weights)
+def _energies(mesh, scheme, kinds, workers, params=None, p=None, q=None):
+    """Reports of the energies named in kinds ('bending' and 'willmore'
+    from params, 'tangent_point' from p and q), all from one kernel pass
+    over the sample pairs, whose wall time every report carries.
 
-
-def _report(kind, energy, mesh, scheme, pdict, t0):
-    return EnergyReport(kind, energy, pdict, _mesh_descriptor(mesh),
-                        scheme.descriptor(), time.perf_counter() - t0)
+    B and W are |A|_s^p and |H_s|^p evaluated at the quadrature points
+    themselves.  Every request is validated before the pass.
+    """
+    if "willmore" in kinds and mesh.codim2:
+        raise UnsupportedMode("W_{s,p} needs a hypersurface; "
+                              "use bending_energy in projection mode")
+    if "tangent_point" in kinds and not (0 < p < q < np.inf):
+        raise InvalidParams("tangent-point energy needs finite q > p > 0")
+    workers = get_workers(workers)
+    t0 = time.perf_counter()
+    terms = [(q - p, p) if kind == "tangent_point" else
+             (mesh.dim_d + 1 + params.s, None if kind == "willmore" else 1.0)
+             for kind in kinds]
+    sums = _kernel_sums(scheme.points, _sample_exclusions(mesh, scheme),
+                        _inner_data(mesh, scheme),
+                        _PAIR_CUTOFF * mesh.diameter, terms, workers)
+    done = []
+    for kind, row in zip(kinds, sums):
+        if kind == "tangent_point":
+            e = float(row @ scheme.weights)
+            pd = {"s": None, "p": p, "q": q, "normalization": None}
+        else:
+            e = float(np.abs(params.c_s * row) ** params.p @ scheme.weights)
+            pd = {"s": params.s, "p": params.p, "q": None,
+                  "normalization": params.normalization}
+        done.append((kind, e, pd))
+    wall = time.perf_counter() - t0
+    return [EnergyReport(kind, e, pd, _mesh_descriptor(mesh),
+                         scheme.descriptor(), wall) for kind, e, pd in done]
 
 
 def willmore_energy(mesh, scheme, params, workers=None) -> EnergyReport:
     """W_{s,p} = integral of |H_s|^p over the surface."""
-    if mesh.codim2:
-        raise UnsupportedMode("W_{s,p} needs a hypersurface; "
-                              "use bending_energy in projection mode")
-    t0 = time.perf_counter()
-    e = _energy_outer(mesh, scheme, params, "H", get_workers(workers))
-    pd = {"s": params.s, "p": params.p, "q": None,
-          "normalization": params.normalization}
-    return _report("willmore", e, mesh, scheme, pd, t0)
+    return _energies(mesh, scheme, ["willmore"], workers, params)[0]
 
 
 def bending_energy(mesh, scheme, params, workers=None) -> EnergyReport:
     """B_{s,p} = integral of |A|_s^p over the surface."""
-    t0 = time.perf_counter()
-    e = _energy_outer(mesh, scheme, params, "A", get_workers(workers))
-    pd = {"s": params.s, "p": params.p, "q": None,
-          "normalization": params.normalization}
-    return _report("bending", e, mesh, scheme, pd, t0)
+    return _energies(mesh, scheme, ["bending"], workers, params)[0]
 
 
 def tangent_point_energy(mesh, scheme, p, q, workers=None) -> EnergyReport:
@@ -401,16 +430,7 @@ def tangent_point_energy(mesh, scheme, p, q, workers=None) -> EnergyReport:
 
     T has no c_s, so it takes no normalization.
     """
-    if not (0 < p < q < np.inf):
-        raise InvalidParams("tangent-point energy needs finite q > p > 0")
-    t0 = time.perf_counter()
-    per_outer = _kernel_sums(scheme.points, _sample_exclusions(mesh, scheme),
-                             _inner_data(mesh, scheme),
-                             _PAIR_CUTOFF * mesh.diameter, q - p, p,
-                             get_workers(workers))
-    e = float(per_outer @ scheme.weights)
-    pd = {"s": None, "p": p, "q": q, "normalization": None}
-    return _report("tangent_point", e, mesh, scheme, pd, t0)
+    return _energies(mesh, scheme, ["tangent_point"], workers, p=p, q=q)[0]
 
 
 def tangent_point_radius(x, y, n_y):

@@ -107,8 +107,8 @@ def graph_linearization_functional(patch, s, p):
     """
     if not (0.0 < s < 1.0):
         raise InvalidParams(f"s must lie in (0,1), got {s}")
-    if p <= 0:
-        raise InvalidParams(f"p must be positive, got {p}")
+    if not (0 < p < np.inf):
+        raise InvalidParams(f"p must be finite and positive, got {p}")
     X, f, G = _patch_arrays(patch)
     d = X.shape[1]
     cell = patch.grid_step ** d

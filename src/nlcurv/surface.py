@@ -329,7 +329,7 @@ def _load_off(path):
             faces.append(tuple(int(x) for x in parts[1:1 + k]))
     except (ValueError, IndexError) as exc:
         raise ParseError(f"malformed OFF file: {exc}") from exc
-    return _from_polygons(np.array(verts), faces)
+    return _from_polygons(verts, faces)
 
 
 def _load_obj(path):
@@ -345,10 +345,13 @@ def _load_obj(path):
             faces.extend(zip(idx[:-1], idx[1:]))
     if not verts or not faces:
         raise ParseError("OBJ file holds no usable geometry")
-    return _from_polygons(np.array(verts), faces)
+    return _from_polygons(verts, faces)
 
 
 def _from_polygons(verts, faces):
+    if len({len(v) for v in verts}) > 1:
+        raise ParseError("vertex lines hold different numbers of coordinates")
+    verts = np.array(verts)
     sizes = {len(f) for f in faces}
     if sizes == {2}:
         # a curve in the z = 0 plane is a plane curve; any other is a curve

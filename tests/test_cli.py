@@ -4,8 +4,11 @@ import os
 
 import pytest
 
+from nlcurv import functionals
 from nlcurv.cli import main, parse_config
 from nlcurv.errors import UsageError
+from nlcurv.quadrature import build_scheme
+from nlcurv.surface import EnergyParameters, make_primitive
 
 
 def read_report(out):
@@ -89,6 +92,44 @@ class TestCommands:
         rc = main(["eval", "--primitive", "circle", "--tangent-point",
                    "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_eval_validates_before_the_pass(self, tmp_path, capsys,
+                                            monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel ran before validation")
+
+        monkeypatch.setattr(functionals, "_kernel_sums", fail)
+        rc = main(["eval", "--primitive", "sphere_icosub", "--sub", "1",
+                   "--tangent-point", "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "UsageError"
+
+    def test_eval_one_pass_matches_public_calls(self, tmp_path, monkeypatch):
+        calls = []
+        kernel = functionals._kernel_sums
+
+        def counted(*args):
+            calls.append(len(args[4]))
+            return kernel(*args)
+
+        monkeypatch.setattr(functionals, "_kernel_sums", counted)
+        rc = main(["eval", "--primitive", "sphere_icosub", "--sub", "1",
+                   "--p", "4", "--q", "6", "--tangent-point",
+                   "--workers", "2", "--out", str(tmp_path)])
+        assert rc == 0 and calls == [3]
+        res = read_report(tmp_path)["results"]
+        assert len({r["wall_time_s"] for r in res.values()}) == 1
+        mesh = make_primitive("sphere_icosub", subdivisions=1)
+        sc = build_scheme(mesh)
+        params = EnergyParameters(s=0.5, p=4.0)
+        assert res["bending"]["energy"] == functionals.bending_energy(
+            mesh, sc, params, workers=2).energy
+        assert res["willmore"]["energy"] == functionals.willmore_energy(
+            mesh, sc, params, workers=2).energy
+        assert res["tangent_point"]["energy"] == \
+            functionals.tangent_point_energy(mesh, sc, 4.0, 6.0,
+                                             workers=2).energy
 
     def test_eval_codim2_skips_willmore(self, tmp_path):
         rc = main(["eval", "--primitive", "circle", "--n", "64",

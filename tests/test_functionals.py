@@ -306,22 +306,74 @@ class TestTiling:
             with pytest.raises(DegenerateGeometry):
                 bending_energy(doubled, sc, PARAMS, workers=w)
 
+    @pytest.mark.parametrize("name", ["sphere2", "trefoil"])
+    def test_fused_terms_match_single_calls(self, request, monkeypatch,
+                                            name):
+        # several terms in one pass give each term's single-term sums bit
+        # for bit; the trefoil pairs by projection, where only B and T apply
+        mesh = (make_trefoil() if name == "trefoil"
+                else request.getfixturevalue(name))
+        sc = build_scheme(mesh)
+        a, p, q = mesh.dim_d + 1 + PARAMS.s, 2.0, 4.5
+        terms = [(a, 1.0), (q - p, p)]
+        if not mesh.codim2:
+            terms.insert(0, (a, None))
+        args = (sc.points, functionals._sample_exclusions(mesh, sc),
+                functionals._inner_data(mesh, sc),
+                functionals._PAIR_CUTOFF * mesh.diameter)
+        # the default budget gives several blocks; 100 pairs give tiles
+        # with exclusions on both sides of their boundaries
+        for budget in (functionals._TILE_PAIRS, 100):
+            monkeypatch.setattr(functionals, "_TILE_PAIRS", budget)
+            for w in (1, 4):
+                fused = functionals._kernel_sums(*args, terms, w)
+                assert fused.shape == (len(terms), sc.n_samples)
+                for term, row in zip(terms, fused):
+                    single = functionals._kernel_sums(*args, [term], w)
+                    assert np.array_equal(row, single[0]), (budget, w, term)
+
+    def test_requests_validated_before_the_pass(self, monkeypatch,
+                                                circle128):
+        def fail(*args):
+            raise AssertionError("kernel ran before validation")
+
+        monkeypatch.setattr(functionals, "_kernel_sums", fail)
+        knot = make_trefoil()
+        with pytest.raises(UnsupportedMode):
+            functionals._energies(knot, build_scheme(knot),
+                                  ["bending", "willmore"], 1, PARAMS)
+        sc = build_scheme(circle128)
+        with pytest.raises(InvalidParams):
+            functionals._energies(circle128, sc, ["bending", "tangent_point"],
+                                  1, PARAMS, 4.0, 2.0)
+        with pytest.raises(InvalidParams):
+            functionals._energies(circle128, sc, ["bending"], 0, PARAMS)
+
     def test_memory_independent_of_samples(self):
         # numpy reports its buffers to tracemalloc, so the peak is exact;
         # the diameter is computed beforehand, outside the trace
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         peaks = []
         for sub in (2, 3):
             mesh = make_primitive("sphere_icosub", subdivisions=sub)
             mesh.diameter
             sc = build_scheme(mesh)
-            tracemalloc.start()
-            try:
-                bending_energy(mesh, sc, PARAMS, workers=1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(peak(lambda: bending_energy(mesh, sc, PARAMS,
+                                                     workers=1)))
         assert peaks[1] <= 1.5 * peaks[0]
         assert peaks[1] < 16e6
+        # B, W and T in one pass keep the four per-worker buffers of one
+        fused = peak(lambda: functionals._energies(
+            mesh, sc, ["bending", "willmore", "tangent_point"], 1, PARAMS,
+            4.0, 6.0))
+        assert fused <= 1.1 * peaks[1]
 
 
 class TestWorkers:

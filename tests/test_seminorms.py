@@ -152,6 +152,16 @@ class TestGraphLinearization:
         with pytest.raises(DegeneratePatch):
             graph_linearization_functional(patch, 0.5, 4.0)
 
+    def test_invalid(self):
+        patch = FakePatch(lambda x, y: x * x, lambda x, y: (2 * x, 0.0))
+        for s, p in ((0.0, 4.0), (0.5, 0.0), (0.5, -1.0), (0.5, np.nan),
+                     (0.5, np.inf)):
+            with pytest.raises(InvalidParams):
+                graph_linearization_functional(patch, s, p)
+        for p in (np.nan, np.inf):
+            with pytest.raises(InvalidParams):
+                morrey_check(patch, 0.6, p)
+
 
 class TestMorrey:
     def test_quadratic_patch(self):

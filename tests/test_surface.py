@@ -171,6 +171,17 @@ class TestIO:
         with pytest.raises(errors.ParseError):
             load_mesh(p)
 
+    @pytest.mark.parametrize("name,text", [
+        ("ragged.off", "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n"),
+        ("ragged.obj", "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n"),
+    ], ids=["off", "obj"])
+    def test_ragged_vertex_line(self, tmp_path, name, text):
+        p = os.path.join(tmp_path, name)
+        with open(p, "w") as fh:
+            fh.write(text)
+        with pytest.raises(errors.ParseError):
+            load_mesh(p)
+
 
 class TestGeometry:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
