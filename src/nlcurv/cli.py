@@ -287,9 +287,7 @@ def _cmd_sobolev(cfg):
     o = cfg.options
     mesh = _get_mesh(o)
     if o["field"] == "support":
-        rep = probes.stability_probe(mesh)
-        n = mesh.vertex_normals
-        vals = np.einsum("ik,ik->i", mesh.vertices - rep.center, n)
+        _, vals = probes._support_function(mesh)
     else:
         axis = {"x": 0, "y": 1, "z": 2}[o["field"]]
         if axis >= mesh.ambient_n:

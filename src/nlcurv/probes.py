@@ -194,10 +194,11 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
     The vertex normal is rotated to the vertical; heights over a Cartesian
     grid come from vertical ray casting (exactly one surface sheet per
     node required); gradients from local quadratic fits.  The base point
-    and rotation are iteratively refitted until f(0) = 0 and Df(0) = 0 to
-    machine levels.  The radius is the distance to the nearest node that
-    is multi-sheet, uncovered, or has |grad f| > grad_bound; it is capped
-    by the grid extent.
+    and rotation are refitted toward f(0) = 0 and Df(0) = 0 until
+    |Df(0)| <= 1e-10 or for _MAX_REFIT rounds, which can end above that
+    (a few 1e-8 on perturbed sub-1 spheres).  The radius is the distance
+    to the nearest node that is multi-sheet, uncovered, or has
+    |grad f| > grad_bound; it is capped by the grid extent.
     """
     if mesh.dim_d != 2:
         raise InvalidParams("patch extraction expects a surface in 3-space")
@@ -415,64 +416,34 @@ class StabilityReport:
                 "starshaped": self.starshaped}
 
 
-def _point_triangle_distance(P, A, B, C):
-    """Distances from points P (K,3) to triangles (T,3) — (K,T) array."""
-    ab = B - A
-    ac = C - A
-    bc = C - B
-    ap = P[:, None, :] - A[None, :, :]
-    bp = P[:, None, :] - B[None, :, :]
-    cp = P[:, None, :] - C[None, :, :]
-    d1 = np.einsum("tk,ptk->pt", ab, ap)
-    d2 = np.einsum("tk,ptk->pt", ac, ap)
-    d3 = np.einsum("tk,ptk->pt", ab, bp)
-    d4 = np.einsum("tk,ptk->pt", ac, bp)
-    d5 = np.einsum("tk,ptk->pt", ab, cp)
-    d6 = np.einsum("tk,ptk->pt", ac, cp)
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    t_ab = np.clip(d1 / np.where(d1 - d3 != 0, d1 - d3, 1.0), 0, 1)
-    t_ac = np.clip(d2 / np.where(d2 - d6 != 0, d2 - d6, 1.0), 0, 1)
-    den_bc = (d4 - d3) + (d5 - d6)
-    t_bc = np.clip((d4 - d3) / np.where(den_bc != 0, den_bc, 1.0), 0, 1)
-    denom = va + vb + vc
-    denom = np.where(denom != 0, denom, 1.0)
-    v = vb / denom
-    w = vc / denom
-
-    def sq(q):
-        return np.einsum("ptk,ptk->pt", q, q)
-
-    inner = sq(ap - ab[None, :, :] * v[:, :, None]
-               - ac[None, :, :] * w[:, :, None])
-    e_ab = sq(ap - ab[None, :, :] * t_ab[:, :, None])
-    e_ac = sq(ap - ac[None, :, :] * t_ac[:, :, None])
-    e_bc = sq(bp - bc[None, :, :] * t_bc[:, :, None])
-    d2min = np.minimum(np.minimum(e_ab, e_ac), e_bc)
-    interior = (va > 0) & (vb > 0) & (vc > 0)
-    d2min = np.where(interior, np.minimum(d2min, inner), d2min)
-    return np.sqrt(d2min)
-
-
 def _dist_to_surface(P, mesh):
-    """Exact distance from each query point to the polyhedral surface."""
-    T = mesh.vertices[mesh.elements]
-    out = np.empty(len(P))
-    for a0 in range(0, len(P), 128):
-        Q = P[a0:a0 + 128]
+    """Exact distance from each query point x to the polyhedral surface.
+
+    Per element, D = T - x are the corners and E = roll(T, -1) - T the
+    edges (a segment's second edge is its first reversed).  Edge k is
+    nearest at D_k + t_k E_k, t_k = clip(-<D_k, E_k> / |E_k|^2, 0, 1).  A
+    triangle also offers <D_0, n>^2 when the foot of the perpendicular falls
+    inside, that is when every <D_k, E_k x n> = <D_k x D_k+1, n> is >= 0.
+    """
+    T = mesh.vertices[mesh.elements].transpose(2, 1, 0)      # (n, k, M)
+    E = np.roll(T, -1, axis=1) - T
+    E2 = (E * E).sum(0)
+    n = mesh.element_normals.T
+    if mesh.dim_d == 2:
+        F = np.cross(E, n[:, None], axis=0)
+
+    def nearest_sq(Q):
+        D = [Tc - Qc[:, None, None] for Tc, Qc in zip(T, Q.T)]  # (K, k, M)
+        t = np.clip(-sum(Dc * Ec for Dc, Ec in zip(D, E)) / E2, 0.0, 1.0)
+        d2 = sum(np.square(Dc + t * Ec) for Dc, Ec in zip(D, E)).min(axis=1)
         if mesh.dim_d == 2:
-            D = _point_triangle_distance(Q, T[:, 0], T[:, 1], T[:, 2])
-        else:
-            ab = T[:, 1] - T[:, 0]
-            ap = Q[:, None, :] - T[None, :, 0, :]
-            t = np.clip(np.einsum("tk,ptk->pt", ab, ap)
-                        / np.einsum("tk,tk->t", ab, ab)[None, :], 0, 1)
-            q = ap - ab[None, :, :] * t[:, :, None]
-            D = np.sqrt(np.einsum("ptk,ptk->pt", q, q))
-        out[a0:a0 + 128] = D.min(axis=1)
-    return out
+            inside = np.all(sum(Dc * Fc for Dc, Fc in zip(D, F)) >= 0, axis=1)
+            h = sum(Dc[:, 0] * nc for Dc, nc in zip(D, n))
+            d2 = np.where(inside, np.minimum(d2, h * h), d2)
+        return d2.min(axis=1)
+
+    return np.sqrt(np.concatenate([nearest_sq(P[a0:a0 + 128])
+                                   for a0 in range(0, len(P), 128)]))
 
 
 def _fibonacci_sphere(n):
@@ -486,14 +457,8 @@ def _fibonacci_sphere(n):
 _SPHERE_SAMPLES = 2048  # points on the comparison sphere (circle)
 
 
-def stability_probe(mesh: DiscreteHypersurface, alpha=0.5,
-                    q=2.0) -> StabilityReport:
-    """Support-function statistics against the comparison sphere S(R0).
-
-    center = measure-weighted vertex centroid; u = <x - center, n(x)>;
-    R0 = weighted mean of u; hausdorff = two-sided distance between the
-    vertex set and the sphere of radius R0 about the center.
-    """
+def _support_function(mesh):
+    """Measure-weighted vertex centroid c and u = <x - c, n(x)> per vertex."""
     if mesh.codim2:
         raise DegenerateGeometry("stability probe needs a hypersurface")
     w = mesh.vertex_measures
@@ -502,10 +467,22 @@ def stability_probe(mesh: DiscreteHypersurface, alpha=0.5,
     N = mesh.vertex_normals
     if not np.all(np.isfinite(N)):
         raise DegenerateGeometry("undefined vertex normal")
-    u = np.einsum("ik,ik->i", X - center, N)
+    return center, np.einsum("ik,ik->i", X - center, N)
+
+
+def stability_probe(mesh: DiscreteHypersurface, alpha=0.5,
+                    q=2.0) -> StabilityReport:
+    """Support-function statistics against the comparison sphere S(R0).
+
+    center = measure-weighted vertex centroid; u = <x - center, n(x)>;
+    R0 = weighted mean of u; hausdorff = max(largest vertex distance to
+    S(R0), largest distance from S(R0) samples to the polyhedral surface).
+    """
+    center, u = _support_function(mesh)
+    w = mesh.vertex_measures
     R0 = float(u @ w / w.sum())
     useminorm = sobolev_seminorm(ScalarField(mesh, u), alpha, q, "extrinsic")
-    radial = np.linalg.norm(X - center, axis=1)
+    radial = np.linalg.norm(mesh.vertices - center, axis=1)
     term1 = float(np.max(np.abs(radial - R0)))
     if mesh.ambient_n == 3:
         S = center + R0 * _fibonacci_sphere(_SPHERE_SAMPLES)

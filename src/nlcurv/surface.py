@@ -142,11 +142,14 @@ class DiscreteHypersurface:
         return e
 
     def with_vertices(self, vertices: np.ndarray) -> "DiscreteHypersurface":
-        """Same connectivity, new vertex positions (geometry recomputed)."""
-        return build_surface(np.asarray(vertices, float), self.elements,
-                             codim2=self.codim2,
-                             allow_boundary=self.has_boundary,
-                             fix_orientation=False)
+        """Same elements, new vertex positions: only the geometry is
+        recomputed, and the elements are never re-oriented."""
+        V = np.array(vertices, dtype=float, order="C", copy=True)
+        if V.shape != self.vertices.shape:
+            raise ParseError(f"need vertices of shape {self.vertices.shape}")
+        if not np.all(np.isfinite(V)):
+            raise ParseError("vertex coordinates must be finite")
+        return _assemble(V, self.elements, self.has_boundary)
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,7 @@ def _check_manifold(elements, n_vertices, dim_d, allow_boundary):
                                f"(face multiplicities {counts.min()}..{counts.max()})")
 
 
-def _check_orientation(elements, dim_d, allow_boundary):
+def _check_orientation(elements, dim_d):
     """Each directed (d-1)-face must appear at most once; exactly once if closed."""
     if dim_d == 1:
         heads = elements[:, 1]
@@ -246,8 +249,8 @@ def _check_orientation(elements, dim_d, allow_boundary):
                                "orientations on their shared edge")
 
 
-def build_surface(vertices, elements, *, codim2=False, allow_boundary=False,
-                  fix_orientation=True) -> DiscreteHypersurface:
+def build_surface(vertices, elements, *, codim2=False,
+                  allow_boundary=False) -> DiscreteHypersurface:
     """Assemble and validate a DiscreteHypersurface from raw arrays.
 
     Closed meshes are re-oriented outward (positive signed volume) by a
@@ -268,16 +271,18 @@ def build_surface(vertices, elements, *, codim2=False, allow_boundary=False,
         raise InvalidParams(f"ambient dimension {ambient} does not match d={dim_d}")
 
     _check_manifold(E, len(V), dim_d, allow_boundary)
-    _check_orientation(E, dim_d, allow_boundary)
+    _check_orientation(E, dim_d)
 
-    if fix_orientation and not allow_boundary and not codim2:
-        if signed_volume(V, E) < 0:
-            E = E[:, ::-1].copy()
+    if not allow_boundary and not codim2 and signed_volume(V, E) < 0:
+        E = E[:, ::-1].copy()
+    return _assemble(V, E, allow_boundary)
 
+
+def _assemble(V, E, has_boundary):
+    """Per-element and per-vertex geometry on validated elements."""
+    dim_d = E.shape[1] - 1
     if dim_d == 1:
         normals, measures = _segment_geometry(V, E)
-        if codim2:
-            normals = np.empty((0, ambient))
     else:
         normals, measures = _triangle_geometry(V, E)
     if measures.min() <= 0:
@@ -287,8 +292,8 @@ def build_surface(vertices, elements, *, codim2=False, allow_boundary=False,
     share = measures / (dim_d + 1)
     for k in range(dim_d + 1):
         np.add.at(vm, E[:, k], share)
-    return DiscreteHypersurface(dim_d, ambient, V, E, normals, measures, vm,
-                                has_boundary=allow_boundary)
+    return DiscreteHypersurface(dim_d, V.shape[1], V, E, normals, measures,
+                                vm, has_boundary=has_boundary)
 
 
 # --------------------------------------------------------------------------

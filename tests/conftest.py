@@ -243,6 +243,71 @@ def clipped_measure_oracle(mesh, vertex, r):
     return _clipped_measure(T, mesh.vertices[vertex], float(r))
 
 
+# Reference for probes._dist_to_surface on triangles: the library's former
+# Voronoi-region point-triangle test (Ericson, Real-Time Collision
+# Detection, 2004, 5.1.5).
+
+def _point_triangle_distance(P, A, B, C):
+    """Distances from points P (K,3) to triangles (T,3) — (K,T) array."""
+    ab = B - A
+    ac = C - A
+    bc = C - B
+    ap = P[:, None, :] - A[None, :, :]
+    bp = P[:, None, :] - B[None, :, :]
+    cp = P[:, None, :] - C[None, :, :]
+    d1 = np.einsum("tk,ptk->pt", ab, ap)
+    d2 = np.einsum("tk,ptk->pt", ac, ap)
+    d3 = np.einsum("tk,ptk->pt", ab, bp)
+    d4 = np.einsum("tk,ptk->pt", ac, bp)
+    d5 = np.einsum("tk,ptk->pt", ab, cp)
+    d6 = np.einsum("tk,ptk->pt", ac, cp)
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+
+    t_ab = np.clip(d1 / np.where(d1 - d3 != 0, d1 - d3, 1.0), 0, 1)
+    t_ac = np.clip(d2 / np.where(d2 - d6 != 0, d2 - d6, 1.0), 0, 1)
+    den_bc = (d4 - d3) + (d5 - d6)
+    t_bc = np.clip((d4 - d3) / np.where(den_bc != 0, den_bc, 1.0), 0, 1)
+    denom = va + vb + vc
+    denom = np.where(denom != 0, denom, 1.0)
+    v = vb / denom
+    w = vc / denom
+
+    def sq(q):
+        return np.einsum("ptk,ptk->pt", q, q)
+
+    inner = sq(ap - ab[None, :, :] * v[:, :, None]
+               - ac[None, :, :] * w[:, :, None])
+    e_ab = sq(ap - ab[None, :, :] * t_ab[:, :, None])
+    e_ac = sq(ap - ac[None, :, :] * t_ac[:, :, None])
+    e_bc = sq(bp - bc[None, :, :] * t_bc[:, :, None])
+    d2min = np.minimum(np.minimum(e_ab, e_ac), e_bc)
+    interior = (va > 0) & (vb > 0) & (vc > 0)
+    d2min = np.where(interior, np.minimum(d2min, inner), d2min)
+    return np.sqrt(d2min)
+
+
+def triangle_distance_oracle(P, mesh):
+    """Distance from each point to a triangle mesh, 128 points at a time."""
+    T = mesh.vertices[mesh.elements]
+    return np.concatenate([
+        _point_triangle_distance(P[a:a + 128], T[:, 0], T[:, 1],
+                                 T[:, 2]).min(axis=1)
+        for a in range(0, len(P), 128)])
+
+
+def segment_distance_oracle(P, mesh):
+    """Distance from each point to a polyline, one segment at a time."""
+    best = np.full(len(P), np.inf)
+    for i, j in mesh.elements:
+        a, b = mesh.vertices[i], mesh.vertices[j]
+        t = np.clip((P - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(P - a - t[:, None] * (b - a),
+                                               axis=1))
+    return best
+
+
 ACCEPTANCE_LINES = []
 
 

@@ -14,7 +14,7 @@ DEFAULTED = {
     "EnergyParameters": ["p", "q", "normalization"],
     "bending_energy": ["workers"],
     "build_scheme": ["order", "diagonal_policy"],
-    "build_surface": ["codim2", "allow_boundary", "fix_orientation"],
+    "build_surface": ["codim2", "allow_boundary"],
     "chord_arc_constant": ["sample_pairs", "seed"],
     "circle_fmc": ["crosscheck"],
     "energy_gradient": ["h", "order", "diagonal_policy", "workers"],
@@ -62,4 +62,4 @@ def test_defaulted_parameters_snapshot():
 
 
 def test_defaulted_parameter_count():
-    assert sum(map(len, _defaulted().values())) == 46
+    assert sum(map(len, _defaulted().values())) == 45

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from nlcurv import functionals
@@ -212,6 +213,32 @@ class TestCommands:
         assert doc["holder"] == {
             "kind": "holder", "beta": 0.75, "distance_mode": "intrinsic",
             "value": seminorms.holder_seminorm(f, 0.75, "intrinsic")}
+
+    def test_sobolev_support_skips_the_distance_pass(self, tmp_path,
+                                                     monkeypatch):
+        from nlcurv import probes, seminorms
+
+        mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                              subdivisions=1)
+        center = probes.stability_probe(mesh).center
+        u = np.einsum("ik,ik->i", mesh.vertices - center, mesh.vertex_normals)
+
+        def fail(*args):
+            raise AssertionError("the support field needs no distance pass")
+
+        monkeypatch.setattr(probes, "_dist_to_surface", fail)
+        rc = main(["sobolev", "--field", "support", "--primitive",
+                   "perturbed_sphere", "--sub", "1", "--amp", "0.05",
+                   "--seed", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        doc = read_report(tmp_path)
+        f = seminorms.ScalarField(mesh, u)
+        sob, lq, hol = doc["sobolev"], doc["lq"], doc["holder"]
+        assert sob["value"] == seminorms.sobolev_seminorm(
+            f, sob["alpha"], sob["q"], sob["distance_mode"])
+        assert lq["value"] == seminorms.lq_norm(f, lq["q"])
+        assert hol["value"] == seminorms.holder_seminorm(
+            f, hol["beta"], hol["distance_mode"])
 
     def test_flow_writes_trajectory_and_snapshots(self, tmp_path):
         rc = main(["flow", "--primitive", "perturbed_sphere", "--sub", "0",

@@ -3,9 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import clipped_measure_oracle
+from conftest import (
+    clipped_measure_oracle,
+    make_trefoil,
+    segment_distance_oracle,
+    triangle_distance_oracle,
+)
 from nlcurv.errors import InvalidParams, NonGraphical
 from nlcurv.probes import (
+    _dist_to_surface,
+    _fibonacci_sphere,
     ahlfors_ratio,
     chord_arc_constant,
     extract_patch,
@@ -217,7 +224,61 @@ class TestStability:
         assert abs(a.hausdorff - b.hausdorff) < 1e-10
         assert abs(a.u_seminorm - b.u_seminorm) < 1e-8
 
+    def test_regular_polygon_closed_form(self):
+        # the 2048 circle samples include every edge midpoint of the 256-gon,
+        # the points of the unit circle farthest from it
+        rep = stability_probe(make_primitive("circle", n=256))
+        assert abs(rep.R0 - 1.0) <= 1e-10
+        exact = 2 * np.sin(np.pi / 512) ** 2
+        assert abs(rep.hausdorff - exact) <= 1e-10 * exact
+
     def test_report_dict(self, sphere1):
         d = stability_probe(sphere1).to_dict()
         assert set(d) == {"center", "R0", "u_seminorm", "hausdorff",
                           "starshaped"}
+
+
+def _queries(mesh, rng):
+    """Comparison-sphere samples, vertices, points within 0.01 of the
+    surface's edges, element centroids and far points."""
+    V = mesh.vertices
+    c = V.mean(0)
+    R = np.linalg.norm(V - c, axis=1).mean()
+    if mesh.ambient_n == 3:
+        S = _fibonacci_sphere(2048)
+    else:
+        th = 2 * np.pi * np.arange(2048) / 2048
+        S = np.stack([np.cos(th), np.sin(th)], 1)
+    a, b = V[mesh.edges[:, 0]], V[mesh.edges[:, 1]]
+    on_edges = a + rng.random((len(a), 1)) * (b - a)
+    step = rng.standard_normal(a.shape)
+    step *= 0.01 * rng.random((len(a), 1)) / np.linalg.norm(step, axis=1,
+                                                            keepdims=True)
+    far = 10 * mesh.diameter * rng.standard_normal((64, V.shape[1]))
+    return np.concatenate([c + R * S, V, on_edges + step,
+                           mesh.element_centroids, c + far])
+
+
+class TestSurfaceDistance:
+    def test_matches_triangle_reference(self):
+        mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                              subdivisions=2)
+        P = _queries(mesh, np.random.default_rng(0))
+        got = _dist_to_surface(P, mesh)
+        ref = triangle_distance_oracle(P, mesh)
+        assert np.abs(got - ref).max() <= 1e-14 * mesh.diameter
+
+    @pytest.mark.parametrize("ambient", [2, 3])
+    def test_polylines_match_segment_brute_force(self, ambient):
+        mesh = (make_primitive("circle", n=64) if ambient == 2
+                else make_trefoil())
+        P = _queries(mesh, np.random.default_rng(1))
+        got = _dist_to_surface(P, mesh)
+        ref = segment_distance_oracle(P, mesh)
+        assert np.abs(got - ref).max() <= 1e-14 * mesh.diameter
+
+    def test_zero_at_vertices(self, circle128):
+        bumpy = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                               subdivisions=2)
+        for mesh in (bumpy, circle128, make_trefoil()):
+            assert _dist_to_surface(mesh.vertices, mesh).max() <= 1e-15

@@ -118,6 +118,17 @@ class TestValidation:
         V[3, 1] = bad
         with pytest.raises(errors.ParseError):
             build_surface(V, m.elements)
+        with pytest.raises(errors.ParseError):
+            m.with_vertices(V)
+
+    def test_with_vertices_keeps_elements(self):
+        m = make_primitive("sphere_icosub", subdivisions=1)
+        mirrored = m.with_vertices(-m.vertices)
+        assert np.array_equal(mirrored.elements, m.elements)
+        assert signed_volume(mirrored.vertices, mirrored.elements) < 0
+        for V in (m.vertices[:-1], m.vertices[:, :2], m.vertices.ravel()):
+            with pytest.raises(errors.ParseError):
+                m.with_vertices(V)
 
 
 class TestIO:
