@@ -60,35 +60,15 @@ def _bending(mesh, params, order, policy, workers):
     return bending_energy(mesh, scheme, params, workers=workers).energy
 
 
-def _diameters_without(V):
-    """Per vertex i, the diameter of the vertex set without vertex i."""
-    n = len(V)
-    block = max(1, (1 << 16) // n)
-    first, second = np.empty(n), np.empty(n)
-    far = np.empty(n, int)
-    for a in range(0, n, block):
-        d2 = ((V[a:a + block, None, :] - V[None, :, :]) ** 2).sum(-1)
-        rows = np.arange(len(d2))
-        far[a:a + len(d2)] = j = d2.argmax(1)
-        first[a:a + len(d2)] = d2[rows, j]
-        d2[rows, j] = -1.0
-        second[a:a + len(d2)] = d2.max(1)
-    # without column i, row j keeps its largest entry unless that was i
-    out = np.empty(n)
-    for a in range(0, n, block):
-        i = np.arange(a, min(a + block, n))
-        d2 = np.where(far[None, :] == i[:, None], second, first)
-        d2[np.arange(len(i)), i] = -1.0
-        out[i] = d2.max(1)
-    return np.sqrt(out)
+_FD_STEP = 1e-4  # central-difference step, times the mean incident edge
 
 
-def energy_gradient(mesh, params, h=1e-4, order="gauss3",
-                    diagonal_policy="skip_vertex_star", workers=None):
+def energy_gradient(mesh, params, order="gauss3",
+                    diagonal_policy="skip_vertex_star"):
     """Central-difference gradient of B_{s,p} w.r.t. vertex positions.
 
-    The per-vertex step is h times the mean incident edge length, so the
-    stencil scales with local resolution.  Each perturbed energy is
+    The per-vertex step is _FD_STEP times the mean incident edge length,
+    so the stencil scales with local resolution.  Each perturbed energy is
     evaluated star-locally.  With a the kernel sums of the base mesh and
     J the samples of vertex i's star elements,
 
@@ -97,16 +77,11 @@ def energy_gradient(mesh, params, h=1e-4, order="gauss3",
 
     where b_x = a_x - sum_{y in J} K(x,y) w_y is shared by the vertex's
     perturbations and a'_x is a full row against the perturbed samples.
-    The exclusions, the pair cutoff (against the perturbed diameter) and
-    the element-measure check are those of the perturbed mesh.
-
-    The work runs in one thread whatever ``workers`` says (it is still
-    validated): threads over vertices measured no faster, as each
-    vertex's numpy calls are small.
+    The exclusions and the element-measure check are those of the
+    perturbed mesh; its pair cutoff uses the base diameter plus the step,
+    a bound on its own diameter.  The work runs in one thread: threads
+    over vertices measured no faster, as each vertex's calls are small.
     """
-    if h <= 0:
-        raise InvalidParams("finite-difference step must be positive")
-    get_workers(workers)
     V = mesh.vertices
     e = mesh.edges
     elen = np.linalg.norm(V[e[:, 0]] - V[e[:, 1]], axis=1)
@@ -122,20 +97,15 @@ def energy_gradient(mesh, params, h=1e-4, order="gauss3",
     # |A|_s sums (pairing power 1) at every sample, in one thread
     a = _kernel_sums(Y, excl, inner, cutoff, [(expo, 1.0)], 1)[0]
     stars = _incidence(mesh)
-    diam = _diameters_without(V)
     geometry = _segment_geometry if mesh.dim_d == 1 else _triangle_geometry
     k = scheme.n_per_element
 
-    def perturbed_energy(i, Vp, star):
-        el, J, out, b, excl_cols, excl_rows = star
+    def perturbed_energy(Vp):  # the star is that of the loop's vertex i
         nrm, meas = geometry(Vp, el)
         if meas.min() <= 0:
             raise ParseError("degenerate element with non-positive measure")
         if mode == "projection":
             nrm = (Vp[el[:, 1]] - Vp[el[:, 0]]) / meas[:, None]
-        d2 = ((Vp[i] - V) ** 2).sum(-1)
-        d2[i] = 0.0
-        cut = _PAIR_CUTOFF * max(diam[i], np.sqrt(d2.max()))
         Ys, Ws = _element_samples(Vp, el, meas, order)
         Ns = np.repeat(nrm, k, axis=0)
         Yp, Wp, Np = Y.copy(), W.copy(), N.copy()
@@ -149,20 +119,21 @@ def energy_gradient(mesh, params, h=1e-4, order="gauss3",
 
     grad = np.empty_like(V)
     for i in range(len(V)):
-        el = stars.indices[stars.indptr[i]:stars.indptr[i + 1]]
-        J = (el[:, None] * k + np.arange(k)).ravel()
+        star = stars.indices[stars.indptr[i]:stars.indptr[i + 1]]
+        J = (star[:, None] * k + np.arange(k)).ravel()
         out = np.setdiff1d(np.arange(len(W)), J)
-        excl_cols = excl[out][:, el].toarray()
+        excl_cols, excl_rows = excl[out][:, star].toarray(), excl[J].toarray()
         b = a[out] - _kernel_sums(Y[out], excl_cols, (Y[J], W[J], N[J], mode),
                                   cutoff, [(expo, 1.0)], 1)[0]
-        star = (mesh.elements[el], J, out, b, excl_cols, excl[J].toarray())
-        step = h * local[i]
+        el = mesh.elements[star]
+        step = _FD_STEP * local[i]
+        cut = _PAIR_CUTOFF * (mesh.diameter + step)
         for c in range(mesh.ambient_n):
             Vp = V.copy()
             Vp[i, c] += step
-            ep = perturbed_energy(i, Vp, star)
+            ep = perturbed_energy(Vp)
             Vp[i, c] -= 2 * step
-            em = perturbed_energy(i, Vp, star)
+            em = perturbed_energy(Vp)
             grad[i, c] = (ep - em) / (2 * step)
     return grad
 
@@ -211,7 +182,7 @@ _SMOOTHING_ETA = 0.5  # fraction of the tangential umbrella move per trial
 
 
 def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
-             grad_tol=1e-3, smoothing=False, fd_h=1e-4, order="gauss3",
+             grad_tol=1e-3, smoothing=False, order="gauss3",
              diagonal_policy="skip_vertex_star", workers=None,
              callback=None) -> FlowState:
     """Backtracking gradient descent on B_{s,p} under area == 1.
@@ -241,8 +212,7 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
     it = 0
     gnorm = np.inf
     for it in range(1, max_iter + 1):
-        grad = energy_gradient(mesh, params, fd_h, order, diagonal_policy,
-                               workers)
+        grad = energy_gradient(mesh, params, order, diagonal_policy)
         gnorm = float(np.linalg.norm(grad, axis=1).max())
         if it == 1:
             record(0, energy, gnorm)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, identity
 
 from .errors import DegenerateGeometry, InvalidParams, UnsupportedMode
-from .probes import _rotation_to_z
+from .surface import _rotation_to_z
 
 __all__ = [
     "EnergyReport",
@@ -352,6 +352,8 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
     if vertices is None:
         vertices = np.arange(mesh.n_vertices)
     vertices = np.atleast_1d(np.asarray(vertices, int))
+    if not np.all((vertices >= 0) & (vertices < mesh.n_vertices)):
+        raise InvalidParams(f"vertices must lie in [0, {mesh.n_vertices})")
     X = mesh.vertices[vertices]
     expo = mesh.dim_d + 1 + params.s
     power = None if kind == "H" else 1.0

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .errors import DisconnectedMesh
+from .errors import DisconnectedMesh, InvalidParams
 from .surface import DiscreteHypersurface
 
 __all__ = ["intrinsic_distances", "check_connected"]
@@ -71,17 +71,19 @@ def check_connected(mesh: DiscreteHypersurface) -> None:
         raise DisconnectedMesh(f"edge graph has {n} components")
 
 
-def intrinsic_distances(mesh: DiscreteHypersurface, sources=None,
-                        refine=True) -> np.ndarray:
+def intrinsic_distances(mesh: DiscreteHypersurface,
+                        sources=None) -> np.ndarray:
     """Graph-geodesic distances from each source vertex to every vertex.
 
     Returns a (len(sources), V) array.  Distances are an upper bound on
     the true polyhedral geodesic distance and at least the chord length.
     """
-    check_connected(mesh)
     if sources is None:
         sources = np.arange(mesh.n_vertices)
     sources = np.atleast_1d(np.asarray(sources, int))
-    g = _graph(mesh, refine)
+    if not np.all((sources >= 0) & (sources < mesh.n_vertices)):
+        raise InvalidParams(f"sources must lie in [0, {mesh.n_vertices})")
+    check_connected(mesh)
+    g = _graph(mesh, True)
     d = dijkstra(g, directed=False, indices=sources)
     return d[:, :mesh.n_vertices]

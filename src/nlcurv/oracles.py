@@ -1,7 +1,8 @@
 """Closed-form reference values for circles and round spheres.
 
-Every closed form is cross-checked against an adaptive 1-D quadrature of
-the underlying reduction, so an oracle value never rests on algebra alone.
+`oracle` cross-checks each curvature closed form against an adaptive 1-D
+quadrature of its reduction, so an oracle value never rests on algebra
+alone.
 """
 
 from __future__ import annotations
@@ -44,54 +45,47 @@ def _check_rs(R, s):
         raise InvalidParams(f"s must lie in (0,1), got {s}")
 
 
-def circle_fmc(R, s, crosscheck=False):
+def circle_fmc(R, s):
     """Fractional mean curvature of a circle of radius R (c_s = 1, d = 1).
 
     Closed form: -2^{-s} R^{-s} sqrt(pi) Gamma((1-s)/2) / Gamma(1 - s/2).
     """
     _check_rs(R, s)
-    value = (-(2.0 ** -s) * R ** -s * np.sqrt(np.pi)
-             * special.gamma((1 - s) / 2) / special.gamma(1 - s / 2))
-    if crosscheck:
-        # arc-length reduction: chord |x-y| = 2R sin(t/2),
-        # <x-y, n(y)> = -2R sin^2(t/2), measure R dt over t in (0, 2pi);
-        # the integrand is -R (2R)^{-1-s} sin(t/2)^{-s}, i.e. with u = t/2
-        # and symmetry, -R (2R)^{-1-s} 4 int_0^{pi/2} sin(u)^{-s} du.  The
-        # u^{-s} endpoint singularity goes into quad's algebraic weight.
-        scale = -4 * R * (2 * R) ** (-1 - s)
-        quad, err = integrate.quad(lambda u: np.sinc(u / np.pi) ** -s,
-                                   0, np.pi / 2, weight="alg", wvar=(-s, 0),
-                                   epsabs=1e-13, epsrel=1e-13, limit=400)
-        quad, err = scale * quad, abs(scale) * err
-        if abs(quad - value) > 1e-10 * abs(value):
-            raise ArithmeticError(
-                f"circle oracle self-check failed: {value} vs {quad}")
-        return value, abs(quad - value) + err
-    return value
+    return (-(2.0 ** -s) * R ** -s * np.sqrt(np.pi)
+            * special.gamma((1 - s) / 2) / special.gamma(1 - s / 2))
 
 
-def sphere_fmc(R, s, crosscheck=False):
+def _circle_quad(R, s):
+    """(quad, err) of the arc-length reduction: chord 2R sin(t/2), pairing
+    -2R sin^2(t/2), measure R dt on (0, 2pi).  With u = t/2 and symmetry,
+    that is -R (2R)^{-1-s} 4 int_0^{pi/2} sin(u)^{-s} du, whose u^{-s}
+    endpoint singularity goes into quad's algebraic weight."""
+    scale = -4 * R * (2 * R) ** (-1 - s)
+    quad, err = integrate.quad(lambda u: np.sinc(u / np.pi) ** -s,
+                               0, np.pi / 2, weight="alg", wvar=(-s, 0),
+                               epsabs=1e-13, epsrel=1e-13, limit=400)
+    return scale * quad, abs(scale) * err
+
+
+def sphere_fmc(R, s):
     """Fractional mean curvature of a round sphere of radius R (c_s = 1, d = 2).
 
     Closed form: -2^{1-s} pi R^{-s} / (1 - s).
     """
     _check_rs(R, s)
-    value = -(2.0 ** (1 - s)) * np.pi * R ** -s / (1 - s)
-    if crosscheck:
-        # polar-angle reduction about x: chord 2R sin(t/2),
-        # pairing -2R sin^2(t/2), ring measure 2 pi R^2 sin(t) dt
-        def integrand(t):
-            return (-(2 * R * np.sin(t / 2) ** 2)
-                    / (2 * R * np.sin(t / 2)) ** (3 + s)
-                    * 2 * np.pi * R * R * np.sin(t))
+    return -(2.0 ** (1 - s)) * np.pi * R ** -s / (1 - s)
 
-        quad, err = integrate.quad(integrand, 0, np.pi, epsabs=1e-13,
-                                   epsrel=1e-13, limit=400)
-        if abs(quad - value) > 1e-10 * abs(value):
-            raise ArithmeticError(
-                f"sphere oracle self-check failed: {value} vs {quad}")
-        return value, abs(quad - value) + err
-    return value
+
+def _sphere_quad(R, s):
+    """(quad, err) of the polar-angle reduction about x: chord 2R sin(t/2),
+    pairing -2R sin^2(t/2), ring measure 2 pi R^2 sin(t) dt on (0, pi)."""
+    def integrand(t):
+        return (-(2 * R * np.sin(t / 2) ** 2)
+                / (2 * R * np.sin(t / 2)) ** (3 + s)
+                * 2 * np.pi * R * R * np.sin(t))
+
+    return integrate.quad(integrand, 0, np.pi, epsabs=1e-13, epsrel=1e-13,
+                          limit=400)
 
 
 def tangent_radius_circle(R):
@@ -106,20 +100,24 @@ def expected_scaling_exponent(d, s, p):
     return d - s * p
 
 
+_QUADRATURES = {"circle_fmc": (circle_fmc, _circle_quad),
+                "sphere_fmc": (sphere_fmc, _sphere_quad)}
+
+
 def oracle(quantity, **inputs) -> OracleValue:
-    """Uniform entry point used by the CLI; always runs the cross-check."""
-    if quantity == "circle_fmc":
-        value, err = circle_fmc(inputs.get("R", 1.0), inputs.get("s", 0.5),
-                                crosscheck=True)
+    """Uniform entry point used by the CLI; fractional mean curvatures are
+    cross-checked against the adaptive quadrature of their reduction."""
+    if quantity in _QUADRATURES:
+        closed, quad = _QUADRATURES[quantity]
+        R, s = inputs.get("R", 1.0), inputs.get("s", 0.5)
+        value = closed(R, s)
+        q, err = quad(R, s)
+        if abs(q - value) > 1e-10 * abs(value):
+            raise ArithmeticError(
+                f"{quantity} oracle self-check failed: {value} vs {q}")
         return OracleValue(quantity, inputs, float(value),
                            "closed form, cross-checked by adaptive quadrature",
-                           float(err))
-    if quantity == "sphere_fmc":
-        value, err = sphere_fmc(inputs.get("R", 1.0), inputs.get("s", 0.5),
-                                crosscheck=True)
-        return OracleValue(quantity, inputs, float(value),
-                           "closed form, cross-checked by adaptive quadrature",
-                           float(err))
+                           float(abs(q - value) + err))
     if quantity == "tangent_radius_circle":
         return OracleValue(quantity, inputs,
                            tangent_radius_circle(inputs.get("R", 1.0)),

@@ -14,9 +14,10 @@ from .errors import (
     InvalidParams,
     NonGraphical,
 )
+from .functionals import get_workers
 from .geodesics import intrinsic_distances
 from .seminorms import ScalarField, sobolev_seminorm
-from .surface import DiscreteHypersurface
+from .surface import DiscreteHypersurface, _rotation_to_z
 
 __all__ = [
     "PatchChart",
@@ -68,17 +69,6 @@ def _check_vertex(mesh, vertex):
     if not 0 <= vertex < mesh.n_vertices:
         raise InvalidParams(
             f"vertex {vertex} outside [0, {mesh.n_vertices})")
-
-
-def _rotation_to_z(n):
-    """Orthogonal matrix R with R @ n = e_z (rows are the local axes)."""
-    n = np.asarray(n, float)
-    c = n[2]
-    if c < -1 + 1e-12:
-        return np.diag([1.0, -1.0, -1.0])
-    v = np.array([n[1], -n[0], 0.0])          # n x e_z
-    K = np.array([[0, 0, v[1]], [0, 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + K + K @ K / (1 + c)
 
 
 def _raycast_heights(Pl, F, delta, nh, zmax, tol):
@@ -290,6 +280,7 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
 
 def patch_radii(mesh, vertices=None, workers=1, **kwargs):
     """extract_patch radius for many vertices; NaN where NonGraphical."""
+    workers = get_workers(workers)
     if vertices is None:
         vertices = np.arange(mesh.n_vertices)
     vertices = np.atleast_1d(np.asarray(vertices, int))
@@ -380,8 +371,9 @@ def chord_arc_constant(mesh: DiscreteHypersurface, sample_pairs=20000, seed=0):
     Sources are seeded random vertices; each source contributes all V
     pairs, so gamma is a max over >= sample_pairs pairs (or all of them).
     """
-    if not sample_pairs >= 1:
-        raise InvalidParams(f"sample_pairs must be >= 1, got {sample_pairs}")
+    if not 1 <= sample_pairs < np.inf:
+        raise InvalidParams(f"sample_pairs must be finite and >= 1, got "
+                            f"{sample_pairs}")
     V = mesh.n_vertices
     n_src = min(V, max(1, -(-int(sample_pairs) // V)))
     rng = np.random.default_rng(seed)

@@ -127,6 +127,8 @@ def morrey_check(patch, s, p):
     rhs: graph_linearization_functional^{1/p}.
     The constant is not asserted; callers track the ratio.
     """
+    if not (0 < p < np.inf):
+        raise InvalidParams(f"p must be finite and positive, got {p}")
     X, f, G = _patch_arrays(patch)
     d = X.shape[1]
     if s <= d / p:

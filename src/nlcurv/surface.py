@@ -205,6 +205,17 @@ def _triangle_geometry(V, F):
     return n, A2 / 2.0
 
 
+def _rotation_to_z(n):
+    """Orthogonal matrix R with R @ n = e_z (rows are the local axes)."""
+    n = np.asarray(n, float)
+    c = n[2]
+    if c < -1 + 1e-12:
+        return np.diag([1.0, -1.0, -1.0])
+    v = np.array([n[1], -n[0], 0.0])          # n x e_z
+    K = np.array([[0, 0, v[1]], [0, 0, -v[0]], [-v[1], v[0], 0]])
+    return np.eye(3) + K + K @ K / (1 + c)
+
+
 def signed_volume(vertices: np.ndarray, elements: np.ndarray) -> float:
     """Signed enclosed volume (d=2) or signed area (d=1 in the plane)."""
     if elements.shape[1] == 3:

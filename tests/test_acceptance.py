@@ -250,7 +250,7 @@ def test_criterion_11_flow():
     params = EnergyParameters(s=0.5, p=4.0)
     start = project_area(mesh)
     e0 = bending_energy(start, build_scheme(start), params).energy
-    g = energy_gradient(start, params, workers=8)
+    g = energy_gradient(start, params)
     euler = abs(float(np.sum(g * start.vertices))) / e0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # p = d/s sits on the critical line

@@ -16,20 +16,18 @@ DEFAULTED = {
     "build_scheme": ["order", "diagonal_policy"],
     "build_surface": ["codim2", "allow_boundary"],
     "chord_arc_constant": ["sample_pairs", "seed"],
-    "circle_fmc": ["crosscheck"],
-    "energy_gradient": ["h", "order", "diagonal_policy", "workers"],
+    "energy_gradient": ["order", "diagonal_policy"],
     "extract_patch": ["grad_bound", "grid_step", "rmax", "zmax",
                       "compute_holder"],
     "fractional_mean_curvature": ["workers"],
     "holder_seminorm": ["distance_mode"],
-    "intrinsic_distances": ["sources", "refine"],
-    "minimize": ["max_iter", "step0", "grad_tol", "smoothing", "fd_h",
-                 "order", "diagonal_policy", "workers", "callback"],
+    "intrinsic_distances": ["sources"],
+    "minimize": ["max_iter", "step0", "grad_tol", "smoothing", "order",
+                 "diagonal_policy", "workers", "callback"],
     "nonlocal_second_fundamental": ["workers"],
     "patch_radii": ["vertices", "workers"],
     "pointwise_curvature": ["vertices", "kind", "workers"],
     "sobolev_seminorm": ["distance_mode"],
-    "sphere_fmc": ["crosscheck"],
     "stability_probe": ["alpha", "q"],
     "tangent_point_energy": ["workers"],
     "willmore_energy": ["workers"],
@@ -62,4 +60,4 @@ def test_defaulted_parameters_snapshot():
 
 
 def test_defaulted_parameter_count():
-    assert sum(map(len, _defaulted().values())) == 45
+    assert sum(map(len, _defaulted().values())) == 39

@@ -1,12 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from conftest import fd_gradient_oracle
 
 from nlcurv.errors import DegenerateGeometry, InvalidParams, StallError
 from nlcurv.flow import (
-    _diameters_without,
+    _FD_STEP,
     best_fit_sphere,
     energy_gradient,
     hausdorff_to_best_sphere,
@@ -28,7 +26,7 @@ def bumpy():
 
 class TestGradient:
     def test_directional_derivative(self, bumpy):
-        g = energy_gradient(bumpy, PARAMS, h=1e-4)
+        g = energy_gradient(bumpy, PARAMS)
         rng = np.random.default_rng(0)
         d = rng.standard_normal(bumpy.vertices.shape)
         d /= np.linalg.norm(d)
@@ -42,13 +40,27 @@ class TestGradient:
         assert abs(fd - float((g * d).sum())) < 1e-3 * abs(fd)
 
     def test_worker_determinism(self, bumpy):
-        a = energy_gradient(bumpy, PARAMS, workers=1)
-        b = energy_gradient(bumpy, PARAMS, workers=4)
-        assert np.array_equal(a, b)
+        # the gradient runs in one thread; the energies use the workers
+        a, b = (minimize(bumpy, PARAMS, max_iter=1, step0=1e-3,
+                         grad_tol=1e-6, workers=w) for w in (1, 4))
+        assert a.trajectory == b.trajectory
+        assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
 
-    def test_invalid_step(self, bumpy):
-        with pytest.raises(InvalidParams):
-            energy_gradient(bumpy, PARAMS, h=0.0)
+    def test_step_bounds_the_perturbed_diameter(self, bumpy):
+        # the perturbed energies' pair cutoff rests on this bound
+        V = bumpy.vertices
+        e = bumpy.edges
+        elen = np.linalg.norm(V[e[:, 0]] - V[e[:, 1]], axis=1)
+        ends = e.T.ravel()
+        local = np.bincount(ends, np.tile(elen, 2)) / np.bincount(ends)
+        for i in range(len(V)):
+            step = _FD_STEP * local[i]
+            for c in range(3):
+                Vp = V.copy()
+                Vp[i, c] += step
+                assert bumpy.with_vertices(Vp).diameter <= bumpy.diameter + step
+                Vp[i, c] -= 2 * step
+                assert bumpy.with_vertices(Vp).diameter <= bumpy.diameter + step
 
     @pytest.mark.parametrize("order,policy", [
         ("gauss3", "skip_vertex_star"),
@@ -84,38 +96,6 @@ class TestGradient:
                                            circle128.elements + n]))
         with pytest.raises(DegenerateGeometry):
             energy_gradient(doubled, PARAMS)
-
-    def test_diameters_without(self, bumpy, sphere1):
-        # sphere1 has many tied antipodal pairs, bumpy one farthest pair
-        for mesh in (bumpy, sphere1):
-            V = mesh.vertices
-            ref = []
-            for i in range(len(V)):
-                rest = np.delete(V, i, 0)
-                d2 = ((rest[:, None, :] - rest[None, :, :]) ** 2).sum(-1)
-                ref.append(np.sqrt(d2.max()))
-            assert np.array_equal(_diameters_without(V), ref)
-
-    def test_diameters_without_memory_bounded(self):
-        # numpy reports its buffers to tracemalloc, so the peak is exact;
-        # sub3 and sub4 both run in several row blocks
-        peaks = []
-        for sub in (3, 4):
-            V = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
-                               subdivisions=sub).vertices
-            tracemalloc.start()
-            try:
-                got = _diameters_without(V)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0]
-        assert peaks[1] < 8e6
-        d2 = ((V[:, None, :] - V[None, :, :]) ** 2).sum(-1)
-        for i in range(0, len(V), 97):
-            rest = d2.copy()
-            rest[i] = rest[:, i] = -1.0
-            assert got[i] == np.sqrt(rest.max())
 
 
 class TestProjection:

@@ -116,6 +116,14 @@ class TestPointwise:
                 pointwise_curvature(mesh, build_scheme(mesh), PARAMS, [0],
                                     kind="H")
 
+    @pytest.mark.parametrize("vertex", [-1, 42, 10 ** 6])
+    def test_vertex_outside_mesh_rejected(self, sphere1, vertex):
+        sc = build_scheme(sphere1)
+        with pytest.raises(InvalidParams):
+            fractional_mean_curvature(sphere1, sc, vertex, PARAMS)
+        with pytest.raises(InvalidParams):
+            pointwise_curvature(sphere1, sc, PARAMS, [0, vertex], kind="A")
+
     def test_coincident_samples_degenerate(self, circle128):
         # two exactly overlapping copies of the circle in one mesh: every
         # sample has a coincident twin on a non-excluded element

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
-from nlcurv.errors import DisconnectedMesh
-from nlcurv.geodesics import _triangle_graph, check_connected, intrinsic_distances
+from nlcurv.errors import DisconnectedMesh, InvalidParams
+from nlcurv.geodesics import (
+    _graph,
+    _triangle_graph,
+    check_connected,
+    intrinsic_distances,
+)
 from nlcurv.surface import build_surface, make_primitive
 
 
@@ -40,10 +46,21 @@ def test_sphere_antipodal_near_pi(sphere2):
 
 
 def test_refinement_tightens(sphere2):
-    coarse = intrinsic_distances(sphere2, sources=[0], refine=False)[0]
-    fine = intrinsic_distances(sphere2, sources=[0], refine=True)[0]
+    coarse = dijkstra(_graph(sphere2, False), directed=False, indices=[0])[0]
+    fine = intrinsic_distances(sphere2, sources=[0])[0]
     assert np.all(fine <= coarse + 1e-12)
     assert fine.max() < coarse.max()
+
+
+@pytest.mark.parametrize("name", ["sphere1", "circle128"])
+def test_sources_outside_vertices_rejected(request, name):
+    # on a triangle mesh, nodes V .. V + E - 1 of the refined graph are
+    # edge midpoints, not vertices
+    mesh = request.getfixturevalue(name)
+    n = mesh.n_vertices
+    for source in (-1, n, n + 57, 10 ** 6):
+        with pytest.raises(InvalidParams):
+            intrinsic_distances(mesh, sources=[0, source])
 
 
 def test_disconnected_rejected(circle128):

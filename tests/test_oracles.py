@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nlcurv import oracles
 from nlcurv.errors import InvalidParams
 from nlcurv.oracles import (
     circle_fmc,
@@ -22,21 +23,21 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_circle_crosscheck(self, s):
-        v, err = circle_fmc(1.0, s, crosscheck=True)
-        assert err < 1e-9 * abs(v)
+        o = oracle("circle_fmc", R=1.0, s=s)
+        assert o.error_estimate < 1e-9 * abs(o.value)
 
     @pytest.mark.parametrize("s", [0.7, 0.9])
     def test_circle_crosscheck_warning_free(self, s):
         # the endpoint singularity sin(u)^{-s} must not trip quad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v, err = circle_fmc(1.0, s, crosscheck=True)
-        assert err < 1e-9 * abs(v)
+            o = oracle("circle_fmc", R=1.0, s=s)
+        assert o.error_estimate < 1e-9 * abs(o.value)
 
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_sphere_crosscheck(self, s):
-        v, err = sphere_fmc(1.0, s, crosscheck=True)
-        assert err < 1e-9 * abs(v)
+        o = oracle("sphere_fmc", R=1.0, s=s)
+        assert o.error_estimate < 1e-9 * abs(o.value)
 
     @pytest.mark.parametrize("fn", [circle_fmc, sphere_fmc])
     def test_radius_scaling(self, fn):
@@ -85,6 +86,15 @@ class TestOracleEntryPoint:
         d = oracle("circle_fmc", R=1.0, s=0.5).to_dict()
         assert set(d) == {"quantity", "inputs", "value", "method",
                           "error_estimate"}
+
+    def test_crosscheck_mismatch_raises(self, monkeypatch):
+        def off(R, s):
+            return circle_fmc(R, s) * (1 + 1e-8), 0.0
+
+        monkeypatch.setitem(oracles._QUADRATURES, "circle_fmc",
+                            (circle_fmc, off))
+        with pytest.raises(ArithmeticError):
+            oracle("circle_fmc", R=1.0, s=0.5)
 
     def test_unknown(self):
         with pytest.raises(InvalidParams):

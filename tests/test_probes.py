@@ -90,6 +90,14 @@ class TestPatch:
         with pytest.raises(InvalidParams):
             extract_patch(circle128, 0)
 
+    def test_patch_radii_workers_validated(self, sphere1, monkeypatch):
+        for w in (0, -2, "two"):
+            with pytest.raises(InvalidParams):
+                patch_radii(sphere1, [0], workers=w)
+        monkeypatch.setenv("NLCURV_WORKERS", "0")
+        with pytest.raises(InvalidParams):
+            patch_radii(sphere1, [0], workers=None)
+
 
 class TestAhlfors:
     def test_sphere_ratio_near_pi(self, sphere3):
@@ -185,6 +193,11 @@ class TestChordArc:
         res = chord_arc_constant(circle128, sample_pairs=1000)
         assert res["gamma"] >= 1.0
         assert res["n_pairs"] >= 1000
+
+    @pytest.mark.parametrize("n", [0, 0.5, np.nan, np.inf])
+    def test_invalid_sample_pairs(self, sphere1, n):
+        with pytest.raises(InvalidParams):
+            chord_arc_constant(sphere1, sample_pairs=n)
 
     def test_seeded_determinism(self, sphere1):
         a = chord_arc_constant(sphere1, sample_pairs=100, seed=4)

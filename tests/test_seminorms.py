@@ -158,7 +158,7 @@ class TestGraphLinearization:
                      (0.5, np.inf)):
             with pytest.raises(InvalidParams):
                 graph_linearization_functional(patch, s, p)
-        for p in (np.nan, np.inf):
+        for p in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidParams):
                 morrey_check(patch, 0.6, p)
 
