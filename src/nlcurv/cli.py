@@ -294,9 +294,9 @@ def _cmd_sobolev(cfg):
             raise UsageError(f"field {o['field']} needs ambient axis {axis}")
         vals = mesh.vertices[:, axis]
     f = seminorms.ScalarField(mesh, vals)
-    sob = seminorms.sobolev_seminorm(f, o["alpha"], o["fq"], o["distance"])
+    sob, hol = seminorms._seminorms(f, o["alpha"], o["fq"], o["beta"],
+                                    o["distance"])
     lq = seminorms.lq_norm(f, o["fq"])
-    hol = seminorms.holder_seminorm(f, o["beta"], o["distance"])
     payload = {"field": o["field"],
                "sobolev": {"kind": "sobolev", "value": sob, "q": o["fq"],
                            "alpha": o["alpha"],

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, identity
 
 from .errors import DegenerateGeometry, InvalidParams, UnsupportedMode
-from .surface import _rotation_to_z
+from .surface import _rotation_to_z, _vertex_indices
 
 __all__ = [
     "EnergyReport",
@@ -349,11 +349,8 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
         raise UnsupportedMode("H_s is signed and needs a hypersurface; "
                               "use kind='A' in projection mode")
     workers = get_workers(workers)
-    if vertices is None:
-        vertices = np.arange(mesh.n_vertices)
-    vertices = np.atleast_1d(np.asarray(vertices, int))
-    if not np.all((vertices >= 0) & (vertices < mesh.n_vertices)):
-        raise InvalidParams(f"vertices must lie in [0, {mesh.n_vertices})")
+    vertices = np.arange(mesh.n_vertices) if vertices is None \
+        else np.atleast_1d(_vertex_indices(mesh, vertices))
     X = mesh.vertices[vertices]
     expo = mesh.dim_d + 1 + params.s
     power = None if kind == "H" else 1.0

@@ -11,10 +11,14 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .errors import DisconnectedMesh, InvalidParams
-from .surface import DiscreteHypersurface
+from .errors import DisconnectedMesh
+from .surface import DiscreteHypersurface, _vertex_indices
 
 __all__ = ["intrinsic_distances", "check_connected"]
+
+# Dijkstra sources per search: bounds the (block, V + E) scratch array of
+# refined-graph distances, of which only the V vertex columns are kept
+_SOURCE_BLOCK = 128
 
 
 def _curve_graph(mesh):
@@ -75,15 +79,19 @@ def intrinsic_distances(mesh: DiscreteHypersurface,
                         sources=None) -> np.ndarray:
     """Graph-geodesic distances from each source vertex to every vertex.
 
-    Returns a (len(sources), V) array.  Distances are an upper bound on
-    the true polyhedral geodesic distance and at least the chord length.
+    Returns an owned (len(sources), V) array.  Distances are an upper
+    bound on the true polyhedral geodesic distance and at least the chord
+    length.  `_graph` stores both arcs of every edge, so the search runs
+    on it as a directed graph, which skips scipy's symmetrising pass.
     """
-    if sources is None:
-        sources = np.arange(mesh.n_vertices)
-    sources = np.atleast_1d(np.asarray(sources, int))
-    if not np.all((sources >= 0) & (sources < mesh.n_vertices)):
-        raise InvalidParams(f"sources must lie in [0, {mesh.n_vertices})")
+    nv = mesh.n_vertices
+    sources = np.arange(nv) if sources is None \
+        else np.atleast_1d(_vertex_indices(mesh, sources))
     check_connected(mesh)
     g = _graph(mesh, True)
-    d = dijkstra(g, directed=False, indices=sources)
-    return d[:, :mesh.n_vertices]
+    out = np.empty((len(sources), nv))
+    for a in range(0, len(sources), _SOURCE_BLOCK):
+        block = sources[a:a + _SOURCE_BLOCK]
+        out[a:a + len(block)] = dijkstra(g, directed=True,
+                                         indices=block)[:, :nv]
+    return out

@@ -17,7 +17,7 @@ from .errors import (
 from .functionals import get_workers
 from .geodesics import intrinsic_distances
 from .seminorms import ScalarField, sobolev_seminorm
-from .surface import DiscreteHypersurface, _rotation_to_z
+from .surface import DiscreteHypersurface, _rotation_to_z, _vertex_indices
 
 __all__ = [
     "PatchChart",
@@ -63,12 +63,6 @@ class PatchChart:
                 "grid_step": self.grid_step, "n_nodes": len(self.grid),
                 "grad_sup": self.grad_sup, "grad_holder": self.grad_holder,
                 "holder_exponent": _HOLDER_EXPONENT}
-
-
-def _check_vertex(mesh, vertex):
-    if not 0 <= vertex < mesh.n_vertices:
-        raise InvalidParams(
-            f"vertex {vertex} outside [0, {mesh.n_vertices})")
 
 
 def _raycast_heights(Pl, F, delta, nh, zmax, tol):
@@ -195,7 +189,7 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
     if not all(0.0 < v < np.inf for v in (grad_bound, grid_step, rmax, zmax)):
         raise InvalidParams("grad_bound, grid_step, rmax and zmax must be "
                             "finite and positive")
-    _check_vertex(mesh, vertex)
+    vertex = int(_vertex_indices(mesh, vertex))
     nrm = mesh.vertex_normals[vertex]
     if not np.all(np.isfinite(nrm)):
         raise DegenerateGeometry(f"undefined normal at vertex {vertex}")
@@ -274,16 +268,15 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
         grad_holder = float(np.max(dg / r ** _HOLDER_EXPONENT))
     else:
         grad_holder = float("nan")
-    return PatchChart(int(vertex), base, R, radius, grid_step, grid, heights,
+    return PatchChart(vertex, base, R, radius, grid_step, grid, heights,
                       grads, grad_sup, grad_holder)
 
 
 def patch_radii(mesh, vertices=None, workers=1, **kwargs):
     """extract_patch radius for many vertices; NaN where NonGraphical."""
     workers = get_workers(workers)
-    if vertices is None:
-        vertices = np.arange(mesh.n_vertices)
-    vertices = np.atleast_1d(np.asarray(vertices, int))
+    vertices = np.arange(mesh.n_vertices) if vertices is None \
+        else np.atleast_1d(_vertex_indices(mesh, vertices))
     out = np.empty(len(vertices))
 
     kwargs.setdefault("compute_holder", False)
@@ -355,8 +348,7 @@ def ahlfors_ratio(mesh: DiscreteHypersurface, vertex, radii):
     radii = np.atleast_1d(np.asarray(radii, float))
     if not np.all((radii > 0) & (radii <= mesh.diameter)):
         raise InvalidParams("radii must lie in (0, diameter]")
-    _check_vertex(mesh, vertex)
-    x = mesh.vertices[vertex]
+    x = mesh.vertices[int(_vertex_indices(mesh, vertex))]
     return [(r, _ball_measure(mesh, x, r) / r ** mesh.dim_d)
             for r in radii.tolist()]
 
@@ -374,6 +366,9 @@ def chord_arc_constant(mesh: DiscreteHypersurface, sample_pairs=20000, seed=0):
     if not 1 <= sample_pairs < np.inf:
         raise InvalidParams(f"sample_pairs must be finite and >= 1, got "
                             f"{sample_pairs}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParams(f"seed must be a non-negative integer, got "
+                            f"{seed!r}")
     V = mesh.n_vertices
     n_src = min(V, max(1, -(-int(sample_pairs) // V)))
     rng = np.random.default_rng(seed)

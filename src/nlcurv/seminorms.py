@@ -42,13 +42,54 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
 
-def _distances(mesh, mode):
+def _check_sobolev(alpha, q):
+    if not (0.0 < alpha <= 1.0):
+        raise InvalidParams(f"alpha must lie in (0,1], got {alpha}")
+    if not (1.0 < q < np.inf):
+        raise InvalidParams(f"q must be finite and exceed 1, got {q}")
+
+
+def _check_holder(beta):
+    if not (0.0 < beta <= 1.0):
+        raise InvalidParams(f"beta must lie in (0,1], got {beta}")
+
+
+def _pair_distances(mesh, mode):
+    """(V, V) vertex distances with an infinite diagonal; the mode is
+    checked before any distance is computed."""
     if mode not in DISTANCE_MODES:
         raise InvalidParams(f"unknown distance mode {mode!r}")
     V = mesh.vertices
     if mode == "extrinsic":
-        return np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
-    return intrinsic_distances(mesh)
+        D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
+    else:
+        D = intrinsic_distances(mesh)
+    np.fill_diagonal(D, np.inf)
+    return D
+
+
+def _sobolev(field, alpha, q, D):
+    mesh = field.mesh
+    f = field.values
+    w = mesh.vertex_measures
+    expo = mesh.dim_d + alpha * q
+    total = float(np.einsum(
+        "ij,i,j->", np.abs(f[:, None] - f[None, :]) ** q / D ** expo, w, w))
+    return total ** (1.0 / q)
+
+
+def _holder(field, beta, D):
+    f = field.values
+    return float(np.max(np.abs(f[:, None] - f[None, :]) / D ** beta))
+
+
+def _seminorms(field: ScalarField, alpha, q, beta, distance_mode):
+    """(sobolev_seminorm, holder_seminorm) of one field from one distance
+    matrix; every parameter is checked before the distances are built."""
+    _check_sobolev(alpha, q)
+    _check_holder(beta)
+    D = _pair_distances(field.mesh, distance_mode)
+    return _sobolev(field, alpha, q, D), _holder(field, beta, D)
 
 
 def sobolev_seminorm(field: ScalarField, alpha, q, distance_mode="extrinsic"):
@@ -56,19 +97,9 @@ def sobolev_seminorm(field: ScalarField, alpha, q, distance_mode="extrinsic"):
 
     ( sum_{i != j} |f_i - f_j|^q / dist_ij^{d + alpha q} w_i w_j )^{1/q}
     """
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParams(f"alpha must lie in (0,1], got {alpha}")
-    if not (1.0 < q < np.inf):
-        raise InvalidParams(f"q must be finite and exceed 1, got {q}")
-    mesh = field.mesh
-    D = _distances(mesh, distance_mode)
-    np.fill_diagonal(D, np.inf)
-    f = field.values
-    w = mesh.vertex_measures
-    expo = mesh.dim_d + alpha * q
-    total = float(np.einsum(
-        "ij,i,j->", np.abs(f[:, None] - f[None, :]) ** q / D ** expo, w, w))
-    return total ** (1.0 / q)
+    _check_sobolev(alpha, q)
+    D = _pair_distances(field.mesh, distance_mode)
+    return _sobolev(field, alpha, q, D)
 
 
 def lq_norm(field: ScalarField, q):
@@ -81,12 +112,8 @@ def lq_norm(field: ScalarField, q):
 
 def holder_seminorm(field: ScalarField, beta, distance_mode="extrinsic"):
     """Discrete Hölder seminorm max_{i != j} |f_i - f_j| / dist_ij^beta."""
-    if not (0.0 < beta <= 1.0):
-        raise InvalidParams(f"beta must lie in (0,1], got {beta}")
-    D = _distances(field.mesh, distance_mode)
-    np.fill_diagonal(D, np.inf)
-    f = field.values
-    return float(np.max(np.abs(f[:, None] - f[None, :]) / D ** beta))
+    _check_holder(beta)
+    return _holder(field, beta, _pair_distances(field.mesh, distance_mode))
 
 
 def _patch_arrays(patch):

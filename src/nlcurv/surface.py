@@ -216,6 +216,22 @@ def _rotation_to_z(n):
     return np.eye(3) + K + K @ K / (1 + c)
 
 
+def _vertex_indices(mesh, v):
+    """v as an intp index array of its own shape (0-d for a scalar).
+
+    Raises InvalidParams unless every entry is an integer in
+    [0, n_vertices): a float index is rejected, not truncated.
+    """
+    idx = np.asarray(v)
+    if idx.dtype.kind not in "iu" and idx.size:
+        raise InvalidParams(f"vertex indices must be integers, got {v!r}")
+    idx = idx.astype(np.intp)
+    if not np.all((idx >= 0) & (idx < mesh.n_vertices)):
+        raise InvalidParams(f"vertex indices must lie in [0, "
+                            f"{mesh.n_vertices}), got {v!r}")
+    return idx
+
+
 def signed_volume(vertices: np.ndarray, elements: np.ndarray) -> float:
     """Signed enclosed volume (d=2) or signed area (d=1 in the plane)."""
     if elements.shape[1] == 3:

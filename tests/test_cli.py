@@ -214,6 +214,36 @@ class TestCommands:
             "kind": "holder", "beta": 0.75, "distance_mode": "intrinsic",
             "value": seminorms.holder_seminorm(f, 0.75, "intrinsic")}
 
+    def test_sobolev_one_distance_pass(self, tmp_path, monkeypatch):
+        from nlcurv import seminorms
+
+        calls = []
+        distances = seminorms.intrinsic_distances
+
+        def counted(*args):
+            calls.append(args)
+            return distances(*args)
+
+        monkeypatch.setattr(seminorms, "intrinsic_distances", counted)
+        rc = main(["sobolev", "--primitive", "sphere_icosub", "--sub", "1",
+                   "--distance", "intrinsic", "--out", str(tmp_path)])
+        assert rc == 0 and len(calls) == 1
+
+    def test_sobolev_validates_before_the_distance_pass(self, tmp_path, capsys,
+                                                        monkeypatch):
+        from nlcurv import seminorms
+
+        def fail(*args):
+            raise AssertionError("distances built before validation")
+
+        monkeypatch.setattr(seminorms, "intrinsic_distances", fail)
+        rc = main(["sobolev", "--primitive", "sphere_icosub", "--sub", "1",
+                   "--distance", "intrinsic", "--beta", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "InvalidParams"
+
     def test_sobolev_support_skips_the_distance_pass(self, tmp_path,
                                                      monkeypatch):
         from nlcurv import probes, seminorms
@@ -308,6 +338,7 @@ class TestCommands:
         ["--mode", "patch", "--grid-step", "nan"],
         ["--mode", "patch", "--grad-bound", "nan"],
         ["--mode", "chordarc", "--pairs", "-5"],
+        ["--mode", "chordarc", "--seed", "-1"],
     ])
     def test_bad_probe_input_exit_code(self, tmp_path, capsys, argv):
         rc = main(["probe", "--primitive", "sphere_icosub", "--sub", "1"]

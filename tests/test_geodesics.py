@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import make_trefoil
 from scipy.sparse.csgraph import dijkstra
 
 from nlcurv.errors import DisconnectedMesh, InvalidParams
@@ -61,6 +64,40 @@ def test_sources_outside_vertices_rejected(request, name):
     for source in (-1, n, n + 57, 10 ** 6):
         with pytest.raises(InvalidParams):
             intrinsic_distances(mesh, sources=[0, source])
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus", "circle128", "trefoil"])
+def test_directed_search_matches_undirected(request, name):
+    mesh = (make_primitive("torus") if name == "torus"
+            else make_trefoil() if name == "trefoil"
+            else request.getfixturevalue(name))
+    # the undirected search re-symmetrises a graph that is already symmetric
+    nv = mesh.n_vertices
+    ref = dijkstra(_graph(mesh, True), directed=False,
+                   indices=np.arange(nv))[:, :nv]
+    got = intrinsic_distances(mesh)
+    assert np.array_equal(got, ref)
+    sources = [nv - 1, 0, 3, 3]
+    assert np.array_equal(intrinsic_distances(mesh, sources), ref[sources])
+
+
+def test_memory_holds_only_the_vertex_columns():
+    # numpy reports its buffers to tracemalloc, so the peak is exact; the
+    # whole-graph search kept all V + E refined-graph columns per source.
+    # The mesh caches its edge table, which is built outside the trace.
+    def overhead(sub):
+        mesh = make_primitive("sphere_icosub", subdivisions=sub)
+        mesh.edges
+        tracemalloc.start()
+        try:
+            d = intrinsic_distances(mesh)
+            return tracemalloc.get_traced_memory()[1] - d.nbytes
+        finally:
+            tracemalloc.stop()
+
+    small, big = overhead(2), overhead(3)
+    assert big <= 5 * small  # linear in V (x4), not quadratic (x16)
+    assert big < 4e6
 
 
 def test_disconnected_rejected(circle128):

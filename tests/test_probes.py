@@ -199,6 +199,11 @@ class TestChordArc:
         with pytest.raises(InvalidParams):
             chord_arc_constant(sphere1, sample_pairs=n)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, "3", None])
+    def test_invalid_seed(self, sphere1, seed):
+        with pytest.raises(InvalidParams):
+            chord_arc_constant(sphere1, sample_pairs=100, seed=seed)
+
     def test_seeded_determinism(self, sphere1):
         a = chord_arc_constant(sphere1, sample_pairs=100, seed=4)
         b = chord_arc_constant(sphere1, sample_pairs=100, seed=4)

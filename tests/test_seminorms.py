@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from nlcurv import seminorms
 from nlcurv.errors import DegeneratePatch, InvalidParams
 from nlcurv.seminorms import (
     ScalarField,
+    _seminorms,
     graph_linearization_functional,
     holder_seminorm,
     lq_norm,
@@ -120,6 +122,30 @@ class TestLqHolder:
                 lq_norm(f, q)
         with pytest.raises(InvalidParams):
             holder_seminorm(f, 0.0)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("mode", ["extrinsic", "intrinsic"])
+    def test_matches_public_calls_bitwise(self, sphere2, mode):
+        f = ScalarField(sphere2, sphere2.vertices[:, 2] ** 2)
+        sob, hol = _seminorms(f, 0.25, 3.0, 0.75, mode)
+        assert sob == sobolev_seminorm(f, 0.25, 3.0, mode)
+        assert hol == holder_seminorm(f, 0.75, mode)
+
+    @pytest.mark.parametrize("kw", [{"alpha": 0.0}, {"q": 1.0},
+                                    {"q": np.nan}, {"beta": 2.0},
+                                    {"beta": 0.0},
+                                    {"distance_mode": "astral"}])
+    def test_validated_before_the_distances(self, monkeypatch, sphere1, kw):
+        def fail(*args):
+            raise AssertionError("distances built before validation")
+
+        monkeypatch.setattr(seminorms, "intrinsic_distances", fail)
+        f = ScalarField(sphere1, sphere1.vertices[:, 0])
+        args = {"alpha": 0.5, "q": 2.0, "beta": 0.5,
+                "distance_mode": "intrinsic", **kw}
+        with pytest.raises(InvalidParams):
+            _seminorms(f, **args)
 
 
 class TestGraphLinearization:

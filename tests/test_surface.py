@@ -5,10 +5,13 @@ import pytest
 
 from conftest import make_trefoil
 from nlcurv import errors
-from nlcurv.functionals import bending_energy
+from nlcurv.functionals import bending_energy, pointwise_curvature
+from nlcurv.geodesics import intrinsic_distances
+from nlcurv.probes import ahlfors_ratio, extract_patch, patch_radii
 from nlcurv.quadrature import build_scheme
 from nlcurv.surface import (
     EnergyParameters,
+    _vertex_indices,
     build_surface,
     convexity_check,
     load_mesh,
@@ -129,6 +132,32 @@ class TestValidation:
         for V in (m.vertices[:-1], m.vertices[:, :2], m.vertices.ravel()):
             with pytest.raises(errors.ParseError):
                 m.with_vertices(V)
+
+
+class TestVertexIndices:
+    def test_keeps_shape(self, sphere1):
+        assert _vertex_indices(sphere1, np.int64(3)).shape == ()
+        idx = _vertex_indices(sphere1, [[0], [41]])
+        assert idx.dtype == np.intp and idx.tolist() == [[0], [41]]
+        assert _vertex_indices(sphere1, []).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.5, [1.7], [0, 2.0], [True], "3",
+                                     -1, [0, 42], np.uint64(2 ** 63)])
+    def test_rejected(self, sphere1, bad):
+        with pytest.raises(errors.InvalidParams):
+            _vertex_indices(sphere1, bad)
+
+    def test_every_caller_rejects_a_fractional_index(self, sphere1):
+        sc = build_scheme(sphere1)
+        params = EnergyParameters(s=0.5, p=4.0)
+        calls = [lambda: intrinsic_distances(sphere1, [1.7]),
+                 lambda: pointwise_curvature(sphere1, sc, params, [2.9]),
+                 lambda: patch_radii(sphere1, [0.5]),
+                 lambda: extract_patch(sphere1, 0.5),
+                 lambda: ahlfors_ratio(sphere1, 0.5, [0.5])]
+        for call in calls:
+            with pytest.raises(errors.InvalidParams):
+                call()
 
 
 class TestIO:
