@@ -251,9 +251,8 @@ def _cmd_probe(cfg):
         summary = "gamma %.6g" % res["gamma"]
     elif mode == "patch":
         if o.get("all_vertices"):
-            radii = probes.patch_radii(
-                mesh, workers=o["workers"], grad_bound=o["grad_bound"],
-                grid_step=o["grid_step"])
+            radii = probes.patch_radii(mesh, grad_bound=o["grad_bound"],
+                                       grid_step=o["grid_step"])
             out = cfg.options.get("out") or "."
             os.makedirs(out, exist_ok=True)
             csv_path = os.path.join(out, "patch_radii.csv")

@@ -4,17 +4,17 @@ chord-arc constant, and the sphere-stability probe.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateGeometry,
     InvalidParams,
     NonGraphical,
 )
-from .functionals import get_workers
 from .geodesics import intrinsic_distances
 from .seminorms import ScalarField, sobolev_seminorm
 from .surface import DiscreteHypersurface, _rotation_to_z, _vertex_indices
@@ -52,6 +52,8 @@ class PatchChart:
     gradients: np.ndarray
     grad_sup: float
     grad_holder: float
+    refit_rounds: int
+    refit_residual: float
 
     def __post_init__(self):
         for a in (self.base_point, self.rotation, self.grid, self.heights,
@@ -62,30 +64,46 @@ class PatchChart:
         return {"base_vertex": self.base_vertex, "radius": self.radius,
                 "grid_step": self.grid_step, "n_nodes": len(self.grid),
                 "grad_sup": self.grad_sup, "grad_holder": self.grad_holder,
-                "holder_exponent": _HOLDER_EXPONENT}
+                "holder_exponent": _HOLDER_EXPONENT,
+                "refit_rounds": self.refit_rounds,
+                "refit_residual": self.refit_residual}
 
 
-def _raycast_heights(Pl, F, delta, nh, zmax, tol):
-    """Vertical-ray heights over the regular (2nh+1)^2 grid with spacing
-    delta, in the local frame.  Node (i, j) sits at ((i-nh)d, (j-nh)d)
-    and has flat index i*(2nh+1)+j.
+_STENCIL = 3  # half-width of the quadratic-fit window, in grid cells
+_HOLDER_EXPONENT = 0.25  # of the gradient Hölder quotient grad_holder
+_MAX_REFIT = 12  # base point and rotation refits before the final raycast
+_PAIR_BUDGET = 1 << 14  # pairs per block of the patch, quotient and distance
 
-    Each triangle is rasterized onto the few grid nodes inside its bbox;
-    hits are aggregated per node.  valid means at least one hit within
-    the |z| <= zmax slab with all hits clustered within tol (one sheet).
+
+def _budget_slices(cost):
+    """Consecutive slices of rows whose costs sum to at most _PAIR_BUDGET; a
+    row that exceeds it alone gets a slice of its own."""
+    ends = np.cumsum(cost)
+    a = 0
+    while a < len(ends):
+        b = max(a + 1, int(np.searchsorted(
+            ends, ends[a] - cost[a] + _PAIR_BUDGET, "right")))
+        yield slice(a, b)
+        a = b
+
+
+def _raycast_heights(TP, owner, nb, delta, nh, zmax, tol):
+    """Vertical-ray heights of nb patches over the regular (2nh+1)^2 grid
+    with spacing delta.  TP holds triangle corners, each in the local frame
+    of the patch `owner` names.  Node (i, j) sits at ((i-nh)d, (j-nh)d) and
+    has flat index i*(2nh+1)+j.
+
+    Each triangle is rasterized onto the few grid nodes inside its bbox, in
+    chunks of at most _PAIR_BUDGET (triangle, node) pairs; hits are
+    aggregated per node by count, max and min, which ignore order.  valid
+    means at least one hit within the |z| <= zmax slab with all hits
+    clustered within tol (one sheet).
     """
     n = 2 * nh + 1
-    xy = Pl[:, :2]
-    z = Pl[:, 2]
-    fz = z[F]
+    fz = TP[:, :, 2]
     near = (fz.min(axis=1) <= zmax) & (fz.max(axis=1) >= -zmax)
-    T = F[near]
-    heights = np.full(n * n, np.nan)
-    valid = np.zeros(n * n, bool)
-    if len(T) == 0:
-        return heights, valid
-    A, B, C = xy[T[:, 0]], xy[T[:, 1]], xy[T[:, 2]]
-    zT = np.stack([z[T[:, 0]], z[T[:, 1]], z[T[:, 2]]], 1)
+    A, B, C = (TP[near, c, :2] for c in range(3))
+    zT, owner = fz[near], owner[near]
     den = (B[:, 0] - A[:, 0]) * (C[:, 1] - A[:, 1]) \
         - (B[:, 1] - A[:, 1]) * (C[:, 0] - A[:, 0])
     ok = np.abs(den) > 1e-14
@@ -97,77 +115,198 @@ def _raycast_heights(Pl, F, delta, nh, zmax, tol):
     i0 = np.clip(np.ceil(lo - 1e-9).astype(int), 0, n - 1)
     i1 = np.clip(np.floor(hi + 1e-9).astype(int), -1, n - 1)
     ok &= (i1[:, 0] >= i0[:, 0]) & (i1[:, 1] >= i0[:, 1])
-    A, B, C, zT, den, i0, i1 = (a[ok] for a in (A, B, C, zT, den, i0, i1))
-    nx = i1[:, 0] - i0[:, 0] + 1
+    A, B, C, zT, den, i0, i1, owner = (
+        a[ok] for a in (A, B, C, zT, den, i0, i1, owner))
     ny = i1[:, 1] - i0[:, 1] + 1
-    cnt = nx * ny
-    if cnt.sum() == 0:
-        return heights, valid
-    rep = np.repeat(np.arange(len(cnt)), cnt)
-    k = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    ny_r = ny[rep]
-    gi = i0[rep, 0] + k // ny_r
-    gj = i0[rep, 1] + k % ny_r
-    px = (gi - nh) * delta
-    py = (gj - nh) * delta
-
-    Ar, Br, Cr, dr = A[rep], B[rep], C[rep], den[rep]
-    w0 = ((Br[:, 0] - px) * (Cr[:, 1] - py)
-          - (Br[:, 1] - py) * (Cr[:, 0] - px)) / dr
-    w1 = ((Cr[:, 0] - px) * (Ar[:, 1] - py)
-          - (Cr[:, 1] - py) * (Ar[:, 0] - px)) / dr
-    w2 = 1.0 - w0 - w1
-    zz = w0 * zT[rep, 0] + w1 * zT[rep, 1] + w2 * zT[rep, 2]
+    cnt = (i1[:, 0] - i0[:, 0] + 1) * ny
+    count = np.zeros(nb * n * n, int)
+    zhi = np.full(nb * n * n, -np.inf)
+    zlo = np.full(nb * n * n, np.inf)
     eps = 1e-9
-    inside = (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps) & (np.abs(zz) <= zmax)
-    lin = (gi * n + gj)[inside]
-    zz = zz[inside]
-    count = np.zeros(n * n, int)
-    np.add.at(count, lin, 1)
-    zhi = np.full(n * n, -np.inf)
-    np.maximum.at(zhi, lin, zz)
-    zlo = np.full(n * n, np.inf)
-    np.minimum.at(zlo, lin, zz)
+    for sl in _budget_slices(cnt):
+        c = cnt[sl]
+        rep = np.repeat(np.arange(sl.start, sl.stop), c)
+        k = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
+        ny_r = ny[rep]
+        gi = i0[rep, 0] + k // ny_r
+        gj = i0[rep, 1] + k % ny_r
+        px = (gi - nh) * delta
+        py = (gj - nh) * delta
+
+        Ar, Br, Cr, dr = A[rep], B[rep], C[rep], den[rep]
+        w0 = ((Br[:, 0] - px) * (Cr[:, 1] - py)
+              - (Br[:, 1] - py) * (Cr[:, 0] - px)) / dr
+        w1 = ((Cr[:, 0] - px) * (Ar[:, 1] - py)
+              - (Cr[:, 1] - py) * (Ar[:, 0] - px)) / dr
+        w2 = 1.0 - w0 - w1
+        zz = w0 * zT[rep, 0] + w1 * zT[rep, 1] + w2 * zT[rep, 2]
+        inside = (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps) \
+            & (np.abs(zz) <= zmax)
+        lin = (owner[rep] * (n * n) + gi * n + gj)[inside]
+        zz = zz[inside]
+        np.add.at(count, lin, 1)
+        np.maximum.at(zhi, lin, zz)
+        np.minimum.at(zlo, lin, zz)
     valid = (count >= 1) & (zhi - zlo <= tol)
-    heights[valid] = zhi[valid]
-    return heights, valid
+    return (np.where(valid, zhi, np.nan).reshape(nb, -1),
+            valid.reshape(nb, -1))
 
 
-_STENCIL = 3  # half-width of the quadratic-fit window, in grid cells
-_HOLDER_EXPONENT = 0.25  # of the gradient Hölder quotient grad_holder
-_MAX_REFIT = 12  # base point and rotation refits before the final raycast
+def _local_corners(X, F, base, R):
+    """Corners of triangles F in the frame at base with axes R (rows)."""
+    return ((X[F].reshape(-1, 3) - base) @ R.T).reshape(-1, 3, 3)
 
 
-def _design(dx, dy):
-    return np.stack([np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy], 1)
+def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
+                  zmax=0.6):
+    """Generate, per vertex in order, its PatchChart without the Hölder
+    quotient, or the NonGraphical error extract_patch raises for it.
 
-
-def _fit_gradients(H, delta):
-    """Per-node quadratic least-squares gradients on the (n, n) height grid.
-
-    Only nodes whose full (2*_STENCIL+1)^2 window is covered get a
-    gradient; all complete windows share one precomputed pseudoinverse.
-    Nodes with incomplete windows (grid edge, holes) stay NaN, which
-    callers treat as invalid — this caps the patch radius at the grid
-    extent minus _STENCIL cells.
+    Vertices run in blocks of at most _PAIR_BUDGET (vertex, candidate
+    triangle) pairs.  Each refit round of a block is one raycast over all
+    its vertices still refitting; the final raycast and the gradient fits
+    run in slices of at most _PAIR_BUDGET (vertex, grid node) pairs.  The
+    candidates come from a k-d tree of element centroids: a triangle whose
+    local bbox meets the box has its centroid within the box half-diagonal
+    plus sqrt(3) times the largest centroid-to-corner distance rho.
     """
-    n = H.shape[0]
-    w = 2 * _STENCIL + 1
-    off = delta * (np.arange(w) - _STENCIL)
-    OX, OY = np.meshgrid(off, off, indexing="ij")
-    X = _design(OX.ravel(), OY.ravel())
-    pinv = np.linalg.pinv(X)                        # (6, w*w)
+    if mesh.dim_d != 2:
+        raise InvalidParams("patch extraction expects a surface in 3-space")
+    if not all(0.0 < v < np.inf for v in (grad_bound, grid_step, rmax, zmax)):
+        raise InvalidParams("grad_bound, grid_step, rmax and zmax must be "
+                            "finite and positive")
+    vertices = np.atleast_1d(_vertex_indices(mesh, vertices))
+    normals = mesh.vertex_normals[vertices]
+    undefined = ~np.all(np.isfinite(normals), axis=1)
+    if undefined.any():
+        raise DegenerateGeometry(
+            f"undefined normal at vertex {vertices[undefined][0]}")
+    X, elements = mesh.vertices, mesh.elements
 
-    G = np.full((n, n, 2), np.nan)
-    if n >= w:
-        win = np.lib.stride_tricks.sliding_window_view(H, (w, w))
-        complete = np.all(np.isfinite(win), axis=(2, 3))
-        idx = np.argwhere(complete)
-        if len(idx):
-            flat = win[complete].reshape(len(idx), -1)
-            coef = flat @ pinv.T                    # (K, 6)
-            G[idx[:, 0] + _STENCIL, idx[:, 1] + _STENCIL] = coef[:, 1:3]
-    return G
+    nh = int(np.floor(rmax / grid_step + 1e-12))
+    ax = grid_step * np.arange(-nh, nh + 1)
+    GX, GY = np.meshgrid(ax, ax, indexing="ij")
+    nodes = np.stack([GX.ravel(), GY.ravel()], 1)
+    dist = np.hypot(nodes[:, 0], nodes[:, 1])
+    n, w = 2 * nh + 1, 2 * _STENCIL + 1
+    ctr, ctr_small = (n * n) // 2, (w * w) // 2
+    tol = 1e-6 * mesh.diameter
+    gtol = 1e-10
+    # quadratic least squares on a w x w window: one (6, w*w) pseudoinverse
+    oi, oj = np.indices((w, w)).reshape(2, -1) - _STENCIL
+    dx, dy = grid_step * oi, grid_step * oj
+    pinv = np.linalg.pinv(np.stack([np.ones_like(dx), dx, dy, dx * dx,
+                                    dx * dy, dy * dy], 1))
+    window = oi * n + oj  # flat offsets of a fit window's nodes
+
+    # candidate elements for all raycasts, with slack for the refit tilt
+    margin = 0.25 * max(rmax, zmax)
+    box = np.array([rmax + margin, rmax + margin, zmax + margin])
+    cen = mesh.element_centroids
+    rho = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max())
+    reach = (np.linalg.norm(box) + 3 ** 0.5 * rho) * (1 + 1e-9)
+    tree = cKDTree(cen)
+    cand = tree.query_ball_point(X[vertices], reach, return_length=True)
+
+    for blk in _budget_slices(cand):
+        vs = vertices[blk]
+        base = X[vs].copy()
+        R = np.stack([_rotation_to_z(m) for m in normals[blk]])
+        F = []
+        for b, c in enumerate(tree.query_ball_point(X[vs], reach)):
+            TV0 = _local_corners(X, elements[c], base[b], R[b])
+            F.append(np.asarray(c, np.intp)[
+                np.all(TV0.min(axis=1) <= box, axis=1)
+                & np.all(TV0.max(axis=1) >= -box, axis=1)])
+
+        def raycast(active, half):
+            # a triangle meets the grid only if its centroid meets it
+            # widened by rho; the slack covers the barycentric eps
+            lim = (half * grid_step + rho) * (1 + 1e-6)
+            hit = [F[b][np.all(np.abs((cen[F[b]] - base[b]) @ R[b, :2].T)
+                               <= lim, axis=1)] for b in active]
+            TP = np.concatenate([_local_corners(X, elements[f], base[b], R[b])
+                                 for f, b in zip(hit, active)])
+            owner = np.repeat(np.arange(len(active)), [len(f) for f in hit])
+            return _raycast_heights(TP, owner, len(active), grid_step, half,
+                                    zmax, tol)
+
+        out = [NonGraphical(f"surface is not single-valued above vertex {v}")
+               for v in vs]
+        rounds = np.zeros(len(vs), int)
+        resid = np.zeros(len(vs))
+        # base point and rotation refits on the 7x7 window around the origin
+        active, done = list(range(len(vs))), []
+        for it in range(_MAX_REFIT):
+            if not active:
+                break
+            hs, valid = raycast(active, _STENCIL)
+            refit = []
+            for k, b in enumerate(active):
+                if not valid[k, ctr_small]:
+                    continue
+                base[b] = base[b] + hs[k, ctr_small] * R[b, 2]
+                g0 = (pinv @ (hs[k] - hs[k, ctr_small]))[1:3] \
+                    if valid[k].all() else np.zeros(2)
+                rounds[b], resid[b] = it + 1, np.hypot(*g0)
+                if resid[b] <= gtol:
+                    done.append(b)
+                    continue
+                m = np.array([-g0[0], -g0[1], 1.0])
+                m /= np.linalg.norm(m)
+                R[b] = _rotation_to_z(m) @ R[b]
+                refit.append(b)
+            active = refit
+        done = sorted(done + active)
+
+        # the full grid, in slices of at most _PAIR_BUDGET nodes
+        for sub in _budget_slices(np.full(len(done), n * n)):
+            hs, valid = raycast(done[sub], nh)
+            for k, b in enumerate(done[sub]):
+                if not valid[k, ctr]:
+                    continue
+                base[b] = base[b] + hs[k, ctr] * R[b, 2]
+                H = (hs[k] - hs[k, ctr]).reshape(n, n)
+                # nodes whose whole fit window is valid, by a prefix sum; the
+                # outer _STENCIL rings never are, so `bad` is never empty
+                S = np.zeros((n + 1, n + 1), int)
+                S[1:, 1:] = valid[k].reshape(n, n).cumsum(0).cumsum(1)
+                full = np.zeros((n, n), bool)
+                full[_STENCIL:n - _STENCIL, _STENCIL:n - _STENCIL] = \
+                    S[w:, w:] - S[:-w, w:] - S[w:, :-w] + S[:-w, :-w] == w * w
+                bad = ~full.ravel()
+                # the radius is the nearest bad node, so only nodes nearer
+                # than the nearest invalid one need a gradient
+                radius = dist[bad].min()
+                fit = np.flatnonzero(~bad & (dist < radius))
+                coef = H.ravel()[fit[:, None] + window] @ pinv.T
+                gn = np.hypot(coef[:, 1], coef[:, 2])
+                radius = float(min(radius, dist[fit][gn > grad_bound].min(
+                    initial=np.inf)))
+                if radius <= grid_step:
+                    out[b] = NonGraphical(f"no graphical disc above vertex "
+                                          f"{vs[b]} at this grid step")
+                    continue
+                keep = dist[fit] < radius
+                out[b] = PatchChart(
+                    int(vs[b]), base[b].copy(), R[b].copy(), radius,
+                    grid_step, nodes[fit[keep]], H.ravel()[fit[keep]],
+                    coef[keep, 1:3], float(gn[keep].max()), float("nan"),
+                    int(rounds[b]), float(resid[b]))
+        yield from out
+
+
+def _holder_quotient(grid, grads):
+    """max |grads_a - grads_b| / |grid_a - grid_b|^_HOLDER_EXPONENT over
+    node pairs a != b, in row blocks of at most _PAIR_BUDGET pairs."""
+    K = len(grid)
+    best = 0.0
+    for sl in _budget_slices(np.full(K, K)):
+        r = np.linalg.norm(grid[sl, None, :] - grid[None, :, :], axis=-1)
+        r[np.arange(sl.stop - sl.start), np.arange(sl.start, sl.stop)] = np.inf
+        dg = np.linalg.norm(grads[sl, None, :] - grads[None, :, :], axis=-1)
+        best = max(best, float(np.max(dg / r ** _HOLDER_EXPONENT)))
+    return best
 
 
 def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
@@ -180,120 +319,29 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
     node required); gradients from local quadratic fits.  The base point
     and rotation are refitted toward f(0) = 0 and Df(0) = 0 until
     |Df(0)| <= 1e-10 or for _MAX_REFIT rounds, which can end above that
-    (a few 1e-8 on perturbed sub-1 spheres).  The radius is the distance
-    to the nearest node that is multi-sheet, uncovered, or has
+    (a few 1e-8 on perturbed sub-1 spheres); refit_rounds and
+    refit_residual report the count and the last |Df(0)|.  The radius is
+    the distance to the nearest node that is multi-sheet, uncovered, or has
     |grad f| > grad_bound; it is capped by the grid extent.
     """
-    if mesh.dim_d != 2:
-        raise InvalidParams("patch extraction expects a surface in 3-space")
-    if not all(0.0 < v < np.inf for v in (grad_bound, grid_step, rmax, zmax)):
-        raise InvalidParams("grad_bound, grid_step, rmax and zmax must be "
-                            "finite and positive")
-    vertex = int(_vertex_indices(mesh, vertex))
-    nrm = mesh.vertex_normals[vertex]
-    if not np.all(np.isfinite(nrm)):
-        raise DegenerateGeometry(f"undefined normal at vertex {vertex}")
-    R = _rotation_to_z(nrm)
-    base = mesh.vertices[vertex].copy()
-
-    nh = int(np.floor(rmax / grid_step + 1e-12))
-    ax = grid_step * np.arange(-nh, nh + 1)
-    GX, GY = np.meshgrid(ax, ax, indexing="ij")
-    nodes = np.stack([GX.ravel(), GY.ravel()], 1)
-    n = 2 * nh + 1
-    ctr = (n * n) // 2
-    tol = 1e-6 * mesh.diameter
-    gtol = 1e-10
-
-    # candidate elements for all raycasts, with slack for the refit tilt
-    Pl0 = (mesh.vertices - base) @ R.T
-    margin = 0.25 * max(rmax, zmax)
-    box = np.array([rmax + margin, rmax + margin, zmax + margin])
-    TV0 = Pl0[mesh.elements]
-    keep_t = np.all(TV0.min(axis=1) <= box, axis=1) \
-        & np.all(TV0.max(axis=1) >= -box, axis=1)
-    F = mesh.elements[keep_t]
-
-    # rotation refit on a small window around the origin: cheap raycasts
-    off = grid_step * np.arange(-_STENCIL, _STENCIL + 1)
-    SX, SY = np.meshgrid(off, off, indexing="ij")
-    ctr_small = len(off) ** 2 // 2
-    pinv_small = np.linalg.pinv(_design(SX.ravel(), SY.ravel()))
-    for _ in range(_MAX_REFIT):
-        Pl = (mesh.vertices - base) @ R.T
-        hs, vs = _raycast_heights(Pl, F, grid_step, _STENCIL, zmax, tol)
-        if not vs[ctr_small]:
-            raise NonGraphical(
-                f"surface is not single-valued above vertex {vertex}")
-        base = base + hs[ctr_small] * R[2]
-        hs = hs - hs[ctr_small]
-        if not vs.all():
-            g0 = np.zeros(2)
-        else:
-            g0 = (pinv_small @ hs)[1:3]
-        if np.hypot(*g0) <= gtol:
-            break
-        m = np.array([-g0[0], -g0[1], 1.0])
-        m /= np.linalg.norm(m)
-        R = _rotation_to_z(m) @ R
-
-    Pl = (mesh.vertices - base) @ R.T
-    h, valid = _raycast_heights(Pl, F, grid_step, nh, zmax, tol)
-    if not valid[ctr]:
-        raise NonGraphical(
-            f"surface is not single-valued above vertex {vertex}")
-    base = base + h[ctr] * R[2]
-    h = h - h[ctr]
-    H = h.reshape(n, n)
-
-    G = _fit_gradients(H, grid_step)
-    gn = np.hypot(G[:, :, 0], G[:, :, 1]).ravel()
-    valid_g = np.isfinite(gn)
-    bad = (~valid) | (~valid_g) | (valid_g & (gn > grad_bound))
-    dist = np.hypot(nodes[:, 0], nodes[:, 1])
-    radius = float(dist[bad].min()) if bad.any() else float(nh * grid_step)
-    if radius <= grid_step:
-        raise NonGraphical(
-            f"no graphical disc above vertex {vertex} at this grid step")
-
-    keep = (dist < radius) & valid & valid_g
-    grid = nodes[keep]
-    heights = H.ravel()[keep]
-    grads = G.reshape(-1, 2)[keep]
-    grad_sup = float(gn[keep].max())
+    chart = next(_patch_charts(mesh, int(_vertex_indices(mesh, vertex)),
+                               grad_bound, grid_step, rmax, zmax))
+    if isinstance(chart, NonGraphical):
+        raise chart
     if compute_holder:
-        r = np.linalg.norm(grid[:, None, :] - grid[None, :, :], axis=-1)
-        np.fill_diagonal(r, np.inf)
-        dg = np.linalg.norm(grads[:, None, :] - grads[None, :, :], axis=-1)
-        grad_holder = float(np.max(dg / r ** _HOLDER_EXPONENT))
-    else:
-        grad_holder = float("nan")
-    return PatchChart(vertex, base, R, radius, grid_step, grid, heights,
-                      grads, grad_sup, grad_holder)
+        chart = replace(chart, grad_holder=_holder_quotient(chart.grid,
+                                                            chart.gradients))
+    return chart
 
 
-def patch_radii(mesh, vertices=None, workers=1, **kwargs):
-    """extract_patch radius for many vertices; NaN where NonGraphical."""
-    workers = get_workers(workers)
-    vertices = np.arange(mesh.n_vertices) if vertices is None \
-        else np.atleast_1d(_vertex_indices(mesh, vertices))
-    out = np.empty(len(vertices))
-
-    kwargs.setdefault("compute_holder", False)
-
-    def do(i):
-        try:
-            out[i] = extract_patch(mesh, vertices[i], **kwargs).radius
-        except NonGraphical:
-            out[i] = np.nan
-
-    if workers == 1:
-        for i in range(len(vertices)):
-            do(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do, range(len(vertices))))
-    return out
+def patch_radii(mesh, vertices=None, **kwargs):
+    """extract_patch radius for many vertices (all by default), computed
+    together; NaN where NonGraphical.  kwargs are extract_patch's, without
+    compute_holder."""
+    if vertices is None:
+        vertices = np.arange(mesh.n_vertices)
+    return np.array([np.nan if isinstance(c, NonGraphical) else c.radius
+                     for c in _patch_charts(mesh, vertices, **kwargs)])
 
 
 # --------------------------------------------------------------------------
@@ -406,31 +454,41 @@ class StabilityReport:
 def _dist_to_surface(P, mesh):
     """Exact distance from each query point x to the polyhedral surface.
 
-    Per element, D = T - x are the corners and E = roll(T, -1) - T the
-    edges (a segment's second edge is its first reversed).  Edge k is
-    nearest at D_k + t_k E_k, t_k = clip(-<D_k, E_k> / |E_k|^2, 0, 1).  A
-    triangle also offers <D_0, n>^2 when the foot of the perpendicular falls
-    inside, that is when every <D_k, E_k x n> = <D_k x D_k+1, n> is >= 0.
+    The nearest point lies within the nearest vertex's distance of x, so
+    only elements whose centroid is within that plus the largest
+    centroid-to-corner distance are measured (with 1e-9 relative slack),
+    in slices of at most _PAIR_BUDGET such (point, element) pairs.  Per
+    pair, D = T - x are the corners and E = roll(T, -1) - T the edges (a
+    segment's second edge is its first reversed).  Edge k is nearest at
+    D_k + t_k E_k, t_k = clip(-<D_k, E_k> / |E_k|^2, 0, 1).  A triangle also
+    offers <D_0, n>^2 when the foot of the perpendicular falls inside, that
+    is when every <D_k, E_k x n> = <D_k x D_k+1, n> is >= 0.
     """
-    T = mesh.vertices[mesh.elements].transpose(2, 1, 0)      # (n, k, M)
-    E = np.roll(T, -1, axis=1) - T
-    E2 = (E * E).sum(0)
-    n = mesh.element_normals.T
-    if mesh.dim_d == 2:
-        F = np.cross(E, n[:, None], axis=0)
-
-    def nearest_sq(Q):
-        D = [Tc - Qc[:, None, None] for Tc, Qc in zip(T, Q.T)]  # (K, k, M)
+    X, elements = mesh.vertices, mesh.elements
+    cen = mesh.element_centroids
+    rho = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max())
+    reach = (cKDTree(X).query(P)[0] + rho) * (1 + 1e-9)
+    tree = cKDTree(cen)
+    best = np.full(len(P), np.inf)
+    for sl in _budget_slices(tree.query_ball_point(P, reach,
+                                                   return_length=True)):
+        near = tree.query_ball_point(P[sl], reach[sl])
+        q = np.repeat(np.arange(sl.start, sl.stop), [len(c) for c in near])
+        e = np.fromiter(chain.from_iterable(near), np.intp, len(q))
+        T = X[elements[e]].transpose(2, 1, 0)                # (n, k, pairs)
+        E = np.roll(T, -1, axis=1) - T
+        E2 = (E * E).sum(0)
+        D = [Tc - Qc for Tc, Qc in zip(T, P[q].T)]
         t = np.clip(-sum(Dc * Ec for Dc, Ec in zip(D, E)) / E2, 0.0, 1.0)
-        d2 = sum(np.square(Dc + t * Ec) for Dc, Ec in zip(D, E)).min(axis=1)
+        d2 = sum(np.square(Dc + t * Ec) for Dc, Ec in zip(D, E)).min(axis=0)
         if mesh.dim_d == 2:
-            inside = np.all(sum(Dc * Fc for Dc, Fc in zip(D, F)) >= 0, axis=1)
-            h = sum(Dc[:, 0] * nc for Dc, nc in zip(D, n))
+            n = mesh.element_normals[e].T
+            F = np.cross(E, n[:, None], axis=0)
+            inside = np.all(sum(Dc * Fc for Dc, Fc in zip(D, F)) >= 0, axis=0)
+            h = sum(Dc[0] * nc for Dc, nc in zip(D, n))
             d2 = np.where(inside, np.minimum(d2, h * h), d2)
-        return d2.min(axis=1)
-
-    return np.sqrt(np.concatenate([nearest_sq(P[a0:a0 + 128])
-                                   for a0 in range(0, len(P), 128)]))
+        np.minimum.at(best, q, d2)
+    return np.sqrt(best)
 
 
 def _fibonacci_sphere(n):

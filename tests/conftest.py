@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nlcurv.functionals import _near_field, bending_energy
+from nlcurv.probes import _MAX_REFIT, _STENCIL, _raycast_heights
 from nlcurv.quadrature import build_scheme
-from nlcurv.surface import build_surface, make_primitive
+from nlcurv.surface import _rotation_to_z, build_surface, make_primitive
 
 
 def make_flat_square(n=8, scale=1.0):
@@ -241,6 +242,59 @@ def clipped_measure_oracle(mesh, vertex, r):
     """Mesh measure inside B(vertices[vertex], r), to about 1e-4 relative."""
     T = mesh.vertices[mesh.elements].copy()
     return _clipped_measure(T, mesh.vertices[vertex], float(r))
+
+
+def patch_radius_oracle(mesh, vertex, grad_bound=0.5, grid_step=0.02,
+                        rmax=0.6, zmax=0.6):
+    """extract_patch's radius at one vertex (NaN where it raises
+    NonGraphical), the unbatched way: every raycast sees every element
+    that passes the box test, and every complete window gets a gradient."""
+    X = mesh.vertices
+    R = _rotation_to_z(mesh.vertex_normals[vertex])
+    base = X[vertex].copy()
+    nh = int(np.floor(rmax / grid_step + 1e-12))
+    n, w = 2 * nh + 1, 2 * _STENCIL + 1
+    margin = 0.25 * max(rmax, zmax)
+    box = np.array([rmax + margin, rmax + margin, zmax + margin])
+    TV0 = ((X - base) @ R.T)[mesh.elements]
+    F = mesh.elements[np.all(TV0.min(axis=1) <= box, axis=1)
+                      & np.all(TV0.max(axis=1) >= -box, axis=1)]
+    off = grid_step * np.arange(-_STENCIL, _STENCIL + 1)
+    SX, SY = (a.ravel() for a in np.meshgrid(off, off, indexing="ij"))
+    pinv = np.linalg.pinv(np.stack([np.ones_like(SX), SX, SY, SX * SX,
+                                    SX * SY, SY * SY], 1))
+
+    def heights(half):
+        h, valid = _raycast_heights(((X - base) @ R.T)[F],
+                                    np.zeros(len(F), int), 1, grid_step,
+                                    half, zmax, 1e-6 * mesh.diameter)
+        return h[0], valid[0], len(h[0]) // 2
+
+    for _ in range(_MAX_REFIT):
+        h, valid, c = heights(_STENCIL)
+        if not valid[c]:
+            return np.nan
+        base = base + h[c] * R[2]
+        g0 = (pinv @ (h - h[c]))[1:3] if valid.all() else np.zeros(2)
+        if np.hypot(*g0) <= 1e-10:
+            break
+        m = np.array([-g0[0], -g0[1], 1.0])
+        R = _rotation_to_z(m / np.linalg.norm(m)) @ R
+    h, valid, c = heights(nh)
+    if not valid[c]:
+        return np.nan
+    win = np.lib.stride_tricks.sliding_window_view((h - h[c]).reshape(n, n),
+                                                   (w, w))
+    complete = np.all(np.isfinite(win), axis=(2, 3))
+    gn = np.full((n, n), np.nan)
+    coef = win[complete].reshape(-1, w * w) @ pinv.T
+    gn[np.nonzero(complete)[0] + _STENCIL,
+       np.nonzero(complete)[1] + _STENCIL] = np.hypot(coef[:, 1], coef[:, 2])
+    ax = grid_step * np.arange(-nh, nh + 1)
+    dist = np.hypot(*np.meshgrid(ax, ax, indexing="ij")).ravel()
+    gn = gn.ravel()
+    radius = dist[~valid | ~(gn <= grad_bound)].min()
+    return radius if radius > grid_step else np.nan
 
 
 # Reference for probes._dist_to_surface on triangles: the library's former

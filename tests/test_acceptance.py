@@ -156,8 +156,7 @@ def test_criterion_06_sphere_symmetry(sphere4):
 
 
 def test_criterion_07_patch_radius(sphere4):
-    radii = patch_radii(sphere4, workers=8, grad_bound=0.5, grid_step=0.02,
-                        rmax=0.55)
+    radii = patch_radii(sphere4, grad_bound=0.5, grid_step=0.02, rmax=0.55)
     assert not np.any(np.isnan(radii))
     target = 1.0 / np.sqrt(5.0)
     maxerr = float(np.max(np.abs(radii - target)) / target)

@@ -25,7 +25,7 @@ DEFAULTED = {
     "minimize": ["max_iter", "step0", "grad_tol", "smoothing", "order",
                  "diagonal_policy", "workers", "callback"],
     "nonlocal_second_fundamental": ["workers"],
-    "patch_radii": ["vertices", "workers"],
+    "patch_radii": ["vertices"],
     "pointwise_curvature": ["vertices", "kind", "workers"],
     "sobolev_seminorm": ["distance_mode"],
     "stability_probe": ["alpha", "q"],
@@ -60,4 +60,4 @@ def test_defaulted_parameters_snapshot():
 
 
 def test_defaulted_parameter_count():
-    assert sum(map(len, _defaulted().values())) == 39
+    assert sum(map(len, _defaulted().values())) == 38

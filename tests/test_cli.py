@@ -165,7 +165,9 @@ class TestCommands:
                    "--sub", "3", "--vertex", "0", "--grid-step", "0.05",
                    "--out", str(tmp_path)])
         assert rc == 0
-        assert read_report(tmp_path)["radius"] > 0.1
+        rep = read_report(tmp_path)
+        assert rep["radius"] > 0.1
+        assert rep["refit_rounds"] >= 1 and rep["refit_residual"] >= 0.0
 
     def test_probe_patch_all_vertices(self, tmp_path):
         rc = main(["probe", "--mode", "patch", "--all-vertices",

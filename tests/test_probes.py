@@ -6,11 +6,14 @@ import pytest
 from conftest import (
     clipped_measure_oracle,
     make_trefoil,
+    patch_radius_oracle,
     segment_distance_oracle,
     triangle_distance_oracle,
 )
+from nlcurv import probes
 from nlcurv.errors import InvalidParams, NonGraphical
 from nlcurv.probes import (
+    _MAX_REFIT,
     _dist_to_surface,
     _fibonacci_sphere,
     ahlfors_ratio,
@@ -25,6 +28,21 @@ from nlcurv.surface import make_primitive
 @pytest.fixture(scope="module")
 def sphere3():
     return make_primitive("sphere_icosub", subdivisions=3)
+
+
+def _perturbed(sub, seed=3):
+    return make_primitive("perturbed_sphere", amplitude=0.05, seed=seed,
+                          subdivisions=sub)
+
+
+def _traced_peak(f):
+    """(traced peak bytes, result) of f()."""
+    tracemalloc.start()
+    try:
+        out = f()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 class TestPatch:
@@ -90,13 +108,64 @@ class TestPatch:
         with pytest.raises(InvalidParams):
             extract_patch(circle128, 0)
 
-    def test_patch_radii_workers_validated(self, sphere1, monkeypatch):
-        for w in (0, -2, "two"):
-            with pytest.raises(InvalidParams):
-                patch_radii(sphere1, [0], workers=w)
-        monkeypatch.setenv("NLCURV_WORKERS", "0")
-        with pytest.raises(InvalidParams):
-            patch_radii(sphere1, [0], workers=None)
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_patch_radii_match_extract_patch(self, seed):
+        mesh = _perturbed(1, seed)
+        one = [extract_patch(mesh, v, compute_holder=False).radius
+               for v in range(mesh.n_vertices)]
+        assert np.array_equal(patch_radii(mesh), one)
+
+    @pytest.mark.parametrize("sub, seed, step", [(1, 3, 1), (1, 11, 1),
+                                                 (2, 7, 8)])
+    def test_patch_radii_match_unbatched_oracle(self, sub, seed, step):
+        mesh = _perturbed(sub, seed)
+        vs = np.arange(0, mesh.n_vertices, step)
+        ref = [patch_radius_oracle(mesh, v) for v in vs]
+        assert np.array_equal(patch_radii(mesh, vs), ref, equal_nan=True)
+
+    def test_blocks_do_not_change_results(self, monkeypatch):
+        mesh = _perturbed(1)
+        radii = patch_radii(mesh, grid_step=0.05)
+        p = extract_patch(mesh, 5, grid_step=0.05)
+        monkeypatch.setattr(probes, "_PAIR_BUDGET", 300)
+        assert np.array_equal(patch_radii(mesh, grid_step=0.05), radii)
+        q = extract_patch(mesh, 5, grid_step=0.05)
+        assert np.array_equal(q.gradients, p.gradients)
+        assert q.grad_holder == p.grad_holder
+
+    def test_refit_reported(self, sphere3):
+        mesh = _perturbed(1)
+        charts = [extract_patch(mesh, v, compute_holder=False)
+                  for v in range(mesh.n_vertices)]
+        assert any(c.refit_rounds == _MAX_REFIT and c.refit_residual > 1e-10
+                   for c in charts)
+        d = extract_patch(sphere3, 0).to_dict()
+        assert 1 <= d["refit_rounds"] < _MAX_REFIT
+        assert d["refit_residual"] <= 1e-10
+
+    def test_holder_quotient_matches_dense(self, sphere3):
+        p = extract_patch(sphere3, 7, grid_step=0.02, rmax=0.3)
+        r = np.linalg.norm(p.grid[:, None] - p.grid[None], axis=-1)
+        np.fill_diagonal(r, np.inf)
+        dg = np.linalg.norm(p.gradients[:, None] - p.gradients[None], axis=-1)
+        assert len(p.grid) ** 2 > probes._PAIR_BUDGET
+        assert p.grad_holder == np.max(dg / r ** 0.25)
+
+    def test_holder_memory_bounded(self):
+        mesh = make_primitive("sphere_icosub", subdivisions=4)
+        mesh.diameter, mesh.vertex_normals, mesh.element_centroids
+        peak, p = _traced_peak(lambda: extract_patch(mesh, 0, grid_step=0.02,
+                                                     rmax=0.55))
+        assert len(p.grid) == 1557
+        assert peak <= 8e6  # the dense K x K quotient took 130 MB
+
+    def test_patch_radii_memory_independent_of_vertex_count(self):
+        peaks = []
+        for sub in (1, 2):  # 42 and 162 vertices
+            mesh = _perturbed(sub)
+            mesh.diameter, mesh.vertex_normals, mesh.element_centroids
+            peaks.append(_traced_peak(lambda: patch_radii(mesh))[0])
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestAhlfors:
@@ -294,6 +363,22 @@ class TestSurfaceDistance:
         got = _dist_to_surface(P, mesh)
         ref = segment_distance_oracle(P, mesh)
         assert np.abs(got - ref).max() <= 1e-14 * mesh.diameter
+
+    def test_memory_independent_of_mesh_size(self):
+        peaks = []
+        for sub in (2, 3):
+            mesh = _perturbed(sub)
+            mesh.element_centroids, mesh.element_normals
+            P = mesh.vertices.mean(0) + _fibonacci_sphere(2048)
+            peaks.append(_traced_peak(lambda: _dist_to_surface(P, mesh))[0])
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_slices_do_not_change_distances(self, monkeypatch):
+        mesh = _perturbed(2)
+        P = _queries(mesh, np.random.default_rng(2))
+        d = _dist_to_surface(P, mesh)
+        monkeypatch.setattr(probes, "_PAIR_BUDGET", 64)
+        assert np.array_equal(_dist_to_surface(P, mesh), d)
 
     def test_zero_at_vertices(self, circle128):
         bumpy = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
