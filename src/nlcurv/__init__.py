@@ -11,7 +11,6 @@ from . import errors
 from .errors import NlcurvError
 from .flow import (
     FlowState,
-    best_fit_sphere,
     energy_gradient,
     hausdorff_to_best_sphere,
     minimize,
@@ -24,7 +23,6 @@ from .functionals import (
     nonlocal_second_fundamental,
     pointwise_curvature,
     tangent_point_energy,
-    tangent_point_radius,
     willmore_energy,
 )
 from .geodesics import intrinsic_distances

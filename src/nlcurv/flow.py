@@ -38,7 +38,6 @@ __all__ = [
     "energy_gradient",
     "project_area",
     "minimize",
-    "best_fit_sphere",
     "hausdorff_to_best_sphere",
 ]
 
@@ -145,7 +144,7 @@ def project_area(mesh: DiscreteHypersurface) -> DiscreteHypersurface:
     return mesh.with_vertices(c + lam * (mesh.vertices - c))
 
 
-def best_fit_sphere(points):
+def _best_fit_sphere(points):
     """Algebraic least-squares sphere fit: center and radius."""
     X = np.asarray(points, float)
     A = np.c_[2 * X, np.ones(len(X))]
@@ -157,7 +156,7 @@ def best_fit_sphere(points):
 
 
 def hausdorff_to_best_sphere(mesh) -> float:
-    c, r = best_fit_sphere(mesh.vertices)
+    c, r = _best_fit_sphere(mesh.vertices)
     return float(np.max(np.abs(np.linalg.norm(mesh.vertices - c, axis=1) - r)))
 
 

@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
 
 from .errors import DegenerateGeometry, InvalidParams, UnsupportedMode
 from .surface import _rotation_to_z, _vertex_indices
@@ -30,7 +29,6 @@ __all__ = [
     "willmore_energy",
     "bending_energy",
     "tangent_point_energy",
-    "tangent_point_radius",
     "get_workers",
 ]
 
@@ -83,6 +81,8 @@ def _mesh_descriptor(mesh):
 
 def _incidence(mesh):
     """Sparse (V, M) vertex-element incidence: 1 where v is a corner of m."""
+    from scipy.sparse import csr_matrix
+
     el = mesh.elements
     rows = el.ravel()
     cols = np.repeat(np.arange(len(el)), el.shape[1])
@@ -93,6 +93,8 @@ def _incidence(mesh):
 def _sample_exclusions(mesh, scheme):
     """Per quadrature sample, its excluded inner elements as a sparse row:
     its own element, or every element sharing a vertex with it."""
+    from scipy.sparse import identity
+
     if scheme.diagonal_policy == "skip_same_element":
         near = identity(mesh.n_elements, np.int8, format="csr")
     else:
@@ -431,16 +433,3 @@ def tangent_point_energy(mesh, scheme, p, q, workers=None) -> EnergyReport:
     """
     return _energies(mesh, scheme, ["tangent_point"], workers, p=p, q=q)[0]
 
-
-def tangent_point_radius(x, y, n_y):
-    """Radius of the smallest sphere through x tangent to the surface at y."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    d = x - y
-    r2 = float(d @ d)
-    if r2 == 0.0:
-        raise InvalidParams("tangent-point radius needs x != y")
-    denom = abs(float(np.asarray(n_y, float) @ d))
-    if denom < 1e-14 * r2:
-        return np.inf
-    return r2 / denom

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import InvalidParams
 
@@ -50,9 +49,11 @@ def circle_fmc(R, s):
 
     Closed form: -2^{-s} R^{-s} sqrt(pi) Gamma((1-s)/2) / Gamma(1 - s/2).
     """
+    from scipy.special import gamma
+
     _check_rs(R, s)
     return (-(2.0 ** -s) * R ** -s * np.sqrt(np.pi)
-            * special.gamma((1 - s) / 2) / special.gamma(1 - s / 2))
+            * gamma((1 - s) / 2) / gamma(1 - s / 2))
 
 
 def _circle_quad(R, s):
@@ -60,6 +61,8 @@ def _circle_quad(R, s):
     -2R sin^2(t/2), measure R dt on (0, 2pi).  With u = t/2 and symmetry,
     that is -R (2R)^{-1-s} 4 int_0^{pi/2} sin(u)^{-s} du, whose u^{-s}
     endpoint singularity goes into quad's algebraic weight."""
+    from scipy import integrate
+
     scale = -4 * R * (2 * R) ** (-1 - s)
     quad, err = integrate.quad(lambda u: np.sinc(u / np.pi) ** -s,
                                0, np.pi / 2, weight="alg", wvar=(-s, 0),
@@ -79,6 +82,8 @@ def sphere_fmc(R, s):
 def _sphere_quad(R, s):
     """(quad, err) of the polar-angle reduction about x: chord 2R sin(t/2),
     pairing -2R sin^2(t/2), ring measure 2 pi R^2 sin(t) dt on (0, pi)."""
+    from scipy import integrate
+
     def integrand(t):
         return (-(2 * R * np.sin(t / 2) ** 2)
                 / (2 * R * np.sin(t / 2)) ** (3 + s)

@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateGeometry,
@@ -170,6 +169,8 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
     local bbox meets the box has its centroid within the box half-diagonal
     plus sqrt(3) times the largest centroid-to-corner distance rho.
     """
+    from scipy.spatial import cKDTree
+
     if mesh.dim_d != 2:
         raise InvalidParams("patch extraction expects a surface in 3-space")
     if not all(0.0 < v < np.inf for v in (grad_bound, grid_step, rmax, zmax)):
@@ -414,7 +415,8 @@ def chord_arc_constant(mesh: DiscreteHypersurface, sample_pairs=20000, seed=0):
     if not 1 <= sample_pairs < np.inf:
         raise InvalidParams(f"sample_pairs must be finite and >= 1, got "
                             f"{sample_pairs}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer))
+                                      and seed >= 0):
         raise InvalidParams(f"seed must be a non-negative integer, got "
                             f"{seed!r}")
     V = mesh.n_vertices
@@ -464,6 +466,8 @@ def _dist_to_surface(P, mesh):
     offers <D_0, n>^2 when the foot of the perpendicular falls inside, that
     is when every <D_k, E_k x n> = <D_k x D_k+1, n> is >= 0.
     """
+    from scipy.spatial import cKDTree
+
     X, elements = mesh.vertices, mesh.elements
     cen = mesh.element_centroids
     rho = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max())

@@ -5,7 +5,7 @@ from conftest import fd_gradient_oracle
 from nlcurv.errors import DegenerateGeometry, InvalidParams, StallError
 from nlcurv.flow import (
     _FD_STEP,
-    best_fit_sphere,
+    _best_fit_sphere,
     energy_gradient,
     hausdorff_to_best_sphere,
     minimize,
@@ -115,7 +115,7 @@ class TestSphereFit:
         d = rng.standard_normal((200, 3))
         d /= np.linalg.norm(d, axis=1)[:, None]
         pts = np.array([1.0, -2.0, 0.5]) + 3.0 * d
-        c, r = best_fit_sphere(pts)
+        c, r = _best_fit_sphere(pts)
         assert np.allclose(c, [1.0, -2.0, 0.5], atol=1e-10)
         assert abs(r - 3.0) < 1e-10
 

@@ -18,7 +18,6 @@ from nlcurv.functionals import (
     nonlocal_second_fundamental,
     pointwise_curvature,
     tangent_point_energy,
-    tangent_point_radius,
     willmore_energy,
 )
 from nlcurv.oracles import circle_fmc, sphere_fmc
@@ -218,22 +217,6 @@ class TestTangentPoint:
         for p, q in ((4.0, 2.0), (2.0, np.inf), (np.nan, 4.0), (2.0, np.nan)):
             with pytest.raises(InvalidParams):
                 tangent_point_energy(circle128, sc, p=p, q=q)
-
-    def test_radius_circle(self):
-        th = 1.3
-        x = np.array([np.cos(th), np.sin(th)])
-        y = np.array([1.0, 0.0])
-        r = tangent_point_radius(x, y, y)
-        assert abs(r - 2.0) < 1e-12
-
-    def test_radius_coplanar_infinite(self):
-        r = tangent_point_radius([1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
-                                 [0.0, 0.0, 1.0])
-        assert np.isinf(r)
-
-    def test_radius_coincident_rejected(self):
-        with pytest.raises(InvalidParams):
-            tangent_point_radius([0.0, 0.0], [0.0, 0.0], [0.0, 1.0])
 
 
 class TestTiling:

@@ -7,9 +7,9 @@ from scipy.sparse.csgraph import dijkstra
 
 from nlcurv.errors import DisconnectedMesh, InvalidParams
 from nlcurv.geodesics import (
+    _check_connected,
     _graph,
     _triangle_graph,
-    check_connected,
     intrinsic_distances,
 )
 from nlcurv.surface import build_surface, make_primitive
@@ -106,13 +106,13 @@ def test_disconnected_rejected(circle128):
     E = np.vstack([circle128.elements, circle128.elements + n])
     two = build_surface(V, E)
     with pytest.raises(DisconnectedMesh):
-        check_connected(two)
+        _check_connected(two)
     with pytest.raises(DisconnectedMesh):
         intrinsic_distances(two, sources=[0])
 
 
 def test_torus_connected():
-    check_connected(make_primitive("torus"))
+    _check_connected(make_primitive("torus"))
 
 
 def _triangle_graph_loop(mesh):

@@ -268,7 +268,7 @@ class TestChordArc:
         with pytest.raises(InvalidParams):
             chord_arc_constant(sphere1, sample_pairs=n)
 
-    @pytest.mark.parametrize("seed", [-1, 0.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 0.5, "3", None, True])
     def test_invalid_seed(self, sphere1, seed):
         with pytest.raises(InvalidParams):
             chord_arc_constant(sphere1, sample_pairs=100, seed=seed)
