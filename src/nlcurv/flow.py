@@ -18,10 +18,11 @@ import numpy as np
 from .errors import InvalidParams, MeshDegenerationError, ParseError, StallError
 from .functionals import (
     _PAIR_CUTOFF,
-    _incidence,
     _inner_data,
     _kernel_sums,
-    _sample_exclusions,
+    _neighbourhoods,
+    _rows,
+    _stars,
     bending_energy,
     get_workers,
 )
@@ -89,15 +90,15 @@ def energy_gradient(mesh, params, order="gauss3",
     local = np.bincount(ends, np.tile(elen, 2), len(V)) / np.maximum(deg, 1)
 
     scheme = build_scheme(mesh, order, diagonal_policy)
-    Y, W, N, mode = inner = _inner_data(mesh, scheme)
-    excl = _sample_exclusions(mesh, scheme)
+    Y, W, N, mode, k = inner = _inner_data(mesh, scheme)
+    near = _neighbourhoods(mesh, diagonal_policy)
     expo = mesh.dim_d + 1 + params.s
     cutoff = _PAIR_CUTOFF * mesh.diameter
     # |A|_s sums (pairing power 1) at every sample, in one thread
-    a = _kernel_sums(Y, excl, inner, cutoff, [(expo, 1.0)], 1)[0]
-    stars = _incidence(mesh)
+    a = _kernel_sums(Y, _rows(near, scheme.element_of), inner, cutoff,
+                     [(expo, 1.0)], 1)[0]
+    star_ptr, star_els = _stars(mesh)
     geometry = _segment_geometry if mesh.dim_d == 1 else _triangle_geometry
-    k = scheme.n_per_element
 
     def perturbed_energy(Vp):  # the star is that of the loop's vertex i
         nrm, meas = geometry(Vp, el)
@@ -110,20 +111,25 @@ def energy_gradient(mesh, params, order="gauss3",
         Yp, Wp, Np = Y.copy(), W.copy(), N.copy()
         Yp[J], Wp[J], Np[J] = Ys, Ws, Ns
         ap = np.empty_like(a)
-        ap[out] = b + _kernel_sums(Y[out], excl_cols, (Ys, Ws, Ns, mode),
+        ap[out] = b + _kernel_sums(Y[out], excl_cols, (Ys, Ws, Ns, mode, k),
                                    cut, [(expo, 1.0)], 1)[0]
-        ap[J] = _kernel_sums(Ys, excl_rows, (Yp, Wp, Np, mode), cut,
+        ap[J] = _kernel_sums(Ys, excl_rows, (Yp, Wp, Np, mode, k), cut,
                              [(expo, 1.0)], 1)[0]
         return float(np.abs(params.c_s * ap) ** params.p @ Wp)
 
     grad = np.empty_like(V)
     for i in range(len(V)):
-        star = stars.indices[stars.indptr[i]:stars.indptr[i + 1]]
+        star = star_els[star_ptr[i]:star_ptr[i + 1]]
         J = (star[:, None] * k + np.arange(k)).ravel()
         out = np.setdiff1d(np.arange(len(W)), J)
-        excl_cols, excl_rows = excl[out][:, star].toarray(), excl[J].toarray()
-        b = a[out] - _kernel_sums(Y[out], excl_cols, (Y[J], W[J], N[J], mode),
-                                  cutoff, [(expo, 1.0)], 1)[0]
+        # the star elements' exclusions: one row per star element
+        block = np.zeros((len(star), mesh.n_elements), bool)
+        block[_rows(near, star)] = True
+        excl_cols = block.T[scheme.element_of[out]].nonzero()
+        excl_rows = np.repeat(block, k, axis=0).nonzero()
+        b = a[out] - _kernel_sums(Y[out], excl_cols,
+                                  (Y[J], W[J], N[J], mode, k), cutoff,
+                                  [(expo, 1.0)], 1)[0]
         el = mesh.elements[star]
         step = _FD_STEP * local[i]
         cut = _PAIR_CUTOFF * (mesh.diameter + step)

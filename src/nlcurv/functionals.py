@@ -1,5 +1,5 @@
-"""Nonlocal curvature quantities: pointwise H_s and |A|_s, the energies
-W_{s,p}, B_{s,p}, T_{p,q}, and the tangent-point radius.
+"""Nonlocal curvature quantities: pointwise H_s and |A|_s and the energies
+W_{s,p}, B_{s,p} and T_{p,q}.
 
 All double sums share one kernel driver, tiled by sample-pair count so
 that worker memory does not depend on the mesh size; one pass evaluates
@@ -79,51 +79,65 @@ def _mesh_descriptor(mesh):
 # exclusion tables and kernel driver
 # --------------------------------------------------------------------------
 
-def _incidence(mesh):
-    """Sparse (V, M) vertex-element incidence: 1 where v is a corner of m."""
-    from scipy.sparse import csr_matrix
+def _stars(mesh):
+    """Vertex stars as CSR (indptr, element indices), each star in
+    increasing element order."""
+    corners = mesh.elements.ravel()
+    order = np.argsort(corners, kind="stable")
+    indptr = np.searchsorted(corners[order], np.arange(mesh.n_vertices + 1))
+    return indptr, order // mesh.elements.shape[1]
 
-    el = mesh.elements
-    rows = el.ravel()
-    cols = np.repeat(np.arange(len(el)), el.shape[1])
-    return csr_matrix((np.ones(el.size, np.int8), (rows, cols)),
-                      shape=(mesh.n_vertices, len(el)))
+
+def _rows(table, keys):
+    """Row-major (position in keys, entry) pairs of the CSR table's rows
+    keys."""
+    indptr, indices = table
+    count = indptr[keys + 1] - indptr[keys]
+    first = np.repeat(indptr[keys] - np.cumsum(count) + count, count)
+    return (np.repeat(np.arange(len(keys)), count),
+            indices[first + np.arange(len(first))])
+
+
+def _neighbourhoods(mesh, policy):
+    """Per element, the inner elements its samples exclude, as CSR: the
+    element itself, or every element sharing a vertex with it."""
+    M, n = mesh.elements.shape
+    if policy == "skip_same_element":
+        return np.arange(M + 1), np.arange(M)
+    at, near = _rows(_stars(mesh), mesh.elements.ravel())
+    pairs = np.unique(at // n * M + near)
+    return np.searchsorted(pairs // M, np.arange(M + 1)), pairs % M
 
 
 def _sample_exclusions(mesh, scheme):
-    """Per quadrature sample, its excluded inner elements as a sparse row:
-    its own element, or every element sharing a vertex with it."""
-    from scipy.sparse import identity
-
-    if scheme.diagonal_policy == "skip_same_element":
-        near = identity(mesh.n_elements, np.int8, format="csr")
-    else:
-        inc = _incidence(mesh)
-        near = (inc.T @ inc).tocsr()
-    return near[scheme.element_of]
+    """Row-major (sample, excluded inner element) pairs."""
+    return _rows(_neighbourhoods(mesh, scheme.diagonal_policy),
+                 scheme.element_of)
 
 
 def _inner_data(mesh, scheme):
-    """Sample positions, weights, and the pairing-direction data n(y):
-    element normals, or unit tangents for a curve in 3-space (projection
-    mode)."""
+    """Sample positions, weights, the pairing-direction data n(y) (element
+    normals, or unit tangents for a curve in 3-space: projection mode) and
+    the samples per element."""
     if mesh.codim2:
         N, mode = mesh.element_tangents, "projection"
     else:
         N, mode = mesh.element_normals, "hypersurface"
-    return scheme.points, scheme.weights, N[scheme.element_of], mode
+    return (scheme.points, scheme.weights, N[scheme.element_of], mode,
+            scheme.n_per_element)
 
 
 def _kernel_sums(X, excl, inner, cutoff, terms, workers):
     """Per term (expo_r, power) and outer point x:  Sum_y |pairing|^power
     / r^expo_r * w(y), or the signed pairing when power is None, over the
-    inner samples y outside the inner elements marked in x's row of the
-    table excl (sparse or dense); returns a (len(terms), len(X)) array.
+    inner samples y outside x's excluded inner elements, given as the
+    row-major (outer row, inner element) pairs excl; returns a
+    (len(terms), len(X)) array.
     The pairing is <x-y, n(y)>, or in projection mode |x-y - <t,x-y> t|,
     the part of x-y normal to the curve at y.
 
-    inner is (Y, W, N, mode) from _inner_data, ordered by element with k
-    samples each.  A kept pair closer than cutoff raises
+    inner is (Y, W, N, mode, k) from _inner_data, ordered by element with
+    k samples each.  A kept pair closer than cutoff raises
     DegenerateGeometry.  Tiles of at most _TILE_PAIRS inner samples (whole
     elements) and blocks of _TILE_PAIRS // tile outer points keep each
     worker in four (rows, tile) buffers whatever S is.  The geometry, the
@@ -135,16 +149,14 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers):
     so the result does not depend on the worker count; one block runs in
     the calling thread.
     """
-    Y, W, N, mode = inner
-    k = len(W) // excl.shape[1]
+    Y, W, N, mode, k = inner
     n, S = len(X), len(W)
     tile = min(S, max(k, _TILE_PAIRS // k * k))
     rows = max(1, min(n, _TILE_PAIRS // tile))
     starts = range(0, n, rows)
     workers = min(workers, len(starts))
     Yt, Nt = Y.T.copy(), N.T.copy()
-    # nonzero() lists the entries row by row, for sparse and dense tables
-    ex_row, ex_el = excl.nonzero()
+    ex_row, ex_el = excl
     order = sorted(range(len(terms)), key=lambda i: terms[i][1] is not None)
     out = np.zeros((len(terms), n))
 
@@ -357,7 +369,7 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
     expo = mesh.dim_d + 1 + params.s
     power = None if kind == "H" else 1.0
     near = _near_field(mesh, params, vertices, kind)
-    sums = _kernel_sums(X, _incidence(mesh)[vertices],
+    sums = _kernel_sums(X, _rows(_stars(mesh), vertices),
                         _inner_data(mesh, scheme),
                         _PAIR_CUTOFF * mesh.diameter, [(expo, power)],
                         workers)[0]

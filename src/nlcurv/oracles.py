@@ -81,16 +81,17 @@ def sphere_fmc(R, s):
 
 def _sphere_quad(R, s):
     """(quad, err) of the polar-angle reduction about x: chord 2R sin(t/2),
-    pairing -2R sin^2(t/2), ring measure 2 pi R^2 sin(t) dt on (0, pi)."""
+    pairing -2R sin^2(t/2), ring measure 2 pi R^2 sin(t) dt on (0, pi).
+    With u = t/2 that is -16 pi R^3 (2R)^{-3-s} int_0^{pi/2} sin(u)^{-s}
+    cos(u) du, whose u^{-s} endpoint singularity goes into quad's
+    algebraic weight."""
     from scipy import integrate
 
-    def integrand(t):
-        return (-(2 * R * np.sin(t / 2) ** 2)
-                / (2 * R * np.sin(t / 2)) ** (3 + s)
-                * 2 * np.pi * R * R * np.sin(t))
-
-    return integrate.quad(integrand, 0, np.pi, epsabs=1e-13, epsrel=1e-13,
-                          limit=400)
+    scale = -16 * np.pi * R ** 3 * (2 * R) ** (-3 - s)
+    quad, err = integrate.quad(lambda u: np.sinc(u / np.pi) ** -s * np.cos(u),
+                               0, np.pi / 2, weight="alg", wvar=(-s, 0),
+                               epsabs=1e-13, epsrel=1e-13, limit=400)
+    return scale * quad, abs(scale) * err
 
 
 def tangent_radius_circle(R):

@@ -16,7 +16,12 @@ from .errors import (
 )
 from .geodesics import intrinsic_distances
 from .seminorms import ScalarField, sobolev_seminorm
-from .surface import DiscreteHypersurface, _rotation_to_z, _vertex_indices
+from .surface import (
+    DiscreteHypersurface,
+    _check_seed,
+    _rotation_to_z,
+    _vertex_indices,
+)
 
 __all__ = [
     "PatchChart",
@@ -415,10 +420,7 @@ def chord_arc_constant(mesh: DiscreteHypersurface, sample_pairs=20000, seed=0):
     if not 1 <= sample_pairs < np.inf:
         raise InvalidParams(f"sample_pairs must be finite and >= 1, got "
                             f"{sample_pairs}")
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer))
-                                      and seed >= 0):
-        raise InvalidParams(f"seed must be a non-negative integer, got "
-                            f"{seed!r}")
+    _check_seed(seed)
     V = mesh.n_vertices
     n_src = min(V, max(1, -(-int(sample_pairs) // V)))
     rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
@@ -232,6 +233,14 @@ def _vertex_indices(mesh, v):
     return idx
 
 
+def _check_seed(seed):
+    """Raise InvalidParams unless seed is a non-negative integer."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer))
+                                      and seed >= 0):
+        raise InvalidParams(f"seed must be a non-negative integer, got "
+                            f"{seed!r}")
+
+
 def signed_volume(vertices: np.ndarray, elements: np.ndarray) -> float:
     """Signed enclosed volume (d=2) or signed area (d=1 in the plane)."""
     if elements.shape[1] == 3:
@@ -450,32 +459,37 @@ def _subdivide_project(V, F):
 
 def unit_icosphere(subdivisions: int):
     """Unit-radius icosphere directions and faces (midpoints re-projected)."""
+    if subdivisions < 0:
+        raise InvalidParams("subdivision level must be >= 0")
     V, F = _icosahedron()
     for _ in range(subdivisions):
         V, F = _subdivide_project(V, F)
     return V, F
 
 
+def _real_harmonic(ell, m, directions):
+    """Real orthonormal spherical harmonic of degree ell and order m at unit
+    directions, as a polynomial in (x, y, z):
+    N_lm (d/dz)^|m| P_l(z) Re (m >= 0) or Im (m < 0) of (x + iy)^|m|,
+    with N_lm the normalising constant, times sqrt 2 for m != 0."""
+    x, y, z = directions.T
+    a = abs(m)
+    scale = np.sqrt((2 * ell + 1) / (4 * np.pi) * (1 if m == 0 else 2)
+                    * factorial(ell - a) / factorial(ell + a))
+    xy = (x + 1j * y) ** a
+    return scale * np.polynomial.Legendre.basis(ell).deriv(a)(z) \
+        * (xy.imag if m < 0 else xy.real)
+
+
 def _harmonic_noise(directions, seed, degrees=(2, 3, 4)):
     """Smooth seeded direction field with unit RMS over the sphere."""
-    from scipy.special import sph_harm_y
-
     rng = np.random.default_rng(seed)
-    theta = np.arccos(np.clip(directions[:, 2], -1, 1))
-    phi = np.arctan2(directions[:, 1], directions[:, 0])
     noise = np.zeros(len(directions))
     csum = 0.0
     for ell in degrees:
         for m in range(-ell, ell + 1):
             c = rng.standard_normal()
-            Y = sph_harm_y(ell, abs(m), theta, phi)
-            if m < 0:
-                basis = np.sqrt(2) * (-1) ** m * Y.imag
-            elif m > 0:
-                basis = np.sqrt(2) * (-1) ** m * Y.real
-            else:
-                basis = Y.real
-            noise += c * basis
+            noise += c * _real_harmonic(ell, m, directions)
             csum += c * c
     return noise / np.sqrt(csum / (4 * np.pi))
 
@@ -508,9 +522,16 @@ def _revolve(prof_x, prof_r, n_theta):
     return V, np.asarray(F)
 
 
+def _positive(what, *values):
+    """Raise InvalidParams unless every value is positive and finite."""
+    if not all(0 < v < np.inf for v in values):
+        raise InvalidParams(f"{what} must be positive and finite")
+
+
 def _circle(radius=1.0, n=64, ambient=2):
     if n < 8:
         raise InvalidParams("circle needs at least 8 vertices")
+    _positive("radius", radius)
     th = 2 * np.pi * np.arange(n) / n
     V = radius * np.stack([np.cos(th), np.sin(th)], 1)
     E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
@@ -520,25 +541,24 @@ def _circle(radius=1.0, n=64, ambient=2):
 
 
 def _sphere_icosub(radius=1.0, subdivisions=3):
-    if subdivisions < 0:
-        raise InvalidParams("subdivision level must be >= 0")
-    if radius <= 0:
-        raise InvalidParams("radius must be positive")
+    _positive("radius", radius)
     V, F = unit_icosphere(subdivisions)
     return build_surface(radius * V, F)
 
 
 def _ellipsoid(semi_axes=(1.0, 1.0, 2.0), subdivisions=3):
     ax = np.asarray(semi_axes, float)
-    if ax.shape != (3,) or ax.min() <= 0:
-        raise InvalidParams("ellipsoid needs three positive semi-axes")
+    if ax.shape != (3,):
+        raise InvalidParams("ellipsoid needs three semi-axes")
+    _positive("semi-axes", *ax)
     V, F = unit_icosphere(subdivisions)
     # affine image of the icosphere: stays exactly convex
     return build_surface(V * ax[None, :], F)
 
 
 def _torus(major_radius=2.0, minor_radius=0.5, n_major=48, n_minor=24):
-    if minor_radius <= 0 or major_radius <= minor_radius:
+    _positive("torus radii", major_radius, minor_radius)
+    if major_radius <= minor_radius:
         raise InvalidParams("torus needs 0 < minor_radius < major_radius")
     u = 2 * np.pi * np.arange(n_major) / n_major
     v = 2 * np.pi * np.arange(n_minor) / n_minor
@@ -561,8 +581,10 @@ def _torus(major_radius=2.0, minor_radius=0.5, n_major=48, n_minor=24):
 
 
 def _perturbed_sphere(radius=1.0, amplitude=0.0, seed=0, subdivisions=3):
-    if radius <= 0:
-        raise InvalidParams("radius must be positive")
+    _positive("radius", radius)
+    if not np.isfinite(amplitude):
+        raise InvalidParams("perturbation amplitude must be finite")
+    _check_seed(seed)
     V, F = unit_icosphere(subdivisions)
     if amplitude == 0.0:
         return build_surface(radius * V, F)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,21 @@ class TestCommands:
     def test_bad_probe_input_exit_code(self, tmp_path, capsys, argv):
         rc = main(["probe", "--primitive", "sphere_icosub", "--sub", "1"]
                   + argv + ["--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "InvalidParams"
+
+    @pytest.mark.parametrize("argv", [
+        ["--primitive", "perturbed_sphere", "--amp", "0.1", "--seed", "-1"],
+        ["--primitive", "perturbed_sphere", "--sub", "-1"],
+        ["--primitive", "ellipsoid", "--sub", "-1"],
+        ["--primitive", "sphere_icosub", "--radius", "inf"],
+        ["--primitive", "ellipsoid", "--semi-axes", "1,inf,2"],
+    ])
+    def test_bad_primitive_exit_code(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eval", *argv, "--out", str(tmp_path)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "InvalidParams"

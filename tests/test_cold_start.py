@@ -2,8 +2,10 @@
 
 Each scipy submodule is imported inside the function that uses it, so
 `import nlcurv` costs numpy alone and a command loads only what its
-computation needs.  The checks run in a fresh interpreter because pytest
-itself imports scipy.integrate (the IntegrationWarning filter).
+computation needs: `eval` and `flow` need none, even on a perturbed
+sphere (its harmonics are numpy polynomials).  The checks run in a fresh
+interpreter because pytest itself imports scipy.integrate (the
+IntegrationWarning filter).
 """
 
 import json
@@ -44,3 +46,22 @@ def test_eval_loads_no_unused_scipy(tmp_path):
     unused = {"scipy.spatial", "scipy.sparse.csgraph", "scipy.integrate",
               "scipy.optimize", "scipy.special"}
     assert not loaded & unused
+
+
+def _cli_scipy_modules(argv, cwd):
+    code = ("import nlcurv.cli\n"
+            f"assert nlcurv.cli.main({argv + ['--out', 'out']!r}) == 0")
+    return _scipy_modules(code, cwd)
+
+
+PERTURBED = ["--primitive", "perturbed_sphere", "--amp", "0.05", "--sub", "1"]
+
+
+def test_eval_loads_no_scipy(tmp_path):
+    assert _cli_scipy_modules(["eval", *PERTURBED, "--tangent-point",
+                               "--q", "6"], tmp_path) == []
+
+
+def test_flow_loads_no_scipy(tmp_path):
+    assert _cli_scipy_modules(["flow", *PERTURBED, "--max-iter", "1"],
+                              tmp_path) == []

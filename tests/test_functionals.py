@@ -272,7 +272,8 @@ class TestTiling:
             ref[kind] = [naive_pointwise(mesh, sc, PARAMS, v, kind == "A")
                          for v in verts]
         # some sample excludes elements on both sides of a tile boundary
-        excl = functionals._sample_exclusions(mesh, sc).toarray() > 0
+        excl = np.zeros((sc.n_samples, mesh.n_elements), bool)
+        excl[functionals._sample_exclusions(mesh, sc)] = True
         split = 100 // k
         assert np.any(excl[:, :split].any(1) & excl[:, split:].any(1))
         # 100 pairs: one-row blocks over several tiles; 1000: one tile,
@@ -365,6 +366,63 @@ class TestTiling:
             mesh, sc, ["bending", "willmore", "tangent_point"], 1, PARAMS,
             4.0, 6.0))
         assert fused <= 1.1 * peaks[1]
+
+
+class TestExclusionTables:
+    """The numpy tables hold exactly the pairs of the sparse incidence
+    products they replace: inc.T @ inc (elements sharing a vertex), the
+    identity (skip_same_element), and inc's rows (vertex stars)."""
+
+    @staticmethod
+    def _incidence(mesh):
+        from scipy.sparse import csr_matrix
+
+        el = mesh.elements
+        cols = np.repeat(np.arange(len(el)), el.shape[1])
+        return csr_matrix((np.ones(el.size, np.int8), (el.ravel(), cols)),
+                          shape=(mesh.n_vertices, len(el)))
+
+    @staticmethod
+    def _mesh(request, name):
+        if name == "trefoil":
+            return make_trefoil()
+        if name == "torus":
+            return make_primitive("torus")
+        return request.getfixturevalue(name)
+
+    @staticmethod
+    def _pairs(rows, cols):
+        assert np.all(np.diff(rows) >= 0)  # row-major
+        pairs = set(zip(rows.tolist(), cols.tolist()))
+        assert len(pairs) == len(rows)  # no repeats
+        return pairs
+
+    @pytest.mark.parametrize("name", ["sphere2", "torus", "circle128",
+                                      "trefoil"])
+    @pytest.mark.parametrize("policy", ["skip_vertex_star",
+                                        "skip_same_element"])
+    def test_sample_pairs_match_sparse(self, request, name, policy):
+        from scipy.sparse import identity
+
+        mesh = self._mesh(request, name)
+        order = "gauss3" if policy == "skip_vertex_star" else "centroid"
+        sc = build_scheme(mesh, order, policy)
+        inc = self._incidence(mesh)
+        near = (identity(mesh.n_elements, format="csr")
+                if policy == "skip_same_element" else (inc.T @ inc).tocsr())
+        expect = set(zip(*(a.tolist() for a in near[sc.element_of].nonzero())))
+        got = self._pairs(*functionals._sample_exclusions(mesh, sc))
+        assert got == expect
+
+    @pytest.mark.parametrize("name", ["sphere2", "torus", "circle128",
+                                      "trefoil"])
+    def test_vertex_rows_match_sparse(self, request, name):
+        mesh = self._mesh(request, name)
+        verts = np.array([0, 5, 5, mesh.n_vertices - 1, 2])
+        expect = set(zip(*(a.tolist()
+                           for a in self._incidence(mesh)[verts].nonzero())))
+        got = self._pairs(*functionals._rows(functionals._stars(mesh), verts))
+        assert got == expect
 
 
 class TestWorkers:

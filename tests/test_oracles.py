@@ -39,6 +39,17 @@ class TestClosedForms:
         o = oracle("sphere_fmc", R=1.0, s=s)
         assert o.error_estimate < 1e-9 * abs(o.value)
 
+    @pytest.mark.parametrize("R", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_sphere_crosscheck_warning_free(self, R, s):
+        # the endpoint singularity sin(u)^{-s} goes to quad's algebraic
+        # weight: the 1e-10 self-check holds and quad warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            o = oracle("sphere_fmc", R=R, s=s)
+            q, _ = oracles._sphere_quad(R, s)
+        assert abs(q - o.value) <= 1e-10 * abs(o.value)
+
     @pytest.mark.parametrize("fn", [circle_fmc, sphere_fmc])
     def test_radius_scaling(self, fn):
         # H_s is homogeneous of degree -s

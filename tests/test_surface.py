@@ -1,7 +1,9 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
 from conftest import make_trefoil
 from nlcurv import errors
@@ -11,6 +13,8 @@ from nlcurv.probes import ahlfors_ratio, extract_patch, patch_radii
 from nlcurv.quadrature import build_scheme
 from nlcurv.surface import (
     EnergyParameters,
+    _harmonic_noise,
+    _real_harmonic,
     _vertex_indices,
     build_surface,
     convexity_check,
@@ -78,10 +82,52 @@ class TestPrimitives:
         ("ellipsoid", {"semi_axes": (1.0, -1.0, 2.0)}),
         ("dumbbell", {"neck_radius": 0.95}),
         ("nonesuch", {}),
+        ("circle", {"radius": np.inf}),
+        ("sphere_icosub", {"radius": np.inf}),
+        ("sphere_icosub", {"radius": np.nan}),
+        ("torus", {"major_radius": np.inf}),
+        ("ellipsoid", {"semi_axes": (1.0, np.inf, 2.0)}),
+        ("ellipsoid", {"subdivisions": -1}),
+        ("perturbed_sphere", {"subdivisions": -1}),
+        ("perturbed_sphere", {"radius": np.inf}),
+        ("perturbed_sphere", {"amplitude": np.nan}),
+        ("perturbed_sphere", {"amplitude": 0.1, "seed": -1}),
+        ("perturbed_sphere", {"amplitude": 0.1, "seed": 1.5}),
+        ("perturbed_sphere", {"amplitude": 0.1, "seed": True}),
     ])
     def test_invalid_params(self, kind, kw):
-        with pytest.raises(errors.InvalidParams):
-            make_primitive(kind, **kw)
+        # a typed error, never a bare numpy error or a warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.InvalidParams):
+                make_primitive(kind, **kw)
+
+
+class TestHarmonics:
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_basis_matches_scipy(self, ell):
+        # the polynomial basis is the real part (m >= 0) or imaginary part
+        # (m < 0) of scipy's complex harmonic, sqrt 2 and Condon-Shortley
+        # phase included
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal((200, 3))
+        d = np.vstack([d / np.linalg.norm(d, axis=1)[:, None],
+                       [[0, 0, 1.0], [0, 0, -1.0]]])
+        theta = np.arccos(np.clip(d[:, 2], -1, 1))
+        phi = np.arctan2(d[:, 1], d[:, 0])
+        for m in range(-ell, ell + 1):
+            Y = sph_harm_y(ell, abs(m), theta, phi)
+            ref = (Y.real if m == 0 else np.sqrt(2) * (-1) ** m
+                   * (Y.imag if m < 0 else Y.real))
+            got = _real_harmonic(ell, m, d)
+            assert np.allclose(got, ref, rtol=0, atol=1e-13), m
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_noise_unit_rms(self, seed):
+        m = make_primitive("sphere_icosub", subdivisions=4)
+        noise = _harmonic_noise(m.vertices, seed)
+        w = m.vertex_measures
+        assert abs(np.sqrt(noise ** 2 @ w / w.sum()) - 1) < 0.01
 
 
 class TestValidation:
