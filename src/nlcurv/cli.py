@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,11 +326,14 @@ def _cmd_flow(cfg):
             save_off(snap_mesh, os.path.join(out, name))
             snapshots.append(name)
 
-    state = flowmod.minimize(mesh, params, max_iter=o["max_iter"],
-                             step0=o["step0"], grad_tol=o["grad_tol"],
-                             smoothing=o["smoothing"], order=o["order"],
-                             diagonal_policy=o["policy"],
-                             workers=o["workers"], callback=snap)
+    # the report's "subcritical" says what minimize's warning would
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "p <= d/s", UserWarning)
+        state = flowmod.minimize(mesh, params, max_iter=o["max_iter"],
+                                 step0=o["step0"], grad_tol=o["grad_tol"],
+                                 smoothing=o["smoothing"], order=o["order"],
+                                 diagonal_policy=o["policy"],
+                                 workers=o["workers"], callback=snap)
     csv_path = os.path.join(out, "trajectory.csv")
     with open(csv_path, "w", newline="") as fh:
         wtr = csv.writer(fh)
@@ -339,6 +343,7 @@ def _cmd_flow(cfg):
             wtr.writerow([row[0]] + [repr(float(x)) for x in row[1:]])
     payload = {"iterations": state.iteration, "energy": state.energy,
                "area": state.area, "grad_norm": state.grad_norm,
+               "subcritical": params.subcritical(mesh.dim_d),
                "trajectory_csv": csv_path, "snapshots": snapshots}
     path = _write_report(cfg, payload)
     print(f"flow: {state.iteration} iterations, energy {state.energy:.9g} "

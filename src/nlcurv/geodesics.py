@@ -25,12 +25,9 @@ def _curve_graph(mesh):
     return E[:, 0], E[:, 1], L, mesh.n_vertices
 
 
-def _triangle_graph(mesh, refine):
+def _triangle_graph(mesh):
     V = mesh.vertices
     e = mesh.edges
-    if not refine:
-        w = np.linalg.norm(V[e[:, 0]] - V[e[:, 1]], axis=1)
-        return e[:, 0], e[:, 1], w, mesh.n_vertices
     # midpoint nodes, one per undirected edge; edges are sorted rows, so
     # their keys lo * V + hi are sorted too
     nv = mesh.n_vertices
@@ -51,13 +48,13 @@ def _triangle_graph(mesh, refine):
     return rows, cols, w, len(P)
 
 
-def _graph(mesh, refine):
+def _graph(mesh):
     from scipy.sparse import coo_matrix
 
     if mesh.dim_d == 1:
         rows, cols, w, n = _curve_graph(mesh)
     else:
-        rows, cols, w, n = _triangle_graph(mesh, refine)
+        rows, cols, w, n = _triangle_graph(mesh)
     rows = np.concatenate([rows, cols])
     cols = np.concatenate([cols[:len(w)], rows[:len(w)]])
     w = np.concatenate([w, w])
@@ -68,23 +65,16 @@ def _graph(mesh, refine):
     return g.tocsr()
 
 
-def _check_connected(mesh: DiscreteHypersurface) -> None:
-    from scipy.sparse.csgraph import connected_components
-
-    g = _graph(mesh, refine=False)
-    n, _ = connected_components(g, directed=False)
-    if n != 1:
-        raise DisconnectedMesh(f"edge graph has {n} components")
-
-
 def intrinsic_distances(mesh: DiscreteHypersurface,
                         sources=None) -> np.ndarray:
     """Graph-geodesic distances from each source vertex to every vertex.
 
     Returns an owned (len(sources), V) array.  Distances are an upper
     bound on the true polyhedral geodesic distance and at least the chord
-    length.  `_graph` stores both arcs of every edge, so the search runs
-    on it as a directed graph, which skips scipy's symmetrising pass.
+    length.  Each row covers every vertex, so an infinite entry means the
+    edge graph is disconnected, which raises DisconnectedMesh.  `_graph`
+    stores both arcs of every edge, so the search runs on it as a directed
+    graph, which skips scipy's symmetrising pass.
 
     The search runs on one core: scipy's `dijkstra` holds the interpreter
     lock, so threads over the source blocks gain nothing (all pairs on a
@@ -95,11 +85,12 @@ def intrinsic_distances(mesh: DiscreteHypersurface,
     nv = mesh.n_vertices
     sources = np.arange(nv) if sources is None \
         else np.atleast_1d(_vertex_indices(mesh, sources))
-    _check_connected(mesh)
-    g = _graph(mesh, True)
+    g = _graph(mesh)
     out = np.empty((len(sources), nv))
     for a in range(0, len(sources), _SOURCE_BLOCK):
         block = sources[a:a + _SOURCE_BLOCK]
         out[a:a + len(block)] = dijkstra(g, directed=True,
                                          indices=block)[:, :nv]
+        if np.isinf(out[a:a + len(block)]).any():
+            raise DisconnectedMesh("the mesh edge graph is disconnected")
     return out

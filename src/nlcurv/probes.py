@@ -15,9 +15,10 @@ from .errors import (
     NonGraphical,
 )
 from .geodesics import intrinsic_distances
-from .seminorms import ScalarField, sobolev_seminorm
+from .seminorms import ScalarField, _holder_max, sobolev_seminorm
 from .surface import (
     DiscreteHypersurface,
+    _budget_slices,
     _check_seed,
     _rotation_to_z,
     _vertex_indices,
@@ -76,19 +77,6 @@ class PatchChart:
 _STENCIL = 3  # half-width of the quadratic-fit window, in grid cells
 _HOLDER_EXPONENT = 0.25  # of the gradient Hölder quotient grad_holder
 _MAX_REFIT = 12  # base point and rotation refits before the final raycast
-_PAIR_BUDGET = 1 << 14  # pairs per block of the patch, quotient and distance
-
-
-def _budget_slices(cost):
-    """Consecutive slices of rows whose costs sum to at most _PAIR_BUDGET; a
-    row that exceeds it alone gets a slice of its own."""
-    ends = np.cumsum(cost)
-    a = 0
-    while a < len(ends):
-        b = max(a + 1, int(np.searchsorted(
-            ends, ends[a] - cost[a] + _PAIR_BUDGET, "right")))
-        yield slice(a, b)
-        a = b
 
 
 def _raycast_heights(TP, owner, nb, delta, nh, zmax, tol):
@@ -302,19 +290,6 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
         yield from out
 
 
-def _holder_quotient(grid, grads):
-    """max |grads_a - grads_b| / |grid_a - grid_b|^_HOLDER_EXPONENT over
-    node pairs a != b, in row blocks of at most _PAIR_BUDGET pairs."""
-    K = len(grid)
-    best = 0.0
-    for sl in _budget_slices(np.full(K, K)):
-        r = np.linalg.norm(grid[sl, None, :] - grid[None, :, :], axis=-1)
-        r[np.arange(sl.stop - sl.start), np.arange(sl.start, sl.stop)] = np.inf
-        dg = np.linalg.norm(grads[sl, None, :] - grads[None, :, :], axis=-1)
-        best = max(best, float(np.max(dg / r ** _HOLDER_EXPONENT)))
-    return best
-
-
 def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
                   grid_step=0.02, rmax=0.6, zmax=0.6,
                   compute_holder=True) -> PatchChart:
@@ -335,8 +310,8 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
     if isinstance(chart, NonGraphical):
         raise chart
     if compute_holder:
-        chart = replace(chart, grad_holder=_holder_quotient(chart.grid,
-                                                            chart.gradients))
+        chart = replace(chart, grad_holder=_holder_max(
+            chart.grid, chart.gradients, _HOLDER_EXPONENT))
     return chart
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DegeneratePatch, InvalidParams
 from .geodesics import intrinsic_distances
-from .surface import DiscreteHypersurface
+from .surface import DiscreteHypersurface, _budget_slices
 
 __all__ = [
     "ScalarField",
@@ -54,33 +54,46 @@ def _check_holder(beta):
         raise InvalidParams(f"beta must lie in (0,1], got {beta}")
 
 
-def _pair_distances(mesh, mode):
-    """(V, V) vertex distances with an infinite diagonal; the mode is
-    checked before any distance is computed."""
+def _distances(mesh, mode):
+    """The (V, V) intrinsic distance matrix, or None for extrinsic distances,
+    which _distance_rows computes per slice; the mode is checked first."""
     if mode not in DISTANCE_MODES:
         raise InvalidParams(f"unknown distance mode {mode!r}")
-    V = mesh.vertices
-    if mode == "extrinsic":
-        D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
-    else:
-        D = intrinsic_distances(mesh)
-    np.fill_diagonal(D, np.inf)
-    return D
+    return intrinsic_distances(mesh) if mode == "intrinsic" else None
 
 
-def _sobolev(field, alpha, q, D):
-    mesh = field.mesh
-    f = field.values
-    w = mesh.vertex_measures
-    expo = mesh.dim_d + alpha * q
-    total = float(np.einsum(
-        "ij,i,j->", np.abs(f[:, None] - f[None, :]) ** q / D ** expo, w, w))
-    return total ** (1.0 / q)
+def _distance_rows(points, distances=None):
+    """Yield (slice, distance rows): consecutive slices of at most
+    _PAIR_BUDGET pairs and the distances from their points to all points,
+    +inf on the diagonal.  Rows are Euclidean, computed per slice, unless
+    an owned (N, N) distance matrix is given: they are then its rows, and
+    its diagonal is set to +inf."""
+    N = len(points)
+    for sl in _budget_slices(np.full(N, N)):
+        r = distances[sl] if distances is not None else np.linalg.norm(
+            points[sl, None, :] - points[None, :, :], axis=-1)
+        r[np.arange(sl.stop - sl.start), np.arange(sl.start, sl.stop)] = np.inf
+        yield sl, r
 
 
-def _holder(field, beta, D):
-    f = field.values
-    return float(np.max(np.abs(f[:, None] - f[None, :]) / D ** beta))
+def _holder_max(points, values, beta, distances=None):
+    """max_{a != b} |values_a - values_b| / dist_ab^beta for scalar (N,) or
+    vector (N, k) values, over _distance_rows(points, distances)."""
+    best = []
+    for sl, r in _distance_rows(points, distances):
+        dv = values[sl, None] - values[None]
+        dv = np.abs(dv) if dv.ndim == 2 else np.linalg.norm(dv, axis=-1)
+        best.append(np.max(dv / r ** beta))
+    return float(np.max(best))
+
+
+def _sobolev(field, alpha, q, distances):
+    f, w = field.values, field.mesh.vertex_measures
+    expo = field.mesh.dim_d + alpha * q
+    inner = np.empty(len(f))
+    for sl, r in _distance_rows(field.mesh.vertices, distances):
+        inner[sl] = (np.abs(f[sl, None] - f) ** q / r ** expo * w).sum(axis=1)
+    return float(inner @ w) ** (1.0 / q)
 
 
 def _seminorms(field: ScalarField, alpha, q, beta, distance_mode):
@@ -88,8 +101,9 @@ def _seminorms(field: ScalarField, alpha, q, beta, distance_mode):
     matrix; every parameter is checked before the distances are built."""
     _check_sobolev(alpha, q)
     _check_holder(beta)
-    D = _pair_distances(field.mesh, distance_mode)
-    return _sobolev(field, alpha, q, D), _holder(field, beta, D)
+    D = _distances(field.mesh, distance_mode)
+    return (_sobolev(field, alpha, q, D),
+            _holder_max(field.mesh.vertices, field.values, beta, D))
 
 
 def sobolev_seminorm(field: ScalarField, alpha, q, distance_mode="extrinsic"):
@@ -98,8 +112,7 @@ def sobolev_seminorm(field: ScalarField, alpha, q, distance_mode="extrinsic"):
     ( sum_{i != j} |f_i - f_j|^q / dist_ij^{d + alpha q} w_i w_j )^{1/q}
     """
     _check_sobolev(alpha, q)
-    D = _pair_distances(field.mesh, distance_mode)
-    return _sobolev(field, alpha, q, D)
+    return _sobolev(field, alpha, q, _distances(field.mesh, distance_mode))
 
 
 def lq_norm(field: ScalarField, q):
@@ -113,7 +126,8 @@ def lq_norm(field: ScalarField, q):
 def holder_seminorm(field: ScalarField, beta, distance_mode="extrinsic"):
     """Discrete Hölder seminorm max_{i != j} |f_i - f_j| / dist_ij^beta."""
     _check_holder(beta)
-    return _holder(field, beta, _pair_distances(field.mesh, distance_mode))
+    return _holder_max(field.mesh.vertices, field.values, beta,
+                       _distances(field.mesh, distance_mode))
 
 
 def _patch_arrays(patch):
@@ -139,11 +153,11 @@ def graph_linearization_functional(patch, s, p):
     X, f, G = _patch_arrays(patch)
     d = X.shape[1]
     cell = patch.grid_step ** d
-    diff = X[:, None, :] - X[None, :, :]                       # x_i - x_j
-    r = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(r, np.inf)
-    lin = f[:, None] - f[None, :] - np.einsum("jk,ijk->ij", G, diff)
-    inner = (np.abs(lin) / r ** (d + 1 + s)).sum(axis=1) * cell
+    inner = np.empty(len(X))
+    for sl, r in _distance_rows(X):
+        diff = X[sl, None, :] - X[None, :, :]                  # x_i - x_j
+        lin = f[sl, None] - f[None, :] - np.einsum("jk,ijk->ij", G, diff)
+        inner[sl] = (np.abs(lin) / r ** (d + 1 + s)).sum(axis=1) * cell
     return float((inner ** p).sum() * cell)
 
 
@@ -165,9 +179,6 @@ def morrey_check(patch, s, p):
     Xi, Gi = X[inner], G[inner]
     if len(Xi) < 2:
         raise DegeneratePatch("inner disc carries fewer than 2 nodes")
-    r = np.linalg.norm(Xi[:, None, :] - Xi[None, :, :], axis=-1)
-    np.fill_diagonal(r, np.inf)
-    dg = np.linalg.norm(Gi[:, None, :] - Gi[None, :, :], axis=-1)
-    lhs = float(np.max(dg / r ** sigma))
+    lhs = _holder_max(Xi, Gi, sigma)
     rhs = float(graph_linearization_functional(patch, s, p) ** (1.0 / p))
     return {"lhs": lhs, "rhs": rhs}

@@ -83,14 +83,13 @@ class DiscreteHypersurface:
 
     @functools.cached_property
     def diameter(self) -> float:
-        """Largest vertex distance, over row blocks of a fixed pair count."""
+        """Largest vertex distance, over _budget_slices row blocks."""
         V = self.vertices
-        rows = max(1, (1 << 16) // len(V))
         best = 0.0
-        for a in range(0, len(V), rows):
-            d2 = (V[a:a + rows, None, 0] - V[:, 0]) ** 2
+        for sl in _budget_slices(np.full(len(V), len(V))):
+            d2 = (V[sl, None, 0] - V[:, 0]) ** 2
             for c in range(1, V.shape[1]):
-                d2 += (V[a:a + rows, None, c] - V[:, c]) ** 2
+                d2 += (V[sl, None, c] - V[:, c]) ** 2
             best = max(best, float(d2.max()))
         return float(np.sqrt(best))
 
@@ -231,6 +230,24 @@ def _vertex_indices(mesh, v):
         raise InvalidParams(f"vertex indices must lie in [0, "
                             f"{mesh.n_vertices}), got {v!r}")
     return idx
+
+
+# pairs per block of every dense pair reduction: the diameter, the convexity
+# check, the seminorms, the graph-linearization sums, the Hölder maxima, the
+# patch raycast and fits and the point-to-surface distance
+_PAIR_BUDGET = 1 << 14
+
+
+def _budget_slices(cost):
+    """Consecutive slices of rows whose costs sum to at most _PAIR_BUDGET; a
+    row that exceeds it alone gets a slice of its own."""
+    ends = np.cumsum(cost)
+    a = 0
+    while a < len(ends):
+        b = max(a + 1, int(np.searchsorted(
+            ends, ends[a] - cost[a] + _PAIR_BUDGET, "right")))
+        yield slice(a, b)
+        a = b
 
 
 def _check_seed(seed):
@@ -667,8 +684,8 @@ def convexity_check(mesh: DiscreteHypersurface):
     C = mesh.element_centroids
     n = mesh.element_normals
     worst = -np.inf
-    for i in range(0, mesh.n_vertices, 512):
-        X = mesh.vertices[i:i + 512]
+    for sl in _budget_slices(np.full(mesh.n_vertices, mesh.n_elements)):
+        X = mesh.vertices[sl]
         dots = np.einsum("vmk,mk->vm", X[:, None, :] - C[None, :, :], n)
         worst = max(worst, float(dots.max()))
     return {"is_convex": bool(worst <= tol), "max_violation": max(0.0, worst)}

@@ -1,5 +1,7 @@
 """Shared fixtures: small meshes and brute-force reference evaluators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -363,6 +365,17 @@ def segment_distance_oracle(P, mesh):
 
 
 ACCEPTANCE_LINES = []
+
+
+def traced_peak(f):
+    """(traced peak bytes, result) of f().  numpy reports its buffers to
+    tracemalloc, so the peak is exact."""
+    tracemalloc.start()
+    try:
+        out = f()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 def record_criterion(number, ok, detail):

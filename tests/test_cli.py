@@ -288,6 +288,16 @@ class TestCommands:
         assert len(doc["snapshots"]) >= 1
         assert os.path.exists(os.path.join(tmp_path, doc["snapshots"][0]))
 
+    def test_flow_reports_subcritical_without_warning(self, tmp_path, capsys):
+        # the default p = 4 sits on the critical line p = d/s of a surface;
+        # a warning escaping main would reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["flow", "--primitive", "perturbed_sphere", "--sub", "0",
+                       "--max-iter", "1", "--out", str(tmp_path)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert read_report(tmp_path)["subcritical"] is False
+
     def test_oracle_stdout_json(self, capsys):
         rc = main(["oracle", "circle_fmc", "--R", "1", "--s", "0.5"])
         assert rc == 0

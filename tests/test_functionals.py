@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -8,6 +6,7 @@ from conftest import (
     naive_energy,
     naive_pointwise,
     naive_tangent_point,
+    traced_peak,
 )
 from nlcurv import functionals
 from nlcurv.errors import DegenerateGeometry, InvalidParams, UnsupportedMode
@@ -342,27 +341,18 @@ class TestTiling:
             functionals._energies(circle128, sc, ["bending"], 0, PARAMS)
 
     def test_memory_independent_of_samples(self):
-        # numpy reports its buffers to tracemalloc, so the peak is exact;
         # the diameter is computed beforehand, outside the trace
-        def peak(call):
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         peaks = []
         for sub in (2, 3):
             mesh = make_primitive("sphere_icosub", subdivisions=sub)
             mesh.diameter
             sc = build_scheme(mesh)
-            peaks.append(peak(lambda: bending_energy(mesh, sc, PARAMS,
-                                                     workers=1)))
+            peaks.append(traced_peak(lambda: bending_energy(
+                mesh, sc, PARAMS, workers=1))[0])
         assert peaks[1] <= 1.5 * peaks[0]
         assert peaks[1] < 16e6
         # B, W and T in one pass keep the four per-worker buffers of one
-        fused = peak(lambda: functionals._energies(
+        fused, _ = traced_peak(lambda: functionals._energies(
             mesh, sc, ["bending", "willmore", "tangent_point"], 1, PARAMS,
             4.0, 6.0))
         assert fused <= 1.1 * peaks[1]

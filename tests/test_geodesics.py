@@ -1,17 +1,11 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from conftest import make_trefoil
+from conftest import make_trefoil, traced_peak
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from nlcurv.errors import DisconnectedMesh, InvalidParams
-from nlcurv.geodesics import (
-    _check_connected,
-    _graph,
-    _triangle_graph,
-    intrinsic_distances,
-)
+from nlcurv.geodesics import _graph, _triangle_graph, intrinsic_distances
 from nlcurv.surface import build_surface, make_primitive
 
 
@@ -49,7 +43,12 @@ def test_sphere_antipodal_near_pi(sphere2):
 
 
 def test_refinement_tightens(sphere2):
-    coarse = dijkstra(_graph(sphere2, False), directed=False, indices=[0])[0]
+    e = sphere2.edges
+    w = np.linalg.norm(sphere2.vertices[e[:, 0]] - sphere2.vertices[e[:, 1]],
+                       axis=1)
+    edge_graph = coo_matrix((w, (e[:, 0], e[:, 1])),
+                            shape=(sphere2.n_vertices,) * 2)
+    coarse = dijkstra(edge_graph, directed=False, indices=[0])[0]
     fine = intrinsic_distances(sphere2, sources=[0])[0]
     assert np.all(fine <= coarse + 1e-12)
     assert fine.max() < coarse.max()
@@ -73,7 +72,7 @@ def test_directed_search_matches_undirected(request, name):
             else request.getfixturevalue(name))
     # the undirected search re-symmetrises a graph that is already symmetric
     nv = mesh.n_vertices
-    ref = dijkstra(_graph(mesh, True), directed=False,
+    ref = dijkstra(_graph(mesh), directed=False,
                    indices=np.arange(nv))[:, :nv]
     got = intrinsic_distances(mesh)
     assert np.array_equal(got, ref)
@@ -82,18 +81,14 @@ def test_directed_search_matches_undirected(request, name):
 
 
 def test_memory_holds_only_the_vertex_columns():
-    # numpy reports its buffers to tracemalloc, so the peak is exact; the
-    # whole-graph search kept all V + E refined-graph columns per source.
-    # The mesh caches its edge table, which is built outside the trace.
+    # the whole-graph search kept all V + E refined-graph columns per
+    # source.  The mesh caches its edge table, which is built outside the
+    # trace.
     def overhead(sub):
         mesh = make_primitive("sphere_icosub", subdivisions=sub)
         mesh.edges
-        tracemalloc.start()
-        try:
-            d = intrinsic_distances(mesh)
-            return tracemalloc.get_traced_memory()[1] - d.nbytes
-        finally:
-            tracemalloc.stop()
+        peak, d = traced_peak(lambda: intrinsic_distances(mesh))
+        return peak - d.nbytes
 
     small, big = overhead(2), overhead(3)
     assert big <= 5 * small  # linear in V (x4), not quadratic (x16)
@@ -105,14 +100,14 @@ def test_disconnected_rejected(circle128):
     V = np.vstack([circle128.vertices, circle128.vertices * 2.0])
     E = np.vstack([circle128.elements, circle128.elements + n])
     two = build_surface(V, E)
-    with pytest.raises(DisconnectedMesh):
-        _check_connected(two)
-    with pytest.raises(DisconnectedMesh):
-        intrinsic_distances(two, sources=[0])
+    for sources in ([0], [n + 5], None):
+        with pytest.raises(DisconnectedMesh):
+            intrinsic_distances(two, sources=sources)
 
 
 def test_torus_connected():
-    _check_connected(make_primitive("torus"))
+    assert np.isfinite(intrinsic_distances(make_primitive("torus"),
+                                           sources=[0])).all()
 
 
 def _triangle_graph_loop(mesh):
@@ -139,7 +134,7 @@ def _triangle_graph_loop(mesh):
 def test_refined_graph_matches_loop(request, name):
     mesh = (make_primitive("torus", n_major=16, n_minor=8) if name == "torus"
             else request.getfixturevalue(name))
-    got = _triangle_graph(mesh, refine=True)
+    got = _triangle_graph(mesh)
     ref = _triangle_graph_loop(mesh)
     for g, r in zip(got[:3], ref[:3]):
         assert np.array_equal(g, r)

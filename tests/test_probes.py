@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -8,9 +6,10 @@ from conftest import (
     make_trefoil,
     patch_radius_oracle,
     segment_distance_oracle,
+    traced_peak,
     triangle_distance_oracle,
 )
-from nlcurv import probes
+from nlcurv import surface
 from nlcurv.errors import InvalidParams, NonGraphical
 from nlcurv.probes import (
     _MAX_REFIT,
@@ -22,6 +21,7 @@ from nlcurv.probes import (
     patch_radii,
     stability_probe,
 )
+from nlcurv.seminorms import graph_linearization_functional, morrey_check
 from nlcurv.surface import make_primitive
 
 
@@ -33,16 +33,6 @@ def sphere3():
 def _perturbed(sub, seed=3):
     return make_primitive("perturbed_sphere", amplitude=0.05, seed=seed,
                           subdivisions=sub)
-
-
-def _traced_peak(f):
-    """(traced peak bytes, result) of f()."""
-    tracemalloc.start()
-    try:
-        out = f()
-        return tracemalloc.get_traced_memory()[1], out
-    finally:
-        tracemalloc.stop()
 
 
 class TestPatch:
@@ -127,7 +117,7 @@ class TestPatch:
         mesh = _perturbed(1)
         radii = patch_radii(mesh, grid_step=0.05)
         p = extract_patch(mesh, 5, grid_step=0.05)
-        monkeypatch.setattr(probes, "_PAIR_BUDGET", 300)
+        monkeypatch.setattr(surface, "_PAIR_BUDGET", 300)
         assert np.array_equal(patch_radii(mesh, grid_step=0.05), radii)
         q = extract_patch(mesh, 5, grid_step=0.05)
         assert np.array_equal(q.gradients, p.gradients)
@@ -148,23 +138,27 @@ class TestPatch:
         r = np.linalg.norm(p.grid[:, None] - p.grid[None], axis=-1)
         np.fill_diagonal(r, np.inf)
         dg = np.linalg.norm(p.gradients[:, None] - p.gradients[None], axis=-1)
-        assert len(p.grid) ** 2 > probes._PAIR_BUDGET
+        assert len(p.grid) ** 2 > surface._PAIR_BUDGET
         assert p.grad_holder == np.max(dg / r ** 0.25)
 
     def test_holder_memory_bounded(self):
         mesh = make_primitive("sphere_icosub", subdivisions=4)
         mesh.diameter, mesh.vertex_normals, mesh.element_centroids
-        peak, p = _traced_peak(lambda: extract_patch(mesh, 0, grid_step=0.02,
+        peak, p = traced_peak(lambda: extract_patch(mesh, 0, grid_step=0.02,
                                                      rmax=0.55))
         assert len(p.grid) == 1557
         assert peak <= 8e6  # the dense K x K quotient took 130 MB
+        # their dense K x K arrays took 116 and 129 MB
+        for call in (lambda: graph_linearization_functional(p, 0.5, 4.0),
+                     lambda: morrey_check(p, 0.6, 5.0)):
+            assert traced_peak(call)[0] <= 8e6
 
     def test_patch_radii_memory_independent_of_vertex_count(self):
         peaks = []
         for sub in (1, 2):  # 42 and 162 vertices
             mesh = _perturbed(sub)
             mesh.diameter, mesh.vertex_normals, mesh.element_centroids
-            peaks.append(_traced_peak(lambda: patch_radii(mesh))[0])
+            peaks.append(traced_peak(lambda: patch_radii(mesh))[0])
         assert peaks[1] <= 1.25 * peaks[0]
 
 
@@ -221,12 +215,7 @@ class TestAhlfors:
     def test_memory_bounded(self):
         mesh = make_primitive("sphere_icosub", subdivisions=4)
         mesh.diameter  # cached outside the trace
-        tracemalloc.start()
-        try:
-            ahlfors_ratio(mesh, 0, [0.1, 0.5, 1.0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: ahlfors_ratio(mesh, 0, [0.1, 0.5, 1.0]))
         assert peak <= 8e6
 
     def test_invalid_radius(self, sphere1):
@@ -370,14 +359,14 @@ class TestSurfaceDistance:
             mesh = _perturbed(sub)
             mesh.element_centroids, mesh.element_normals
             P = mesh.vertices.mean(0) + _fibonacci_sphere(2048)
-            peaks.append(_traced_peak(lambda: _dist_to_surface(P, mesh))[0])
+            peaks.append(traced_peak(lambda: _dist_to_surface(P, mesh))[0])
         assert peaks[1] <= 1.1 * peaks[0]
 
     def test_slices_do_not_change_distances(self, monkeypatch):
         mesh = _perturbed(2)
         P = _queries(mesh, np.random.default_rng(2))
         d = _dist_to_surface(P, mesh)
-        monkeypatch.setattr(probes, "_PAIR_BUDGET", 64)
+        monkeypatch.setattr(surface, "_PAIR_BUDGET", 64)
         assert np.array_equal(_dist_to_surface(P, mesh), d)
 
     def test_zero_at_vertices(self, circle128):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from nlcurv import seminorms
+from conftest import traced_peak
+from nlcurv import seminorms, surface
 from nlcurv.errors import DegeneratePatch, InvalidParams
+from nlcurv.geodesics import intrinsic_distances
 from nlcurv.seminorms import (
+    DISTANCE_MODES,
     ScalarField,
     _seminorms,
     graph_linearization_functional,
@@ -12,6 +15,7 @@ from nlcurv.seminorms import (
     morrey_check,
     sobolev_seminorm,
 )
+from nlcurv.surface import make_primitive
 
 
 class FakePatch:
@@ -200,3 +204,61 @@ class TestMorrey:
         patch = FakePatch(lambda x, y: x, lambda x, y: (1.0, 0.0))
         with pytest.raises(InvalidParams):
             morrey_check(patch, 0.4, 4.0)
+
+
+def _quadratic_patch():
+    return FakePatch(lambda x, y: x * x + 0.5 * y * y,
+                     lambda x, y: (2 * x, y), grid_step=0.05)
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    def test_matches_dense(self, sphere2, mode):
+        V = sphere2.vertices
+        f = ScalarField(sphere2, V[:, 0] ** 2 + V[:, 2])
+        assert len(V) ** 2 > surface._PAIR_BUDGET
+        D = (np.linalg.norm(V[:, None] - V[None], axis=-1)
+             if mode == "extrinsic" else intrinsic_distances(sphere2))
+        np.fill_diagonal(D, np.inf)
+        df = np.abs(f.values[:, None] - f.values[None])
+        assert holder_seminorm(f, 0.75, mode) == np.max(df / D ** 0.75)
+        w = sphere2.vertex_measures
+        ref = np.einsum("ij,i,j->", df ** 3 / D ** 2.75, w, w) ** (1 / 3)
+        assert abs(sobolev_seminorm(f, 0.25, 3.0, mode) - ref) <= 1e-12 * ref
+
+    def test_morrey_lhs_matches_dense(self):
+        patch = _quadratic_patch()
+        inner = np.linalg.norm(patch.grid, axis=1) <= 0.75 * patch.radius
+        X, G = patch.grid[inner], patch.gradients[inner]
+        r = np.linalg.norm(X[:, None] - X[None], axis=-1)
+        np.fill_diagonal(r, np.inf)
+        dg = np.linalg.norm(G[:, None] - G[None], axis=-1)
+        assert morrey_check(patch, 0.6, 5.0)["lhs"] == np.max(dg / r ** 0.2)
+
+    def test_blocks_do_not_change_results(self, monkeypatch, sphere2):
+        f = ScalarField(sphere2, sphere2.vertices[:, 1] ** 3)
+        patch = _quadratic_patch()
+
+        def results():
+            maxima = [holder_seminorm(f, 0.5, m) for m in DISTANCE_MODES]
+            sums = [sobolev_seminorm(f, 0.5, 2.0, m) for m in DISTANCE_MODES]
+            morrey = morrey_check(patch, 0.6, 5.0)
+            maxima.append(morrey["lhs"])
+            sums += [morrey["rhs"],
+                     graph_linearization_functional(patch, 0.5, 4.0)]
+            return maxima, np.array(sums)
+
+        maxima, sums = results()
+        monkeypatch.setattr(surface, "_PAIR_BUDGET", 200)
+        small_maxima, small_sums = results()
+        assert small_maxima == maxima
+        assert np.all(np.abs(small_sums - sums) <= 1e-15 * sums)
+
+    def test_memory_bounded(self):
+        mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                              subdivisions=4)
+        f = ScalarField(mesh, mesh.vertices[:, 2] ** 2)
+        # the dense V x V distance matrix took 420 MB
+        for call in (lambda: sobolev_seminorm(f, 0.5, 2.0),
+                     lambda: holder_seminorm(f, 0.5)):
+            assert traced_peak(call)[0] <= 8e6

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from conftest import make_trefoil
-from nlcurv import errors
+from conftest import make_trefoil, traced_peak
+from nlcurv import errors, surface
 from nlcurv.functionals import bending_energy, pointwise_curvature
 from nlcurv.geodesics import intrinsic_distances
 from nlcurv.probes import ahlfors_ratio, extract_patch, patch_radii
@@ -316,6 +316,23 @@ class TestGeometry:
         ref = pdist(m.vertices).max()
         assert m.n_vertices > 2048
         assert abs(m.diameter - ref) <= 1e-15 * ref
+
+    def test_convexity_memory_bounded(self):
+        m = make_primitive("sphere_icosub", subdivisions=4)
+        m.diameter, m.element_centroids  # cached outside the trace
+        peak, res = traced_peak(lambda: convexity_check(m))
+        assert res["is_convex"]
+        assert peak <= 8e6  # 512-vertex blocks of all elements took 105 MB
+
+    def test_blocks_do_not_change_diameter_or_convexity(self, monkeypatch):
+        def both():
+            m = make_primitive("perturbed_sphere", amplitude=0.3, seed=1,
+                               subdivisions=2)
+            return m.diameter, convexity_check(m)["max_violation"]
+
+        ref = both()
+        monkeypatch.setattr(surface, "_PAIR_BUDGET", 100)
+        assert both() == ref
 
     def test_convexity_codim2_unsupported(self):
         with pytest.raises(errors.UnsupportedMode):
