@@ -19,7 +19,7 @@ import numpy as np
 
 from . import flow as flowmod
 from . import functionals, oracles, probes, seminorms
-from .errors import NlcurvError, UsageError
+from .errors import NlcurvError, NonGraphical, UsageError
 from .quadrature import DIAGONAL_POLICIES, ORDERS, build_scheme
 from .surface import (
     EnergyParameters,
@@ -85,7 +85,9 @@ def _build_parser():
         p.add_argument("--order", choices=list(ORDERS), default=None)
         p.add_argument("--policy", choices=list(DIAGONAL_POLICIES),
                        default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None,
+                       help="kernel threads, and processes for the geodesic "
+                            "search and the patch probe")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
@@ -253,7 +255,11 @@ def _cmd_probe(cfg):
     elif mode == "patch":
         if o.get("all_vertices"):
             radii = probes.patch_radii(mesh, grad_bound=o["grad_bound"],
-                                       grid_step=o["grid_step"])
+                                       grid_step=o["grid_step"],
+                                       workers=o["workers"])
+            if np.isnan(radii).all():
+                raise NonGraphical("no vertex has a graphical patch at this "
+                                   "grid step")
             out = cfg.options.get("out") or "."
             os.makedirs(out, exist_ok=True)
             csv_path = os.path.join(out, "patch_radii.csv")
@@ -295,7 +301,7 @@ def _cmd_sobolev(cfg):
         vals = mesh.vertices[:, axis]
     f = seminorms.ScalarField(mesh, vals)
     sob, hol = seminorms._seminorms(f, o["alpha"], o["fq"], o["beta"],
-                                    o["distance"])
+                                    o["distance"], o["workers"])
     lq = seminorms.lq_norm(f, o["fq"])
     payload = {"field": o["field"],
                "sobolev": {"kind": "sobolev", "value": sob, "q": o["fq"],

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DisconnectedMesh
-from .surface import DiscreteHypersurface, _vertex_indices
+from .surface import DiscreteHypersurface, _fork_map, _vertex_indices
 
 __all__ = ["intrinsic_distances"]
 
@@ -65,6 +65,38 @@ def _graph(mesh):
     return g.tocsr()
 
 
+def _search(mesh, sources, reduce, width, workers):
+    """The (len(sources), width) array of reduce(block, rows) over blocks of
+    at most _SOURCE_BLOCK sources: block slices `sources`, and rows are its
+    (len(block), V) graph distances.  An infinite one raises DisconnectedMesh.
+
+    `_graph` stores both arcs of every edge, so the search treats it as
+    directed, which skips scipy's symmetrising pass.  scipy's `dijkstra`
+    holds the interpreter lock, so shares of the sources run in up to
+    `workers` processes (`_fork_map`); each row is its own search.
+    """
+    from scipy.sparse.csgraph import dijkstra
+
+    nv = mesh.n_vertices
+    g = _graph(mesh)
+
+    def rows(block):
+        d = dijkstra(g, directed=True, indices=sources[block])[:, :nv]
+        if np.isinf(d).any():
+            raise DisconnectedMesh("the mesh edge graph is disconnected")
+        return d
+
+    def share(sl):
+        out = np.empty((sl.stop - sl.start, width))
+        for a in range(0, len(out), _SOURCE_BLOCK):
+            b = min(a + _SOURCE_BLOCK, len(out))
+            block = slice(sl.start + a, sl.start + b)
+            out[a:b] = reduce(block, rows(block))
+        return out
+
+    return _fork_map(share, np.full(len(sources), g.shape[0]), width, workers)
+
+
 def intrinsic_distances(mesh: DiscreteHypersurface,
                         sources=None) -> np.ndarray:
     """Graph-geodesic distances from each source vertex to every vertex.
@@ -72,25 +104,13 @@ def intrinsic_distances(mesh: DiscreteHypersurface,
     Returns an owned (len(sources), V) array.  Distances are an upper
     bound on the true polyhedral geodesic distance and at least the chord
     length.  Each row covers every vertex, so an infinite entry means the
-    edge graph is disconnected, which raises DisconnectedMesh.  `_graph`
-    stores both arcs of every edge, so the search runs on it as a directed
-    graph, which skips scipy's symmetrising pass.
+    edge graph is disconnected, which raises DisconnectedMesh.
 
-    The search runs on one core: scipy's `dijkstra` holds the interpreter
-    lock, so threads over the source blocks gain nothing (all pairs on a
-    perturbed sub3 sphere took about 0.4 s with one thread or two).
+    This is the identity reduction of the search the seminorms stream
+    their rows from, run in one process: `sobolev --distance intrinsic`
+    reduces each block of rows as it comes and never holds this array.
     """
-    from scipy.sparse.csgraph import dijkstra
-
-    nv = mesh.n_vertices
-    sources = np.arange(nv) if sources is None \
+    sources = np.arange(mesh.n_vertices) if sources is None \
         else np.atleast_1d(_vertex_indices(mesh, sources))
-    g = _graph(mesh)
-    out = np.empty((len(sources), nv))
-    for a in range(0, len(sources), _SOURCE_BLOCK):
-        block = sources[a:a + _SOURCE_BLOCK]
-        out[a:a + len(block)] = dijkstra(g, directed=True,
-                                         indices=block)[:, :nv]
-        if np.isinf(out[a:a + len(block)]).any():
-            raise DisconnectedMesh("the mesh edge graph is disconnected")
-    return out
+    return _search(mesh, sources, lambda block, rows: rows, mesh.n_vertices,
+                   1)

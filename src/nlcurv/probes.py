@@ -4,6 +4,7 @@ chord-arc constant, and the sphere-stability probe.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -14,12 +15,14 @@ from .errors import (
     InvalidParams,
     NonGraphical,
 )
+from .functionals import get_workers
 from .geodesics import intrinsic_distances
 from .seminorms import ScalarField, _holder_max, sobolev_seminorm
 from .surface import (
     DiscreteHypersurface,
     _budget_slices,
     _check_seed,
+    _fork_map,
     _rotation_to_z,
     _vertex_indices,
 )
@@ -144,6 +147,15 @@ def _raycast_heights(TP, owner, nb, delta, nh, zmax, tol):
             valid.reshape(nb, -1))
 
 
+def _grid_half(grad_bound, grid_step, rmax, zmax):
+    """Grid nodes on each side of a patch's origin, once the patch options
+    are checked."""
+    if not all(0.0 < v < np.inf for v in (grad_bound, grid_step, rmax, zmax)):
+        raise InvalidParams("grad_bound, grid_step, rmax and zmax must be "
+                            "finite and positive")
+    return int(np.floor(rmax / grid_step + 1e-12))
+
+
 def _local_corners(X, F, base, R):
     """Corners of triangles F in the frame at base with axes R (rows)."""
     return ((X[F].reshape(-1, 3) - base) @ R.T).reshape(-1, 3, 3)
@@ -166,9 +178,7 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
 
     if mesh.dim_d != 2:
         raise InvalidParams("patch extraction expects a surface in 3-space")
-    if not all(0.0 < v < np.inf for v in (grad_bound, grid_step, rmax, zmax)):
-        raise InvalidParams("grad_bound, grid_step, rmax and zmax must be "
-                            "finite and positive")
+    nh = _grid_half(grad_bound, grid_step, rmax, zmax)
     vertices = np.atleast_1d(_vertex_indices(mesh, vertices))
     normals = mesh.vertex_normals[vertices]
     undefined = ~np.all(np.isfinite(normals), axis=1)
@@ -177,7 +187,6 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
             f"undefined normal at vertex {vertices[undefined][0]}")
     X, elements = mesh.vertices, mesh.elements
 
-    nh = int(np.floor(rmax / grid_step + 1e-12))
     ax = grid_step * np.arange(-nh, nh + 1)
     GX, GY = np.meshgrid(ax, ax, indexing="ij")
     nodes = np.stack([GX.ravel(), GY.ravel()], 1)
@@ -315,14 +324,30 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
     return chart
 
 
-def patch_radii(mesh, vertices=None, **kwargs):
+def patch_radii(mesh, vertices=None, workers=None, **kwargs):
     """extract_patch radius for many vertices (all by default), computed
     together; NaN where NonGraphical.  kwargs are extract_patch's, without
-    compute_holder."""
-    if vertices is None:
-        vertices = np.arange(mesh.n_vertices)
-    return np.array([np.nan if isinstance(c, NonGraphical) else c.radius
-                     for c in _patch_charts(mesh, vertices, **kwargs)])
+    compute_holder.
+
+    The probe's Python refit loop holds the interpreter lock, so shares of
+    the vertices run in up to `workers` processes (get_workers) once their
+    (vertex, grid node) pairs exceed _PAIR_BUDGET per worker; each vertex
+    is its own computation, so the radii do not depend on the count.
+    """
+    vertices = np.arange(mesh.n_vertices) if vertices is None \
+        else np.atleast_1d(_vertex_indices(mesh, vertices))
+    opts = inspect.signature(_patch_charts).bind(mesh, vertices, **kwargs)
+    opts.apply_defaults()
+    # the final raycast of each vertex covers (2 nh + 1)^2 grid nodes
+    nodes = (2 * _grid_half(*opts.args[2:]) + 1) ** 2
+
+    def share(sl):
+        return np.array([np.nan if isinstance(c, NonGraphical) else c.radius
+                         for c in _patch_charts(mesh, vertices[sl], **kwargs)]
+                        ).reshape(-1, 1)
+
+    return _fork_map(share, np.full(len(vertices), nodes), 1,
+                     get_workers(workers))[:, 0]
 
 
 # --------------------------------------------------------------------------

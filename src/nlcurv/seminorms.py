@@ -10,7 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePatch, InvalidParams
-from .geodesics import intrinsic_distances
+from .functionals import get_workers
+# intrinsic_distances stays bound here: bench/test_bench.py reads the binding
+from .geodesics import _search, intrinsic_distances  # noqa: F401
 from .surface import DiscreteHypersurface, _budget_slices
 
 __all__ = [
@@ -54,56 +56,90 @@ def _check_holder(beta):
         raise InvalidParams(f"beta must lie in (0,1], got {beta}")
 
 
-def _distances(mesh, mode):
-    """The (V, V) intrinsic distance matrix, or None for extrinsic distances,
-    which _distance_rows computes per slice; the mode is checked first."""
-    if mode not in DISTANCE_MODES:
-        raise InvalidParams(f"unknown distance mode {mode!r}")
-    return intrinsic_distances(mesh) if mode == "intrinsic" else None
-
-
-def _distance_rows(points, distances=None):
+def _distance_rows(points):
     """Yield (slice, distance rows): consecutive slices of at most
-    _PAIR_BUDGET pairs and the distances from their points to all points,
-    +inf on the diagonal.  Rows are Euclidean, computed per slice, unless
-    an owned (N, N) distance matrix is given: they are then its rows, and
-    its diagonal is set to +inf."""
+    _PAIR_BUDGET pairs and the Euclidean distances from their points to all
+    points, +inf on the diagonal."""
     N = len(points)
     for sl in _budget_slices(np.full(N, N)):
-        r = distances[sl] if distances is not None else np.linalg.norm(
-            points[sl, None, :] - points[None, :, :], axis=-1)
+        r = np.linalg.norm(points[sl, None, :] - points[None, :, :], axis=-1)
         r[np.arange(sl.stop - sl.start), np.arange(sl.start, sl.stop)] = np.inf
         yield sl, r
 
 
-def _holder_max(points, values, beta, distances=None):
-    """max_{a != b} |values_a - values_b| / dist_ab^beta for scalar (N,) or
-    vector (N, k) values, over _distance_rows(points, distances)."""
-    best = []
-    for sl, r in _distance_rows(points, distances):
-        dv = values[sl, None] - values[None]
-        dv = np.abs(dv) if dv.ndim == 2 else np.linalg.norm(dv, axis=-1)
-        best.append(np.max(dv / r ** beta))
-    return float(np.max(best))
-
-
-def _sobolev(field, alpha, q, distances):
+def _gagliardo_rows(field, alpha, q):
+    """Per-row Gagliardo sums sum_j |f_i - f_j|^q / r_ij^{d + alpha q} w_j
+    of rows sl at distances r."""
     f, w = field.values, field.mesh.vertex_measures
     expo = field.mesh.dim_d + alpha * q
-    inner = np.empty(len(f))
-    for sl, r in _distance_rows(field.mesh.vertices, distances):
-        inner[sl] = (np.abs(f[sl, None] - f) ** q / r ** expo * w).sum(axis=1)
-    return float(inner @ w) ** (1.0 / q)
+    return lambda sl, r: (np.abs(f[sl, None] - f) ** q / r ** expo
+                          * w).sum(axis=1)
 
 
-def _seminorms(field: ScalarField, alpha, q, beta, distance_mode):
-    """(sobolev_seminorm, holder_seminorm) of one field from one distance
-    matrix; every parameter is checked before the distances are built."""
+def _holder_rows(values, beta):
+    """Per-row maxima max_j |values_i - values_j| / r_ij^beta of rows sl at
+    distances r, for scalar (N,) or vector (N, k) values."""
+    def rows(sl, r):
+        dv = values[sl, None] - values[None]
+        dv = np.abs(dv) if dv.ndim == 2 else np.linalg.norm(dv, axis=-1)
+        return np.max(dv / r ** beta, axis=1)
+    return rows
+
+
+def _holder_max(points, values, beta):
+    """max_{a != b} |values_a - values_b| / |points_a - points_b|^beta."""
+    holder = _holder_rows(values, beta)
+    return float(max(np.max(holder(sl, r))
+                     for sl, r in _distance_rows(points)))
+
+
+def _field_rows(field, mode, reductions, workers=1):
+    """(V, len(reductions)) array whose column k holds reductions[k](sl, r)
+    for every vertex row: r are the distances of rows sl to every vertex in
+    `mode`, +inf on the diagonal.  Extrinsic rows are built per
+    _budget_slices slice; intrinsic rows stream from the geodesic search,
+    one source block at a time in up to `workers` processes, so no (V, V)
+    matrix is ever held.  The mode is checked first."""
+    if mode not in DISTANCE_MODES:
+        raise InvalidParams(f"unknown distance mode {mode!r}")
+
+    def terms(sl, r):
+        return np.stack([reduce(sl, r) for reduce in reductions], 1)
+
+    mesh = field.mesh
+    if mode == "intrinsic":
+        def reduce(block, rows):
+            rows[np.arange(len(rows)), np.arange(block.start, block.stop)] \
+                = np.inf
+            return terms(block, rows)
+
+        return _search(mesh, np.arange(mesh.n_vertices), reduce,
+                       len(reductions), workers)
+    out = np.empty((mesh.n_vertices, len(reductions)))
+    for sl, r in _distance_rows(mesh.vertices):
+        out[sl] = terms(sl, r)
+    return out
+
+
+def _gagliardo(field, inner, q):
+    """The seminorm from the per-row sums; a contiguous copy keeps the dot
+    product's summation order."""
+    return float(np.ascontiguousarray(inner) @ field.mesh.vertex_measures) \
+        ** (1.0 / q)
+
+
+def _seminorms(field: ScalarField, alpha, q, beta, distance_mode,
+               workers=None):
+    """(sobolev_seminorm, holder_seminorm) of one field from one pass over
+    the distance rows, the geodesic search in up to `workers` processes
+    (get_workers); every parameter is checked before the pass."""
     _check_sobolev(alpha, q)
     _check_holder(beta)
-    D = _distances(field.mesh, distance_mode)
-    return (_sobolev(field, alpha, q, D),
-            _holder_max(field.mesh.vertices, field.values, beta, D))
+    rows = _field_rows(field, distance_mode,
+                       [_gagliardo_rows(field, alpha, q),
+                        _holder_rows(field.values, beta)],
+                       get_workers(workers))
+    return _gagliardo(field, rows[:, 0], q), float(rows[:, 1].max())
 
 
 def sobolev_seminorm(field: ScalarField, alpha, q, distance_mode="extrinsic"):
@@ -112,7 +148,9 @@ def sobolev_seminorm(field: ScalarField, alpha, q, distance_mode="extrinsic"):
     ( sum_{i != j} |f_i - f_j|^q / dist_ij^{d + alpha q} w_i w_j )^{1/q}
     """
     _check_sobolev(alpha, q)
-    return _sobolev(field, alpha, q, _distances(field.mesh, distance_mode))
+    rows = _field_rows(field, distance_mode,
+                       [_gagliardo_rows(field, alpha, q)])
+    return _gagliardo(field, rows[:, 0], q)
 
 
 def lq_norm(field: ScalarField, q):
@@ -126,8 +164,8 @@ def lq_norm(field: ScalarField, q):
 def holder_seminorm(field: ScalarField, beta, distance_mode="extrinsic"):
     """Discrete Hölder seminorm max_{i != j} |f_i - f_j| / dist_ij^beta."""
     _check_holder(beta)
-    return _holder_max(field.mesh.vertices, field.values, beta,
-                       _distances(field.mesh, distance_mode))
+    return float(_field_rows(field, distance_mode,
+                             [_holder_rows(field.values, beta)]).max())
 
 
 def _patch_arrays(patch):

@@ -9,6 +9,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -248,6 +249,61 @@ def _budget_slices(cost):
             ends, ends[a] - cost[a] + _PAIR_BUDGET, "right")))
         yield slice(a, b)
         a = b
+
+
+def _fork_map(share, cost, width, workers):
+    """The (N, width) float array of rows share(sl), N = len(cost).
+
+    The rows split into equal contiguous shares, at most min(workers, usable
+    cores, N), or one where os.fork is missing: this process runs the first
+    and one forked child each other one, writing into a shared anonymous
+    mmap.  Every child is reaped before this returns or raises; a share
+    whose fork or child failed is rerun here, so its typed error surfaces.
+    Forking costs milliseconds, so one process runs every row unless their
+    cost, in _budget_slices' pair units, exceeds _PAIR_BUDGET per worker.
+    share must compute each row on its own, so that no row depends on the
+    split.
+    """
+    import mmap
+    import signal
+
+    n = len(cost)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    procs = min(workers, cores, n) if hasattr(os, "fork") else 1
+    if procs < 2 or np.sum(cost) <= _PAIR_BUDGET * workers:
+        return share(slice(0, n))
+    ends = np.linspace(0, n, procs + 1).astype(int)
+    shares = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    out = np.frombuffer(mmap.mmap(-1, n * width * 8), float).reshape(n, width)
+    children, failed = {}, []
+    try:
+        for sl in shares[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one runs the share
+                failed.append(sl)
+                continue
+            if pid == 0:  # the child: never return into the caller's code
+                code = 1
+                try:
+                    out[sl] = share(sl)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = sl
+        out[shares[0]] = share(shares[0])
+        for pid in list(children):
+            if os.waitpid(pid, 0)[1] != 0:
+                failed.append(children[pid])
+            del children[pid]
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for sl in failed:
+        out[sl] = share(sl)
+    return out
 
 
 def _check_seed(seed):

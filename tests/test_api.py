@@ -42,7 +42,7 @@ DEFAULTED = {
     "minimize": ["max_iter", "step0", "grad_tol", "smoothing", "order",
                  "diagonal_policy", "workers", "callback"],
     "nonlocal_second_fundamental": ["workers"],
-    "patch_radii": ["vertices"],
+    "patch_radii": ["vertices", "workers"],
     "pointwise_curvature": ["vertices", "kind", "workers"],
     "sobolev_seminorm": ["distance_mode"],
     "stability_probe": ["alpha", "q"],
@@ -86,4 +86,4 @@ def test_defaulted_parameters_snapshot():
 
 
 def test_defaulted_parameter_count():
-    assert sum(map(len, _defaulted().values())) == 38
+    assert sum(map(len, _defaulted().values())) == 39

@@ -13,9 +13,13 @@ from nlcurv.quadrature import build_scheme
 from nlcurv.surface import EnergyParameters, make_primitive
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not standard JSON")
+
+
 def read_report(out):
     with open(os.path.join(out, "report.json")) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 class TestParseConfig:
@@ -181,6 +185,17 @@ class TestCommands:
         assert rows[0] == ["vertex", "radius"]
         assert len(rows) == 1 + 42
 
+    def test_probe_patch_all_vertices_none_graphical(self, tmp_path, capsys):
+        # a grid step as wide as the sphere leaves no vertex a patch; the
+        # report must not carry NaN radii
+        rc = main(["probe", "--mode", "patch", "--all-vertices",
+                   "--primitive", "sphere_icosub", "--sub", "1",
+                   "--grid-step", "0.5", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"]["kind"] == "NonGraphical"
+        assert not os.path.exists(os.path.join(tmp_path, "report.json"))
+
     def test_probe_stability(self, tmp_path):
         rc = main(["probe", "--mode", "stability", "--primitive",
                    "sphere_icosub", "--sub", "2", "--out", str(tmp_path)])
@@ -221,13 +236,13 @@ class TestCommands:
         from nlcurv import seminorms
 
         calls = []
-        distances = seminorms.intrinsic_distances
+        search = seminorms._search
 
         def counted(*args):
             calls.append(args)
-            return distances(*args)
+            return search(*args)
 
-        monkeypatch.setattr(seminorms, "intrinsic_distances", counted)
+        monkeypatch.setattr(seminorms, "_search", counted)
         rc = main(["sobolev", "--primitive", "sphere_icosub", "--sub", "1",
                    "--distance", "intrinsic", "--out", str(tmp_path)])
         assert rc == 0 and len(calls) == 1
@@ -239,7 +254,7 @@ class TestCommands:
         def fail(*args):
             raise AssertionError("distances built before validation")
 
-        monkeypatch.setattr(seminorms, "intrinsic_distances", fail)
+        monkeypatch.setattr(seminorms, "_search", fail)
         rc = main(["sobolev", "--primitive", "sphere_icosub", "--sub", "1",
                    "--distance", "intrinsic", "--beta", "2",
                    "--out", str(tmp_path)])

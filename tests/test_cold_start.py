@@ -19,14 +19,14 @@ import nlcurv
 SRC = str(Path(nlcurv.__file__).resolve().parents[1])
 
 
-def _scipy_modules(code, cwd):
-    """Sorted scipy module names loaded after running code in a fresh
-    interpreter that imports nlcurv from this source tree."""
+def _modules(code, cwd, top="scipy"):
+    """Sorted names of the modules of package `top` loaded after running
+    code in a fresh interpreter that imports nlcurv from this source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     code += ("\nimport json, sys\nprint(json.dumps(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+             f"m for m in sys.modules if m.split('.')[0] == {top!r})))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -34,7 +34,13 @@ def _scipy_modules(code, cwd):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    assert _scipy_modules("import nlcurv, nlcurv.cli", tmp_path) == []
+    assert _modules("import nlcurv, nlcurv.cli", tmp_path) == []
+
+
+def test_import_loads_no_multiprocessing(tmp_path):
+    # the probes fork their worker processes with os.fork alone
+    assert _modules("import nlcurv, nlcurv.cli", tmp_path,
+                    "multiprocessing") == []
 
 
 def test_eval_loads_no_unused_scipy(tmp_path):
@@ -42,7 +48,7 @@ def test_eval_loads_no_unused_scipy(tmp_path):
             "assert nlcurv.cli.main(['eval', '--primitive', 'sphere_icosub', "
             "'--sub', '1', '--tangent-point', '--q', '6', '--out', 'out']) "
             "== 0")
-    loaded = set(_scipy_modules(code, tmp_path))
+    loaded = set(_modules(code, tmp_path))
     unused = {"scipy.spatial", "scipy.sparse.csgraph", "scipy.integrate",
               "scipy.optimize", "scipy.special"}
     assert not loaded & unused
@@ -51,7 +57,7 @@ def test_eval_loads_no_unused_scipy(tmp_path):
 def _cli_scipy_modules(argv, cwd):
     code = ("import nlcurv.cli\n"
             f"assert nlcurv.cli.main({argv + ['--out', 'out']!r}) == 0")
-    return _scipy_modules(code, cwd)
+    return _modules(code, cwd)
 
 
 PERTURBED = ["--primitive", "perturbed_sphere", "--amp", "0.05", "--sub", "1"]

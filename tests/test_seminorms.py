@@ -144,7 +144,7 @@ class TestOnePass:
         def fail(*args):
             raise AssertionError("distances built before validation")
 
-        monkeypatch.setattr(seminorms, "intrinsic_distances", fail)
+        monkeypatch.setattr(seminorms, "_search", fail)
         f = ScalarField(sphere1, sphere1.vertices[:, 0])
         args = {"alpha": 0.5, "q": 2.0, "beta": 0.5,
                 "distance_mode": "intrinsic", **kw}
