@@ -87,7 +87,7 @@ def _build_parser():
                        default=None)
         p.add_argument("--workers", type=int, default=None,
                        help="kernel threads, and processes for the geodesic "
-                            "search and the patch probe")
+                            "search, the patch probe and the flow gradient")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 

@@ -5,7 +5,9 @@ trial step; descent directions come from central finite differences of
 B_{s,p} with respect to vertex positions.  Moving one vertex moves only
 the quadrature samples of its star, so each perturbed energy is the base
 mesh's kernel sums with the star's columns swapped and the star's rows
-recomputed: O(S |star|) work instead of a full O(S^2) evaluation.
+recomputed: O(S |star|) work instead of a full O(S^2) evaluation.  A
+vertex's perturbations share each kernel pass as groups of one weight
+matrix, and the vertices split between worker processes.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .quadrature import _element_samples, build_scheme
 from .surface import (
     DiscreteHypersurface,
     EnergyParameters,
+    _fork_map,
     _segment_geometry,
     _triangle_geometry,
 )
@@ -64,7 +67,7 @@ _FD_STEP = 1e-4  # central-difference step, times the mean incident edge
 
 
 def energy_gradient(mesh, params, order="gauss3",
-                    diagonal_policy="skip_vertex_star"):
+                    diagonal_policy="skip_vertex_star", workers=None):
     """Central-difference gradient of B_{s,p} w.r.t. vertex positions.
 
     The per-vertex step is _FD_STEP times the mean incident edge length,
@@ -79,9 +82,21 @@ def energy_gradient(mesh, params, order="gauss3",
     perturbations and a'_x is a full row against the perturbed samples.
     The exclusions and the element-measure check are those of the
     perturbed mesh; its pair cutoff uses the base diameter plus the step,
-    a bound on its own diameter.  The work runs in one thread: threads
-    over vertices measured no faster, as each vertex's calls are small.
+    a bound on its own diameter.
+
+    The 2n perturbed stars of every vertex come from one stacked geometry
+    and sample call, one group per perturbation, and a vertex's 2n
+    energies take three kernel passes: b, the sums over J with one weight
+    column per group, and every group's rows a' against the samples
+    outside J.  Where the policy keeps pairs inside the star
+    (skip_same_element), a fourth pass adds the rows against the stack,
+    each group's rows reading its own column and excluding the other
+    groups' elements.  The base sums use `workers` threads; the vertex
+    rows then split between up to `workers` processes (surface._fork_map),
+    each row computed on its own, so the gradient is bitwise equal for any
+    worker count.
     """
+    workers = get_workers(workers)
     V = mesh.vertices
     e = mesh.edges
     elen = np.linalg.norm(V[e[:, 0]] - V[e[:, 1]], axis=1)
@@ -92,55 +107,87 @@ def energy_gradient(mesh, params, order="gauss3",
     scheme = build_scheme(mesh, order, diagonal_policy)
     Y, W, N, mode, k = inner = _inner_data(mesh, scheme)
     near = _neighbourhoods(mesh, diagonal_policy)
-    expo = mesh.dim_d + 1 + params.s
+    terms = [(mesh.dim_d + 1 + params.s, 1.0)]  # |A|_s: pairing power 1
     cutoff = _PAIR_CUTOFF * mesh.diameter
-    # |A|_s sums (pairing power 1) at every sample, in one thread
-    a = _kernel_sums(Y, _rows(near, scheme.element_of), inner, cutoff,
-                     [(expo, 1.0)], 1)[0]
+    a = _kernel_sums(Y, _rows(near, scheme.element_of), inner, cutoff, terms,
+                     workers)[0]
     star_ptr, star_els = _stars(mesh)
+    n, M = mesh.ambient_n, mesh.n_elements
+    G = 2 * n  # perturbations per vertex: +step, -step along each axis
+    groups = np.arange(G)
+    step = _FD_STEP * local
+    # every star element once per group, with its vertex moved by the
+    # group's step: (G, star entries, corners, n), corners unshared
+    owner = np.repeat(np.arange(len(V)), np.diff(star_ptr))
+    corners = mesh.elements[star_els]
+    moved = np.repeat(V[owner][None], G, axis=0)
+    moved[groups, :, groups // 2] += np.tile([1.0, -1.0], n)[:, None] \
+        * step[owner]
+    P = np.repeat(V[corners][None], G, axis=0)
+    P[:, corners == owner[:, None]] = moved
+    P = P.reshape(-1, n)
+    el = np.arange(len(P)).reshape(-1, corners.shape[1])
     geometry = _segment_geometry if mesh.dim_d == 1 else _triangle_geometry
+    nrm, meas = geometry(P, el)
+    if meas.min() <= 0:
+        raise ParseError("degenerate element with non-positive measure")
+    if mode == "projection":
+        nrm = (P[el[:, 1]] - P[el[:, 0]]) / meas[:, None]
+    Ys, Ws = _element_samples(P, el, meas, order)
+    Ys, Ws = Ys.reshape(G, -1, n), Ws.reshape(G, -1)
+    Ns = np.repeat(nrm, k, axis=0).reshape(G, -1, n)
 
-    def perturbed_energy(Vp):  # the star is that of the loop's vertex i
-        nrm, meas = geometry(Vp, el)
-        if meas.min() <= 0:
-            raise ParseError("degenerate element with non-positive measure")
-        if mode == "projection":
-            nrm = (Vp[el[:, 1]] - Vp[el[:, 0]]) / meas[:, None]
-        Ys, Ws = _element_samples(Vp, el, meas, order)
-        Ns = np.repeat(nrm, k, axis=0)
-        Yp, Wp, Np = Y.copy(), W.copy(), N.copy()
-        Yp[J], Wp[J], Np[J] = Ys, Ws, Ns
-        ap = np.empty_like(a)
-        ap[out] = b + _kernel_sums(Y[out], excl_cols, (Ys, Ws, Ns, mode, k),
-                                   cut, [(expo, 1.0)], 1)[0]
-        ap[J] = _kernel_sums(Ys, excl_rows, (Yp, Wp, Np, mode, k), cut,
-                             [(expo, 1.0)], 1)[0]
-        return float(np.abs(params.c_s * ap) ** params.p @ Wp)
-
-    grad = np.empty_like(V)
-    for i in range(len(V)):
+    def vertex_row(i):
         star = star_els[star_ptr[i]:star_ptr[i + 1]]
+        m = len(star)
         J = (star[:, None] * k + np.arange(k)).ravel()
-        out = np.setdiff1d(np.arange(len(W)), J)
+        rest = np.ones(M, bool)
+        rest[star] = False
+        out = np.repeat(rest, k).nonzero()[0]
         # the star elements' exclusions: one row per star element
-        block = np.zeros((len(star), mesh.n_elements), bool)
+        block = np.zeros((m, M), bool)
         block[_rows(near, star)] = True
-        excl_cols = block.T[scheme.element_of[out]].nonzero()
-        excl_rows = np.repeat(block, k, axis=0).nonzero()
-        b = a[out] - _kernel_sums(Y[out], excl_cols,
+        cols = block.T[scheme.element_of[out]]
+        b = a[out] - _kernel_sums(Y[out], cols.nonzero(),
                                   (Y[J], W[J], N[J], mode, k), cutoff,
-                                  [(expo, 1.0)], 1)[0]
-        el = mesh.elements[star]
-        step = _FD_STEP * local[i]
-        cut = _PAIR_CUTOFF * (mesh.diameter + step)
-        for c in range(mesh.ambient_n):
-            Vp = V.copy()
-            Vp[i, c] += step
-            ep = perturbed_energy(Vp)
-            Vp[i, c] -= 2 * step
-            em = perturbed_energy(Vp)
-            grad[i, c] = (ep - em) / (2 * step)
-    return grad
+                                  terms, 1)[0]
+        # the vertex's 2n perturbed stars, stacked by group
+        mine = slice(star_ptr[i] * k, star_ptr[i + 1] * k)
+        ys, ws = Ys[:, mine].reshape(-1, n), Ws[:, mine]
+        ns = Ns[:, mine].reshape(-1, n)
+        Wg = np.zeros((G, m * k, G))  # group g's weights in column g
+        Wg[groups, :, groups] = ws
+        Wg = Wg.reshape(-1, G)
+        cut = _PAIR_CUTOFF * (mesh.diameter + step[i])
+        delta = _kernel_sums(Y[out], np.tile(cols, G).nonzero(),
+                             (ys, Wg, ns, mode, k), cut, terms, 1)[0]
+        # a' of group g: its star rows against the samples outside J, then
+        # against its own group's samples where the policy keeps such pairs
+        rows = _kernel_sums(ys, np.tile(np.repeat(block[:, rest], k, axis=0),
+                                        (G, 1)).nonzero(),
+                            (Y[out], W[out], N[out], mode, k), cut, terms,
+                            1)[0].reshape(G, m * k)
+        own = block[:, star]
+        if not own.all():  # other groups' elements are excluded outright
+            excl = np.where(np.eye(G, dtype=bool)[:, None, :, None],
+                            own[None, :, None], True).reshape(G * m, G * m)
+            rows += _kernel_sums(ys, np.repeat(excl, k, axis=0).nonzero(),
+                                 (ys, Wg, ns, mode, k), cut, terms, 1)[0] \
+                .reshape(G, m * k, G)[groups, :, groups]
+        ap = np.empty((G, len(W)))
+        ap[:, out] = (b[:, None] + delta).T
+        ap[:, J] = rows
+        wp = np.tile(W, (G, 1))
+        wp[:, J] = ws
+        energy = np.einsum("gs,gs->g", np.abs(params.c_s * ap) ** params.p, wp)
+        return (energy[0::2] - energy[1::2]) / (2 * step[i])
+
+    def share(sl):
+        return np.array([vertex_row(i) for i in range(sl.start, sl.stop)])
+
+    # the b pass and each perturbation's two passes: about |J| S pairs each
+    cost = np.diff(star_ptr) * k * len(W) * (2 * G + 1)
+    return _fork_map(share, cost, n, workers)
 
 
 def project_area(mesh: DiscreteHypersurface) -> DiscreteHypersurface:
@@ -217,7 +264,7 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
     it = 0
     gnorm = np.inf
     for it in range(1, max_iter + 1):
-        grad = energy_gradient(mesh, params, order, diagonal_policy)
+        grad = energy_gradient(mesh, params, order, diagonal_policy, workers)
         gnorm = float(np.linalg.norm(grad, axis=1).max())
         if it == 1:
             record(0, energy, gnorm)

@@ -132,7 +132,9 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers):
     / r^expo_r * w(y), or the signed pairing when power is None, over the
     inner samples y outside x's excluded inner elements, given as the
     row-major (outer row, inner element) pairs excl; returns a
-    (len(terms), len(X)) array.
+    (len(terms), len(X)) array.  A 2-D W, one weight column per group of
+    inner samples, gives one sum per group: a (len(terms), len(X), G)
+    array from the same pass, as each tile's sums are tile @ W.
     The pairing is <x-y, n(y)>, or in projection mode |x-y - <t,x-y> t|,
     the part of x-y normal to the curve at y.
 
@@ -158,7 +160,7 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers):
     Yt, Nt = Y.T.copy(), N.T.copy()
     ex_row, ex_el = excl
     order = sorted(range(len(terms)), key=lambda i: terms[i][1] is not None)
-    out = np.zeros((len(terms), n))
+    out = np.zeros((len(terms), n) + W.shape[1:])
 
     def work(first):
         buf = np.empty((4, rows * tile))

@@ -144,13 +144,16 @@ class DiscreteHypersurface:
 
     def with_vertices(self, vertices: np.ndarray) -> "DiscreteHypersurface":
         """Same elements, new vertex positions: only the geometry is
-        recomputed, and the elements are never re-oriented."""
+        recomputed, and the elements are never re-oriented, so the new mesh
+        shares this one's edge list."""
         V = np.array(vertices, dtype=float, order="C", copy=True)
         if V.shape != self.vertices.shape:
             raise ParseError(f"need vertices of shape {self.vertices.shape}")
         if not np.all(np.isfinite(V)):
             raise ParseError("vertex coordinates must be finite")
-        return _assemble(V, self.elements, self.has_boundary)
+        mesh = _assemble(V, self.elements, self.has_boundary)
+        mesh.__dict__["edges"] = self.edges
+        return mesh
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,9 @@ def _segment_geometry(V, E):
 
 def _triangle_geometry(V, F):
     P = V[F]
-    cr = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
+    (a0, a1, a2), (b0, b1, b2) = (P[:, 1] - P[:, 0]).T, (P[:, 2] - P[:, 0]).T
+    # np.cross's own formula, without its per-call axis handling
+    cr = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], 1)
     A2 = np.linalg.norm(cr, axis=1)
     n = cr / A2[:, None]
     return n, A2 / 2.0
@@ -254,11 +259,14 @@ def _budget_slices(cost):
 def _fork_map(share, cost, width, workers):
     """The (N, width) float array of rows share(sl), N = len(cost).
 
-    The rows split into equal contiguous shares, at most min(workers, usable
-    cores, N), or one where os.fork is missing: this process runs the first
-    and one forked child each other one, writing into a shared anonymous
-    mmap.  Every child is reaped before this returns or raises; a share
-    whose fork or child failed is rerun here, so its typed error surfaces.
+    The rows split into contiguous shares of about equal summed cost, at
+    most min(workers, usable cores, N), or one where os.fork is missing; a
+    share ends at the last row whose cumulative cost is within its part of
+    the total, so equal costs give equal row counts.  This process runs
+    the first share and one forked child each other one, writing into a
+    shared anonymous mmap.  Every child is reaped before this returns or
+    raises; a share whose fork or child failed is rerun here, so its typed
+    error surfaces.
     Forking costs milliseconds, so one process runs every row unless their
     cost, in _budget_slices' pair units, exceeds _PAIR_BUDGET per worker.
     share must compute each row on its own, so that no row depends on the
@@ -273,8 +281,10 @@ def _fork_map(share, cost, width, workers):
     procs = min(workers, cores, n) if hasattr(os, "fork") else 1
     if procs < 2 or np.sum(cost) <= _PAIR_BUDGET * workers:
         return share(slice(0, n))
-    ends = np.linspace(0, n, procs + 1).astype(int)
-    shares = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    cum = np.cumsum(cost)
+    ends = [0, *cum.searchsorted(cum[-1] * np.arange(1, procs) / procs,
+                                 "right"), n]
+    shares = [slice(a, b) for a, b in zip(ends[:-1], ends[1:]) if b > a]
     out = np.frombuffer(mmap.mmap(-1, n * width * 8), float).reshape(n, width)
     children, failed = {}, []
     try:

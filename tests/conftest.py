@@ -38,6 +38,18 @@ def make_trefoil(n=96):
     return build_surface(V, E, codim2=True)
 
 
+def make_bumpy_polygon(ambient=2, n=64):
+    """A bumpy n-gon in the plane, or lifted out of it into 3-space
+    (projection mode)."""
+    th = 2 * np.pi * np.arange(n) / n
+    r = 1.0 + 0.05 * np.random.default_rng(2).standard_normal(n)
+    V = np.stack([r * np.cos(th), r * np.sin(th)], 1)
+    E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
+    if ambient == 3:
+        V = np.c_[V, 0.2 * np.sin(3 * th)]
+    return build_surface(V, E, codim2=ambient == 3)
+
+
 def make_flat_strip(n=32, scale=1.0):
     """Straight open polyline in the plane."""
     x = np.linspace(0, scale, n + 1)

@@ -33,7 +33,7 @@ DEFAULTED = {
     "build_scheme": ["order", "diagonal_policy"],
     "build_surface": ["codim2", "allow_boundary"],
     "chord_arc_constant": ["sample_pairs", "seed"],
-    "energy_gradient": ["order", "diagonal_policy"],
+    "energy_gradient": ["order", "diagonal_policy", "workers"],
     "extract_patch": ["grad_bound", "grid_step", "rmax", "zmax",
                       "compute_holder"],
     "fractional_mean_curvature": ["workers"],
@@ -86,4 +86,4 @@ def test_defaulted_parameters_snapshot():
 
 
 def test_defaulted_parameter_count():
-    assert sum(map(len, _defaulted().values())) == 39
+    assert sum(map(len, _defaulted().values())) == 40

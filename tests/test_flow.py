@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import fd_gradient_oracle
+from conftest import fd_gradient_oracle, make_bumpy_polygon
 
 from nlcurv.errors import DegenerateGeometry, InvalidParams, StallError
 from nlcurv.flow import (
@@ -40,7 +40,8 @@ class TestGradient:
         assert abs(fd - float((g * d).sum())) < 1e-3 * abs(fd)
 
     def test_worker_determinism(self, bumpy):
-        # the gradient runs in one thread; the energies use the workers
+        # the energies use the workers as threads, the gradient's vertex
+        # rows as processes
         a, b = (minimize(bumpy, PARAMS, max_iter=1, step0=1e-3,
                          grad_tol=1e-6, workers=w) for w in (1, 4))
         assert a.trajectory == b.trajectory
@@ -76,26 +77,21 @@ class TestGradient:
 
     @pytest.mark.parametrize("ambient", [2, 3])
     def test_matches_full_rebuild_curves(self, ambient):
-        # a bumpy 64-gon in the plane, and lifted out of it in 3-space
-        n = 64
-        th = 2 * np.pi * np.arange(n) / n
-        r = 1.0 + 0.05 * np.random.default_rng(2).standard_normal(n)
-        V = np.stack([r * np.cos(th), r * np.sin(th)], 1)
-        E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
-        if ambient == 3:
-            V = np.c_[V, 0.2 * np.sin(3 * th)]
-        mesh = build_surface(V, E, codim2=ambient == 3)
+        mesh = make_bumpy_polygon(ambient)
         g = energy_gradient(mesh, PARAMS)
         ref = fd_gradient_oracle(mesh, PARAMS)
         assert np.abs(g - ref).max() <= 1e-8 * np.abs(ref).max()
 
     def test_coincident_samples_degenerate(self, circle128):
+        # the base pass raises, before any fork; test_processes has the
+        # error of a child's share
         n = circle128.n_vertices
         doubled = build_surface(np.vstack([circle128.vertices] * 2),
                                 np.vstack([circle128.elements,
                                            circle128.elements + n]))
-        with pytest.raises(DegenerateGeometry):
-            energy_gradient(doubled, PARAMS)
+        for workers in (1, 2):
+            with pytest.raises(DegenerateGeometry):
+                energy_gradient(doubled, PARAMS, workers=workers)
 
 
 class TestProjection:

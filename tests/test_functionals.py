@@ -323,6 +323,30 @@ class TestTiling:
                     single = functionals._kernel_sums(*args, [term], w)
                     assert np.array_equal(row, single[0]), (budget, w, term)
 
+    @pytest.mark.parametrize("name", ["sphere2", "trefoil"])
+    def test_weight_columns_match_single_calls(self, request, monkeypatch,
+                                               name):
+        # a 2-D weight matrix gives, per column, the sums of the 1-D call
+        # with that column, up to the summation order of the reduction
+        mesh = (make_trefoil() if name == "trefoil"
+                else request.getfixturevalue(name))
+        sc = build_scheme(mesh)
+        Y, W, N, mode, k = functionals._inner_data(mesh, sc)
+        Wg = W[:, None] * np.random.default_rng(0).random((len(W), 3))
+        terms = [(mesh.dim_d + 1 + PARAMS.s, 1.0), (2.5, 2.0)]
+        args = (sc.points, functionals._sample_exclusions(mesh, sc))
+        cutoff = functionals._PAIR_CUTOFF * mesh.diameter
+        for budget in (functionals._TILE_PAIRS, 100):
+            monkeypatch.setattr(functionals, "_TILE_PAIRS", budget)
+            grouped = functionals._kernel_sums(
+                *args, (Y, Wg, N, mode, k), cutoff, terms, 2)
+            assert grouped.shape == (len(terms), sc.n_samples, 3)
+            for g in range(3):
+                single = functionals._kernel_sums(
+                    *args, (Y, Wg[:, g].copy(), N, mode, k), cutoff, terms, 1)
+                np.testing.assert_allclose(grouped[..., g], single,
+                                           rtol=1e-13, atol=0)
+
     def test_requests_validated_before_the_pass(self, monkeypatch,
                                                 circle128):
         def fail(*args):

@@ -1,4 +1,5 @@
-"""Worker processes of the geodesic search and the patch probe.
+"""Worker processes of the geodesic search, the patch probe and the flow
+gradient.
 
 Outputs are bitwise equal for any worker count, a failing share raises
 its typed error in the caller, and no child outlives the call.  The
@@ -12,15 +13,17 @@ import numpy as np
 import pytest
 import scipy.sparse.csgraph  # noqa: F401  (imported outside the traces)
 
-from conftest import traced_peak
+from conftest import make_bumpy_polygon, traced_peak
 from nlcurv import surface
 from nlcurv.errors import DegenerateGeometry, DisconnectedMesh, InvalidParams
+from nlcurv.flow import _FD_STEP, energy_gradient
 from nlcurv.geodesics import _SOURCE_BLOCK, intrinsic_distances
 from nlcurv.probes import patch_radii
 from nlcurv.seminorms import ScalarField, _seminorms
-from nlcurv.surface import build_surface, make_primitive
+from nlcurv.surface import EnergyParameters, build_surface, make_primitive
 
 WORKERS = (1, 2, 3)
+PARAMS = EnergyParameters(s=0.5, p=5.0)
 
 
 def _perturbed(sub):
@@ -93,6 +96,41 @@ def test_disconnected_mesh_raises_its_type_from_the_workers(forks):
     assert_no_children()
 
 
+@pytest.mark.parametrize("name", ["perturbed_sub1", "polygon2d",
+                                  "polygon3d"])
+def test_gradient_equal_for_any_worker_count(forks, name):
+    mesh = (_perturbed(1) if name == "perturbed_sub1"
+            else make_bumpy_polygon(int(name[-2])))
+    got = []
+    for w in WORKERS:
+        got.append(energy_gradient(mesh, PARAMS, workers=w))
+        assert_no_children()
+    assert forks
+    for g in got[1:]:
+        assert np.array_equal(g, got[0])
+
+
+def test_gradient_degenerate_star_raises_from_a_child_share(forks):
+    # a triangle loop beside the circle holds a copy of segment (i, i + 1)
+    # with vertex i moved by its gradient step along x, so the perturbed
+    # star of i, a vertex of the second share, has samples coinciding with
+    # the loop's; the unperturbed mesh has none
+    circle = make_primitive("circle", n=128)
+    V, n, i = circle.vertices, circle.n_vertices, 100
+    local = np.linalg.norm(V[[i, i - 1]] - V[[i + 1, i]], axis=1).sum() / 2
+    moved = V[i].copy()
+    moved[0] += _FD_STEP * local
+    loop = [moved, V[i + 1], 1.3 * (V[i] + V[i + 1])]
+    mesh = build_surface(np.vstack([V, loop]),
+                         np.vstack([circle.elements,
+                                    [[n, n + 1], [n + 1, n + 2], [n + 2, n]]]))
+    for w in (1, 2):
+        with pytest.raises(DegenerateGeometry):
+            energy_gradient(mesh, PARAMS, workers=w)
+        assert_no_children()
+    assert forks
+
+
 @pytest.mark.parametrize("bad", [0, -1, "two"])
 def test_worker_count_validated(sphere1, bad):
     field = ScalarField(sphere1, sphere1.vertices[:, 0])
@@ -100,6 +138,8 @@ def test_worker_count_validated(sphere1, bad):
         patch_radii(sphere1, workers=bad)
     with pytest.raises(InvalidParams):
         _seminorms(field, 0.5, 2.0, 0.5, "intrinsic", bad)
+    with pytest.raises(InvalidParams):
+        energy_gradient(sphere1, PARAMS, workers=bad)
 
 
 def _rows(sl):
@@ -107,12 +147,31 @@ def _rows(sl):
 
 
 def test_map_rows_do_not_depend_on_the_split(forks):
-    cost = np.full(11, surface._PAIR_BUDGET)
-    for w in WORKERS:
-        assert np.array_equal(surface._fork_map(_rows, cost, 2, w),
-                              _rows(slice(0, 11)))
-        assert_no_children()
+    for skew in (1, 5, 40):  # the first row costs skew times the others
+        cost = np.full(11, surface._PAIR_BUDGET)
+        cost[0] *= skew
+        for w in WORKERS:
+            assert np.array_equal(surface._fork_map(_rows, cost, 2, w),
+                                  _rows(slice(0, 11)))
+            assert_no_children()
     assert forks
+
+
+def test_map_shares_split_the_cost(forks):
+    # 15 units in two shares: the caller's share ends after 7 units, at
+    # row 3, where equal row counts would end it at row 5
+    seen = []
+
+    def rows(sl):
+        seen.append(sl)
+        return _rows(sl)
+
+    cost = np.full(11, surface._PAIR_BUDGET)
+    cost[0] *= 5
+    assert np.array_equal(surface._fork_map(rows, cost, 2, 2),
+                          _rows(slice(0, 11)))
+    assert forks and seen == [slice(0, 3)]
+    assert_no_children()
 
 
 def test_map_reruns_a_failed_child_share_in_the_caller(forks):

@@ -69,6 +69,17 @@ class TestPrimitives:
             norms = np.linalg.norm(m.element_normals, axis=1)
             assert np.all(np.abs(norms - 1) < 1e-12)
 
+    @pytest.mark.parametrize("kind", ["sphere_icosub", "ellipsoid", "torus",
+                                      "perturbed_sphere", "dumbbell"])
+    def test_triangle_geometry_is_np_cross(self, kind):
+        # the component-wise cross product is np.cross's formula, bit for bit
+        m = make_primitive(kind)
+        P = m.vertices[m.elements]
+        cr = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
+        A2 = np.linalg.norm(cr, axis=1)
+        assert np.array_equal(m.element_normals, cr / A2[:, None])
+        assert np.array_equal(m.element_measures, A2 / 2.0)
+
     def test_vertex_measures_partition(self):
         m = make_primitive("torus")
         assert abs(m.vertex_measures.sum() - m.element_measures.sum()) \
@@ -174,6 +185,7 @@ class TestValidation:
         m = make_primitive("sphere_icosub", subdivisions=1)
         mirrored = m.with_vertices(-m.vertices)
         assert np.array_equal(mirrored.elements, m.elements)
+        assert mirrored.edges is m.edges
         assert signed_volume(mirrored.vertices, mirrored.elements) < 0
         for V in (m.vertices[:-1], m.vertices[:, :2], m.vertices.ravel()):
             with pytest.raises(errors.ParseError):
