@@ -19,7 +19,7 @@ import numpy as np
 
 from . import flow as flowmod
 from . import functionals, oracles, probes, seminorms
-from .errors import NlcurvError, NonGraphical, UsageError
+from .errors import InvalidParams, NlcurvError, NonGraphical, UsageError
 from .quadrature import DIAGONAL_POLICIES, ORDERS, build_scheme
 from .surface import (
     EnergyParameters,
@@ -86,7 +86,7 @@ def _build_parser():
         p.add_argument("--policy", choices=list(DIAGONAL_POLICIES),
                        default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="kernel threads, and processes for the geodesic "
+                       help="processes for the kernel passes, the geodesic "
                             "search, the patch probe and the flow gradient")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
@@ -165,8 +165,11 @@ def parse_config(argv) -> RunConfig:
         raise UsageError(f"s must lie in (0,1), got {s}")
     if opts.get("p") is not None and opts["p"] <= 0:
         raise UsageError("p must be positive")
-    if opts.get("workers") is not None and opts["workers"] < 1:
-        raise UsageError("worker count must be >= 1")
+    if opts.get("workers") is not None:
+        try:
+            functionals.get_workers(opts["workers"])
+        except InvalidParams as exc:
+            raise UsageError(str(exc)) from None
     if command != "oracle" and not opts.get("mesh") \
             and not opts.get("primitive"):
         raise UsageError("need exactly one mesh source: --mesh or --primitive")

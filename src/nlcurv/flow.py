@@ -91,10 +91,10 @@ def energy_gradient(mesh, params, order="gauss3",
     outside J.  Where the policy keeps pairs inside the star
     (skip_same_element), a fourth pass adds the rows against the stack,
     each group's rows reading its own column and excluding the other
-    groups' elements.  The base sums use `workers` threads; the vertex
-    rows then split between up to `workers` processes (surface._fork_map),
-    each row computed on its own, so the gradient is bitwise equal for any
-    worker count.
+    groups' elements.  The base sums and then the vertex rows split
+    between up to `workers` processes (surface._fork_map), each row
+    computed on its own, so the gradient is bitwise equal for any worker
+    count.
     """
     workers = get_workers(workers)
     V = mesh.vertices

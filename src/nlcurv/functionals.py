@@ -5,21 +5,20 @@ All double sums share one kernel driver, tiled by sample-pair count so
 that worker memory does not depend on the mesh size; one pass evaluates
 several kernels over the same pairs, as `eval` does for B, W and T.  Tiles
 and blocks do not depend on the worker count and each block writes its own
-output slots, so results are bitwise reproducible for any number of
-threads.
+output rows, so results are bitwise reproducible for any number of worker
+processes.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidParams, UnsupportedMode
-from .surface import _rotation_to_z, _vertex_indices
+from .surface import _PAIR_BUDGET, _fork_map, _rotation_to_z, _vertex_indices
 
 __all__ = [
     "EnergyReport",
@@ -33,21 +32,29 @@ __all__ = [
 ]
 
 _TILE_PAIRS = 1 << 16  # sample pairs per kernel tile (fixed for determinism)
+_FORK_PAIRS = 1 << 18  # kernel pairs per process that pay for its fork
 _PAIR_CUTOFF = 1e-14  # times diameter: closer non-excluded pairs are an error
 
 
 def get_workers(workers=None) -> int:
-    """Worker-thread count: explicit argument, else NLCURV_WORKERS, else 1."""
+    """Worker-process count: explicit argument, else NLCURV_WORKERS, else 1.
+
+    A bool or a non-integral number raises InvalidParams rather than being
+    truncated.
+    """
     if workers is None:
         workers = os.environ.get("NLCURV_WORKERS", "1")
     try:
-        workers = int(workers)
-    except ValueError:
+        count = int(workers)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if isinstance(workers, (bool, np.bool_)) or count is None \
+            or not (isinstance(workers, str) or count == workers):
         raise InvalidParams(
-            f"worker count must be an integer, got {workers!r}") from None
-    if workers < 1:
+            f"worker count must be an integer, got {workers!r}")
+    if count < 1:
         raise InvalidParams("worker count must be >= 1")
-    return workers
+    return count
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,18 @@ def _inner_data(mesh, scheme):
             scheme.n_per_element)
 
 
+def _int_power(base, m, out):
+    """base**m for an integer m >= 1 by left-to-right squaring, which only
+    reads base: base itself for m = 1, else out."""
+    src = base
+    for bit in bin(m)[3:]:
+        np.multiply(src, src, out=out)
+        src = out
+        if bit == "1":
+            out *= base
+    return src
+
+
 def _kernel_sums(X, excl, inner, cutoff, terms, workers):
     """Per term (expo_r, power) and outer point x:  Sum_y |pairing|^power
     / r^expo_r * w(y), or the signed pairing when power is None, over the
@@ -142,32 +161,38 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers):
     k samples each.  A kept pair closer than cutoff raises
     DegenerateGeometry.  Tiles of at most _TILE_PAIRS inner samples (whole
     elements) and blocks of _TILE_PAIRS // tile outer points keep each
-    worker in four (rows, tile) buffers whatever S is.  The geometry, the
-    exclusions and the cutoff check are done once per tile for all terms;
-    the signed terms run first, so that |pairing| can then be taken in
-    place, and r^-expo_r is recomputed only where the exponent changes.
+    process in four (rows, tile) buffers whatever S is.  The geometry, the
+    exclusions and the cutoff check are done once per tile for all terms,
+    and r^-expo_r is recomputed only where the exponent changes.  Integer
+    powers of r^2 and of the pairing are taken by squarings and products
+    (then one reciprocal for r), other powers by np.power; the signed
+    terms run first, so that |pairing| can then be taken in place, and
+    |A|_s right after H_s with the same exponent is |H_s's tile|, bit for
+    bit, as r^-expo_r >= 0.
     Excluded pairs are parked at r^2 = +inf, where r^-expo_r is an exact
-    zero.  Each block sums its tiles in a fixed order into its own slots,
-    so the result does not depend on the worker count; one block runs in
-    the calling thread.
+    zero.
+    Each block sums its tiles in a fixed order into its own rows, so the
+    result does not depend on the worker count.  The blocks split between
+    up to `workers` processes (surface._fork_map) only when each process
+    gets more than _FORK_PAIRS pairs, what a fork and its wait cost.
     """
     Y, W, N, mode, k = inner
     n, S = len(X), len(W)
     tile = min(S, max(k, _TILE_PAIRS // k * k))
     rows = max(1, min(n, _TILE_PAIRS // tile))
-    starts = range(0, n, rows)
-    workers = min(workers, len(starts))
     Yt, Nt = Y.T.copy(), N.T.copy()
     ex_row, ex_el = excl
     order = sorted(range(len(terms)), key=lambda i: terms[i][1] is not None)
-    out = np.zeros((len(terms), n) + W.shape[1:])
 
-    def work(first):
+    def share(sl):
+        # the rows of outer points sl, terms then weight columns per row
+        out = np.zeros((sl.stop - sl.start, len(terms)) + W.shape[1:])
         buf = np.empty((4, rows * tile))
-        for a in starts[first::workers]:
+        for a in range(sl.start, sl.stop, rows):
             b = min(a + rows, n)
             lo, hi = np.searchsorted(ex_row, (a, b))
             ex_r, ex_e = ex_row[lo:hi] - a, ex_el[lo:hi]
+            dest = out[a - sl.start:b - sl.start]
             for c in range(0, S, tile):
                 d = min(c + tile, S)
                 r2, dot, kern, tmp = (v.reshape(b - a, d - c)
@@ -190,31 +215,47 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers):
                 if r2.min() < cutoff * cutoff:
                     raise DegenerateGeometry("non-excluded sample pair "
                                              "closer than the cutoff")
-                expo, signed = None, True
+                # signed: dot still holds the signed pairing; product: tmp
+                # holds the signed kern * dot of this exponent
+                expo, signed, product = None, True, False
                 for i in order:
                     e, power = terms[i]
                     if e != expo:
-                        expo = e
-                        np.power(r2, -expo / 2, out=kern)
-                    if power is None:
-                        np.multiply(kern, dot, out=tmp)
+                        expo, product = e, False
+                        half = e / 2
+                        if half == int(half):
+                            np.reciprocal(_int_power(r2, int(half), kern),
+                                          out=kern)
+                        else:
+                            np.power(r2, -half, out=kern)
+                    if power == 1 and product:
+                        np.abs(tmp, out=tmp)
+                    elif power is None or power == int(power):
+                        m = 1 if power is None else int(power)
+                        np.multiply(_int_power(dot, m, tmp), kern, out=tmp)
+                        if power is not None and m % 2:
+                            np.abs(tmp, out=tmp)
                     else:
                         if signed:
                             signed = False
                             np.abs(dot, out=dot)
-                        if power == 1.0:
-                            np.multiply(kern, dot, out=tmp)
-                        else:
-                            np.power(dot, power, out=tmp)
-                            tmp *= kern
-                    out[i, a:b] += tmp @ W[c:d]
+                        np.power(dot, power, out=tmp)
+                        tmp *= kern
+                    product = power is None
+                    dest[:, i] += tmp @ W[c:d]
+        return out.reshape(len(out), -1)
 
-    if workers <= 1:
-        work(0)
+    if workers > 1:
+        # each block's pairs, in _fork_map's units, on its first row, so
+        # that every share starts at a block
+        cost = np.zeros(n)
+        cost[::rows] = np.minimum(rows, n - np.arange(0, n, rows)) * S
+        sums = _fork_map(share, cost / _FORK_PAIRS * _PAIR_BUDGET,
+                         len(terms) * (W.size // S), workers)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
-    return out
+        sums = share(slice(0, n))
+    return np.ascontiguousarray(
+        sums.reshape((n, len(terms)) + W.shape[1:]).swapaxes(0, 1))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures: small meshes and brute-force reference evaluators."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -403,6 +404,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Every forked worker is reaped before its call returns or raises."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test (waitpid gave {pid})")
 
 
 @pytest.fixture(scope="session")

@@ -56,6 +56,20 @@ class TestParseConfig:
         with pytest.raises(UsageError):
             parse_config(argv)
 
+    @pytest.mark.parametrize("workers", [2.5, True, 0, "two"])
+    def test_config_worker_count_validated(self, tmp_path, capsys, workers):
+        # a config value is not truncated: 2.5 and true exit 2 unrun
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"workers": workers}))
+        argv = ["eval", "--primitive", "sphere_icosub", "--sub", "1",
+                "--config", str(cfgfile), "--out", str(tmp_path)]
+        with pytest.raises(UsageError):
+            parse_config(argv)
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "UsageError"
+        assert not (tmp_path / "report.json").exists()
+
     def test_schema_version_embedded(self):
         d = parse_config(["eval", "--primitive", "circle"]).to_dict()
         assert d["schema_version"] == 1

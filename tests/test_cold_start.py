@@ -43,6 +43,13 @@ def test_import_loads_no_multiprocessing(tmp_path):
                     "multiprocessing") == []
 
 
+def test_import_loads_no_thread_pool_or_logging(tmp_path):
+    # every parallel step forks with os.fork; concurrent.futures, which
+    # also imports logging, is not needed
+    for top in ("concurrent", "logging"):
+        assert _modules("import nlcurv, nlcurv.cli", tmp_path, top) == []
+
+
 def test_eval_loads_no_unused_scipy(tmp_path):
     code = ("import nlcurv.cli\n"
             "assert nlcurv.cli.main(['eval', '--primitive', 'sphere_icosub', "

@@ -40,8 +40,8 @@ class TestGradient:
         assert abs(fd - float((g * d).sum())) < 1e-3 * abs(fd)
 
     def test_worker_determinism(self, bumpy):
-        # the energies use the workers as threads, the gradient's vertex
-        # rows as processes
+        # the energies and the gradient's vertex rows split between the
+        # workers as processes
         a, b = (minimize(bumpy, PARAMS, max_iter=1, step0=1e-3,
                          grad_tol=1e-6, workers=w) for w in (1, 4))
         assert a.trajectory == b.trajectory

@@ -217,6 +217,45 @@ class TestTangentPoint:
             with pytest.raises(InvalidParams):
                 tangent_point_energy(circle128, sc, p=p, q=q)
 
+    @staticmethod
+    def _dense(mesh, sc, p, q):
+        """T by np.power over the dense (sample, sample) arrays."""
+        Y, W, N, mode, _ = functionals._inner_data(mesh, sc)
+        d = sc.points[:, None] - Y
+        r2 = np.einsum("ijk,ijk->ij", d, d)
+        dot = np.abs(np.einsum("ijk,jk->ij", d, N))
+        if mode == "projection":
+            dot = np.sqrt(np.maximum(r2 - dot * dot, 0.0))
+        row, el = functionals._sample_exclusions(mesh, sc)
+        keep = np.ones((sc.n_samples, mesh.n_elements), bool)
+        keep[row, el] = False
+        keep = np.repeat(keep, sc.n_per_element, axis=1)
+        r2 = np.where(keep, r2, 1.0)
+        K = np.where(keep, np.power(dot, p) * np.power(r2, -(q - p) / 2), 0.0)
+        return float(sc.weights @ K @ sc.weights)
+
+    @pytest.mark.parametrize("name", ["sphere1", "trefoil"])
+    def test_integer_powers_match_np_power(self, request, name):
+        # integer pairing powers and integer (q - p) / 2 are products; the
+        # last pair keeps np.power for both
+        mesh = (make_trefoil() if name == "trefoil"
+                else request.getfixturevalue(name))
+        sc = build_scheme(mesh)
+        pairs = [(p, p + gap) for p in (1.0, 2.0, 3.0, 4.0, 5.0)
+                 for gap in (1.0, 2.0, 4.0)] + [(2.5, 3.75)]
+        for p, q in pairs:
+            got = tangent_point_energy(mesh, sc, p=p, q=q).energy
+            ref = self._dense(mesh, sc, p, q)
+            assert abs(got - ref) <= 1e-12 * ref, (p, q)
+
+    def test_integer_powers_match_naive(self):
+        m = make_primitive("circle", n=24)
+        sc = build_scheme(m)
+        for p, q in ((1.0, 3.0), (3.0, 4.0), (4.0, 8.0), (2.5, 3.75)):
+            got = tangent_point_energy(m, sc, p=p, q=q).energy
+            ref = naive_tangent_point(m, sc, p, q)
+            assert abs(got - ref) <= 1e-12 * ref, (p, q)
+
 
 class TestTiling:
     """The kernel splits the inner samples into tiles and the outer points
@@ -322,6 +361,25 @@ class TestTiling:
                 for term, row in zip(terms, fused):
                     single = functionals._kernel_sums(*args, [term], w)
                     assert np.array_equal(row, single[0]), (budget, w, term)
+
+    @pytest.mark.parametrize("name", ["sphere1", "trefoil"])
+    def test_fused_integer_powers_match_single_calls(self, request, name):
+        # |A|_s after H_s reuses H_s's tile, and integer powers of the
+        # pairing and of r^2 are products: each still equals its own pass
+        mesh = (make_trefoil() if name == "trefoil"
+                else request.getfixturevalue(name))
+        sc = build_scheme(mesh)
+        a = mesh.dim_d + 1 + PARAMS.s
+        terms = [(a, 1.0), (2.0, 4.0), (4.0, 3.0), (a, 2.0), (1.5, 2.5)]
+        if not mesh.codim2:
+            terms.insert(1, (a, None))
+        args = (sc.points, functionals._sample_exclusions(mesh, sc),
+                functionals._inner_data(mesh, sc),
+                functionals._PAIR_CUTOFF * mesh.diameter)
+        fused = functionals._kernel_sums(*args, terms, 1)
+        for term, row in zip(terms, fused):
+            single = functionals._kernel_sums(*args, [term], 1)
+            assert np.array_equal(row, single[0]), term
 
     @pytest.mark.parametrize("name", ["sphere2", "trefoil"])
     def test_weight_columns_match_single_calls(self, request, monkeypatch,

@@ -1,5 +1,5 @@
-"""Worker processes of the geodesic search, the patch probe and the flow
-gradient.
+"""Worker processes of the kernel passes, the geodesic search, the patch
+probe and the flow gradient.
 
 Outputs are bitwise equal for any worker count, a failing share raises
 its typed error in the caller, and no child outlives the call.  The
@@ -14,11 +14,13 @@ import pytest
 import scipy.sparse.csgraph  # noqa: F401  (imported outside the traces)
 
 from conftest import make_bumpy_polygon, traced_peak
-from nlcurv import surface
+from nlcurv import functionals, surface
 from nlcurv.errors import DegenerateGeometry, DisconnectedMesh, InvalidParams
 from nlcurv.flow import _FD_STEP, energy_gradient
+from nlcurv.functionals import _energies, bending_energy, pointwise_curvature
 from nlcurv.geodesics import _SOURCE_BLOCK, intrinsic_distances
 from nlcurv.probes import patch_radii
+from nlcurv.quadrature import build_scheme
 from nlcurv.seminorms import ScalarField, _seminorms
 from nlcurv.surface import EnergyParameters, build_surface, make_primitive
 
@@ -131,15 +133,74 @@ def test_gradient_degenerate_star_raises_from_a_child_share(forks):
     assert forks
 
 
-@pytest.mark.parametrize("bad", [0, -1, "two"])
+def test_energies_and_curvature_equal_for_any_worker_count(forks,
+                                                           monkeypatch):
+    # a smaller fork threshold lets sub2's passes fork; its 68-row blocks
+    # give each share several
+    mesh = _perturbed(2)
+    sc = build_scheme(mesh)
+    monkeypatch.setattr(functionals, "_FORK_PAIRS", 1 << 12)
+    got = []
+    for w in WORKERS:
+        reports = _energies(mesh, sc, ["bending", "willmore",
+                                       "tangent_point"], w, PARAMS, 4.0, 6.0)
+        got.append(([r.energy for r in reports],
+                    pointwise_curvature(mesh, sc, PARAMS, kind="H",
+                                        workers=w),
+                    pointwise_curvature(mesh, sc, PARAMS, kind="A",
+                                        workers=w)))
+        assert_no_children()
+    assert forks
+    for energies, H, A in got[1:]:
+        assert energies == got[0][0]
+        assert np.array_equal(H, got[0][1]) and np.array_equal(A, got[0][2])
+
+
+def test_kernel_degenerate_pair_raises_from_a_child_share(forks):
+    # a triangle loop beside the circle holds a copy of segment 800, whose
+    # two samples coincide with the copy's: of the 2054 rows (blocks of
+    # 31), rows 1600-1601 and the loop's last six lie in the second share,
+    # and the caller's share is clean
+    circle = make_primitive("circle", n=1024)
+    V, n, i = circle.vertices, circle.n_vertices, 800
+    loop = [V[i], V[i + 1], 1.3 * (V[i] + V[i + 1])]
+    mesh = build_surface(np.vstack([V, loop]),
+                         np.vstack([circle.elements,
+                                    [[n, n + 1], [n + 1, n + 2], [n + 2, n]]]))
+    sc = build_scheme(mesh)
+    assert sc.n_samples == 2054
+    for w in (1, 2):
+        with pytest.raises(DegenerateGeometry):
+            bending_energy(mesh, sc, PARAMS, workers=w)
+        assert_no_children()
+    assert forks
+
+
+def test_small_energy_makes_no_fork(forks):
+    # the flow's line search: S = 240 samples, 57,600 pairs, far less than
+    # a fork costs
+    mesh = _perturbed(1)
+    sc = build_scheme(mesh)
+    assert sc.n_samples == 240
+    bending_energy(mesh, sc, PARAMS, workers=2)
+    assert forks == []
+
+
+@pytest.mark.parametrize("bad", [0, -1, "two", 2.5, True])
 def test_worker_count_validated(sphere1, bad):
     field = ScalarField(sphere1, sphere1.vertices[:, 0])
+    sc = build_scheme(sphere1)
     with pytest.raises(InvalidParams):
         patch_radii(sphere1, workers=bad)
     with pytest.raises(InvalidParams):
         _seminorms(field, 0.5, 2.0, 0.5, "intrinsic", bad)
     with pytest.raises(InvalidParams):
         energy_gradient(sphere1, PARAMS, workers=bad)
+    with pytest.raises(InvalidParams):
+        _energies(sphere1, sc, ["bending", "tangent_point"], bad, PARAMS,
+                  4.0, 6.0)
+    with pytest.raises(InvalidParams):
+        pointwise_curvature(sphere1, sc, PARAMS, workers=bad)
 
 
 def _rows(sl):
