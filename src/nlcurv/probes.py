@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .geodesics import intrinsic_distances
 from .seminorms import ScalarField, _holder_max, sobolev_seminorm
 from .surface import (
     DiscreteHypersurface,
+    _ball_pairs,
     _budget_slices,
     _check_seed,
     _fork_map,
@@ -166,16 +166,15 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
     """Generate, per vertex in order, its PatchChart without the Hölder
     quotient, or the NonGraphical error extract_patch raises for it.
 
-    Vertices run in blocks of at most _PAIR_BUDGET (vertex, candidate
-    triangle) pairs.  Each refit round of a block is one raycast over all
-    its vertices still refitting; the final raycast and the gradient fits
-    run in slices of at most _PAIR_BUDGET (vertex, grid node) pairs.  The
-    candidates come from a k-d tree of element centroids: a triangle whose
-    local bbox meets the box has its centroid within the box half-diagonal
-    plus sqrt(3) times the largest centroid-to-corner distance rho.
+    Vertices run in blocks of at most _PAIR_BUDGET (vertex, triangle)
+    pairs.  Each refit round of a block is one raycast over all its
+    vertices still refitting; the final raycast and the gradient fits run
+    in slices of at most _PAIR_BUDGET (vertex, grid node) pairs.  A
+    block's candidate triangles come from one _ball_pairs scan of the
+    element centroids: a triangle whose local bbox meets the box has its
+    centroid within the box half-diagonal plus sqrt(3) times the largest
+    centroid-to-corner distance rho.
     """
-    from scipy.spatial import cKDTree
-
     if mesh.dim_d != 2:
         raise InvalidParams("patch extraction expects a surface in 3-space")
     nh = _grid_half(grad_bound, grid_step, rmax, zmax)
@@ -208,19 +207,18 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
     cen = mesh.element_centroids
     rho = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max())
     reach = (np.linalg.norm(box) + 3 ** 0.5 * rho) * (1 + 1e-9)
-    tree = cKDTree(cen)
-    cand = tree.query_ball_point(X[vertices], reach, return_length=True)
 
-    for blk in _budget_slices(cand):
+    for blk in _budget_slices(np.full(len(vertices), len(cen))):
         vs = vertices[blk]
         base = X[vs].copy()
         R = np.stack([_rotation_to_z(m) for m in normals[blk]])
+        q, e = _ball_pairs(X[vs], cen, reach)
         F = []
-        for b, c in enumerate(tree.query_ball_point(X[vs], reach)):
+        for b, c in enumerate(np.split(e, np.searchsorted(
+                q, np.arange(1, len(vs))))):
             TV0 = _local_corners(X, elements[c], base[b], R[b])
-            F.append(np.asarray(c, np.intp)[
-                np.all(TV0.min(axis=1) <= box, axis=1)
-                & np.all(TV0.max(axis=1) >= -box, axis=1)])
+            F.append(c[np.all(TV0.min(axis=1) <= box, axis=1)
+                       & np.all(TV0.max(axis=1) >= -box, axis=1)])
 
         def raycast(active, half):
             # a triangle meets the grid only if its centroid meets it
@@ -331,7 +329,7 @@ def patch_radii(mesh, vertices=None, workers=None, **kwargs):
 
     The probe's Python refit loop holds the interpreter lock, so shares of
     the vertices run in up to `workers` processes (get_workers) once their
-    (vertex, grid node) pairs exceed _PAIR_BUDGET per worker; each vertex
+    (vertex, grid node) pairs exceed _PAIR_BUDGET per process; each vertex
     is its own computation, so the radii do not depend on the count.
     """
     vertices = np.arange(mesh.n_vertices) if vertices is None \
@@ -458,29 +456,26 @@ class StabilityReport:
 def _dist_to_surface(P, mesh):
     """Exact distance from each query point x to the polyhedral surface.
 
-    The nearest point lies within the nearest vertex's distance of x, so
-    only elements whose centroid is within that plus the largest
-    centroid-to-corner distance are measured (with 1e-9 relative slack),
-    in slices of at most _PAIR_BUDGET such (point, element) pairs.  Per
-    pair, D = T - x are the corners and E = roll(T, -1) - T the edges (a
-    segment's second edge is its first reversed).  Edge k is nearest at
-    D_k + t_k E_k, t_k = clip(-<D_k, E_k> / |E_k|^2, 0, 1).  A triangle also
-    offers <D_0, n>^2 when the foot of the perpendicular falls inside, that
-    is when every <D_k, E_k x n> = <D_k x D_k+1, n> is >= 0.
+    The nearest element centroid is a surface point, so the nearest point
+    lies in an element whose centroid is within that centroid's distance
+    plus the largest centroid-to-corner distance (with 1e-9 relative
+    slack).  _ball_pairs finds those (point, element) pairs in one scan,
+    and they are measured in slices of at most _PAIR_BUDGET pair corner
+    coordinates.  Per pair, D = T - x are the corners and E = roll(T, -1)
+    - T the edges (a segment's second edge is its first reversed).  Edge k
+    is nearest at D_k + t_k E_k, t_k = clip(-<D_k, E_k> / |E_k|^2, 0, 1).
+    A triangle also offers <D_0, n>^2 when the foot of the perpendicular
+    falls inside, that is when every <D_k, E_k x n> = <D_k x D_k+1, n> is
+    >= 0.
     """
-    from scipy.spatial import cKDTree
-
     X, elements = mesh.vertices, mesh.elements
     cen = mesh.element_centroids
     rho = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max())
-    reach = (cKDTree(X).query(P)[0] + rho) * (1 + 1e-9)
-    tree = cKDTree(cen)
+    pq, pe = _ball_pairs(P, cen, lambda d2: (np.sqrt(d2) + rho) * (1 + 1e-9))
     best = np.full(len(P), np.inf)
-    for sl in _budget_slices(tree.query_ball_point(P, reach,
-                                                   return_length=True)):
-        near = tree.query_ball_point(P[sl], reach[sl])
-        q = np.repeat(np.arange(sl.start, sl.stop), [len(c) for c in near])
-        e = np.fromiter(chain.from_iterable(near), np.intp, len(q))
+    # a pair's temporaries grow with its corner coordinates
+    for sl in _budget_slices(np.full(len(pq), elements.shape[1] * X.shape[1])):
+        q, e = pq[sl], pe[sl]
         T = X[elements[e]].transpose(2, 1, 0)                # (n, k, pairs)
         E = np.roll(T, -1, axis=1) - T
         E2 = (E * E).sum(0)

@@ -239,8 +239,8 @@ def _vertex_indices(mesh, v):
 
 
 # pairs per block of every dense pair reduction: the diameter, the convexity
-# check, the seminorms, the graph-linearization sums, the Hölder maxima, the
-# patch raycast and fits and the point-to-surface distance
+# check, the ball query, the seminorms, the graph-linearization sums, the
+# Hölder maxima, the patch raycast and fits and the point-to-surface distance
 _PAIR_BUDGET = 1 << 14
 
 
@@ -256,6 +256,24 @@ def _budget_slices(cost):
         a = b
 
 
+def _ball_pairs(P, C, reach):
+    """Row-major (point, centre) index arrays of the pairs of points P and
+    centres C with |p - c|^2 <= reach^2.  reach is a number, or a function
+    of the points' squared distances to their nearest centre that gives
+    each point's reach.  The scan runs over _budget_slices rows of (point,
+    centre) pairs, with d^2 summed one coordinate at a time."""
+    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for sl in _budget_slices(np.full(len(P), len(C))):
+        d2 = (P[sl, None, 0] - C[:, 0]) ** 2
+        for c in range(1, P.shape[1]):
+            d2 += (P[sl, None, c] - C[:, c]) ** 2
+        r = reach(d2.min(axis=1))[:, None] if callable(reach) else reach
+        i, j = np.nonzero(d2 <= r * r)
+        rows.append(i + sl.start)
+        cols.append(j)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def _fork_map(share, cost, width, workers):
     """The (N, width) float array of rows share(sl), N = len(cost).
 
@@ -268,7 +286,7 @@ def _fork_map(share, cost, width, workers):
     raises; a share whose fork or child failed is rerun here, so its typed
     error surfaces.
     Forking costs milliseconds, so one process runs every row unless their
-    cost, in _budget_slices' pair units, exceeds _PAIR_BUDGET per worker.
+    cost, in _budget_slices' pair units, exceeds _PAIR_BUDGET per process.
     share must compute each row on its own, so that no row depends on the
     split.
     """
@@ -279,7 +297,7 @@ def _fork_map(share, cost, width, workers):
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count()
     procs = min(workers, cores, n) if hasattr(os, "fork") else 1
-    if procs < 2 or np.sum(cost) <= _PAIR_BUDGET * workers:
+    if procs < 2 or np.sum(cost) <= _PAIR_BUDGET * procs:
         return share(slice(0, n))
     cum = np.cumsum(cost)
     ends = [0, *cum.searchsorted(cum[-1] * np.arange(1, procs) / procs,

@@ -3,9 +3,12 @@
 Each scipy submodule is imported inside the function that uses it, so
 `import nlcurv` costs numpy alone and a command loads only what its
 computation needs: `eval` and `flow` need none, even on a perturbed
-sphere (its harmonics are numpy polynomials).  The checks run in a fresh
-interpreter because pytest itself imports scipy.integrate (the
-IntegrationWarning filter).
+sphere (its harmonics are numpy polynomials), and neither do the patch
+and stability probes, whose candidate searches are numpy ball queries.
+Only the geodesics' Dijkstra, behind `probe --mode chordarc` and
+`sobolev --distance intrinsic`, loads scipy (its sparse graph routines).
+The checks run in a fresh interpreter because pytest itself imports
+scipy.integrate (the IntegrationWarning filter).
 """
 
 import json
@@ -78,3 +81,17 @@ def test_eval_loads_no_scipy(tmp_path):
 def test_flow_loads_no_scipy(tmp_path):
     assert _cli_scipy_modules(["flow", *PERTURBED, "--max-iter", "1"],
                               tmp_path) == []
+
+
+def test_patch_and_stability_probes_load_no_scipy(tmp_path):
+    for mode in (["patch", "--all-vertices"], ["stability"]):
+        assert _cli_scipy_modules(["probe", *PERTURBED, "--mode", *mode],
+                                  tmp_path) == []
+
+
+def test_geodesic_commands_load_no_spatial_or_special(tmp_path):
+    for argv in (["probe", *PERTURBED, "--mode", "chordarc"],
+                 ["sobolev", *PERTURBED, "--distance", "intrinsic"]):
+        loaded = _cli_scipy_modules(argv, tmp_path)
+        assert "scipy.sparse.csgraph" in loaded
+        assert not {"scipy.spatial", "scipy.special"} & set(loaded)

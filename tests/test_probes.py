@@ -9,7 +9,7 @@ from conftest import (
     traced_peak,
     triangle_distance_oracle,
 )
-from nlcurv import surface
+from nlcurv import probes, surface
 from nlcurv.errors import InvalidParams, NonGraphical
 from nlcurv.probes import (
     _MAX_REFIT,
@@ -22,7 +22,7 @@ from nlcurv.probes import (
     stability_probe,
 )
 from nlcurv.seminorms import graph_linearization_functional, morrey_check
-from nlcurv.surface import make_primitive
+from nlcurv.surface import _ball_pairs, make_primitive
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +374,47 @@ class TestSurfaceDistance:
                                subdivisions=2)
         for mesh in (bumpy, circle128, make_trefoil()):
             assert _dist_to_surface(mesh.vertices, mesh).max() <= 1e-15
+
+
+def _all_pairs(P, C, reach):
+    return np.divmod(np.arange(len(P) * len(C)), len(C))
+
+
+def _exactness_meshes():
+    return [_perturbed(1), make_primitive("circle", n=64)]
+
+
+class TestBallPairs:
+    @pytest.mark.parametrize("budget", [64, 1 << 14])
+    def test_pairs_match_brute_force(self, monkeypatch, budget):
+        # a 64-pair budget gives each 80-centroid row a slice of its own;
+        # on the integer lattice many pairs lie exactly at the reach
+        monkeypatch.setattr(surface, "_PAIR_BUDGET", budget)
+        rng = np.random.default_rng(4)
+        lattice = np.indices((5, 4, 4)).reshape(3, -1).T.astype(float)
+        cases = [(_queries(m, rng), m.element_centroids)
+                 for m in _exactness_meshes()] + [(lattice, lattice[::3])]
+        for P, C in cases:
+            d2 = sum((P[:, None, c] - C[:, c]) ** 2
+                     for c in range(P.shape[1]))
+            for reach in (0.3, 1.5, 2.0):
+                assert np.array_equal(np.stack(_ball_pairs(P, C, reach)),
+                                      np.nonzero(d2 <= reach * reach))
+            got = _ball_pairs(P, C, lambda near: np.sqrt(near) + 1.0)
+            r = np.sqrt(d2.min(axis=1, keepdims=True)) + 1.0
+            assert np.array_equal(np.stack(got), np.nonzero(d2 <= r * r))
+
+    def test_no_points_no_pairs(self, sphere1):
+        i, j = _ball_pairs(np.empty((0, 3)), sphere1.element_centroids, 1.0)
+        assert i.shape == j.shape == (0,) and i.dtype == j.dtype == np.intp
+
+    def test_pruned_distances_equal_the_all_element_minimum(self, monkeypatch):
+        # the same per-pair formula over every element: pruning never drops
+        # the element that holds the nearest point
+        rng = np.random.default_rng(5)
+        for mesh in _exactness_meshes():
+            P = _queries(mesh, rng)
+            d = _dist_to_surface(P, mesh)
+            with monkeypatch.context() as m:
+                m.setattr(probes, "_ball_pairs", _all_pairs)
+                assert np.array_equal(_dist_to_surface(P, mesh), d)

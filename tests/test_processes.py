@@ -255,6 +255,21 @@ def test_map_stays_in_one_process_below_the_budget(forks):
     assert forks == []
 
 
+def test_map_compares_the_cost_with_the_processes_it_starts(forks,
+                                                           monkeypatch):
+    # 4 budgets of cost on 2 cores: two processes pay for their fork
+    # whether 2 or 8 workers are asked for
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    cost = np.full(8, surface._PAIR_BUDGET // 2)
+    for w in (2, 8):
+        del forks[:]
+        assert np.array_equal(surface._fork_map(_rows, cost, 2, w),
+                              _rows(slice(0, 8)))
+        assert len(forks) == 1
+        assert_no_children()
+
+
 def test_intrinsic_seminorms_memory_is_one_search_block():
     # the (V, V) distance matrix they used to hold is 52 MB here
     mesh = _perturbed(4)
