@@ -1,5 +1,7 @@
-"""Geometric regularity probes: Monge patches, Ahlfors ratios, chord-arc
-constants, and sphere stability.
+"""Geometric regularity probes: Monge patches with the paper's chain from
+convexity through the graph-linearization functional and the
+Morrey-Sobolev bound, Ahlfors ratios, chord-arc constants, and sphere
+stability.
 
 Run:  python3 demos/geometric_probes.py
 """
@@ -9,8 +11,11 @@ import numpy as np
 from nlcurv import (
     ahlfors_ratio,
     chord_arc_constant,
+    convexity_check,
     extract_patch,
+    graph_linearization_functional,
     make_primitive,
+    morrey_check,
     stability_probe,
 )
 
@@ -24,6 +29,15 @@ def patches():
     print(f"  sup |grad f| = {p.grad_sup:.4f}, "
           f"[grad f]_C^0.25 = {p.grad_holder:.4f}, "
           f"{len(p.grid)} grid nodes")
+    conv = convexity_check(m)
+    print(f"  convexity: is_convex = {conv['is_convex']}, "
+          f"max violation = {conv['max_violation']:.1e}")
+    s, pw = 0.5, 5.0  # Morrey regime: s > d/p = 2/5
+    glf = graph_linearization_functional(p, s, pw)
+    bound = morrey_check(p, s, pw)
+    print(f"  graph-linearization functional (s = 1/2, p = 5): {glf:.4g}")
+    print(f"  Morrey-Sobolev: [grad f]_C^{s - 2 / pw:g} on the inner disc = "
+          f"{bound['lhs']:.4f}, functional^(1/p) = {bound['rhs']:.4f}")
 
 
 def ahlfors():

@@ -14,13 +14,10 @@ from .flow import (
     energy_gradient,
     hausdorff_to_best_sphere,
     minimize,
-    project_area,
 )
 from .functionals import (
     EnergyReport,
     bending_energy,
-    fractional_mean_curvature,
-    nonlocal_second_fundamental,
     pointwise_curvature,
     tangent_point_energy,
     willmore_energy,
@@ -29,7 +26,6 @@ from .geodesics import intrinsic_distances
 from .oracles import (
     OracleValue,
     circle_fmc,
-    expected_scaling_exponent,
     oracle,
     sphere_fmc,
     tangent_radius_circle,
@@ -61,7 +57,6 @@ from .surface import (
     make_primitive,
     rescale,
     save_off,
-    signed_volume,
 )
 
 __version__ = "0.1.0"

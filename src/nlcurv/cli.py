@@ -187,7 +187,7 @@ def _floats(text, flag):
 
 _PRIMITIVE_KW = {  # make_primitive keywords per primitive, from the options
     "circle": lambda o: dict(radius=o["radius"], n=o["n"], **(
-        {"ambient": o["ambient"]} if o.get("ambient") else {})),
+        {"ambient": o["ambient"]} if o["ambient"] is not None else {})),
     "sphere_icosub": lambda o: dict(radius=o["radius"], subdivisions=o["sub"]),
     "ellipsoid": lambda o: dict(semi_axes=tuple(
         _floats(o["semi_axes"], "--semi-axes")), subdivisions=o["sub"]),
@@ -206,7 +206,7 @@ def _get_mesh(o):
 
 
 def _params(o):
-    return EnergyParameters(s=o["s"], p=o["p"], q=o.get("q"),
+    return EnergyParameters(s=o["s"], p=o["p"],
                             normalization=o["normalization"])
 
 
@@ -321,12 +321,14 @@ def _cmd_sobolev(cfg):
 
 def _cmd_flow(cfg):
     o = cfg.options
+    every = o["snapshot_every"]
+    if every < 0:
+        raise UsageError(f"--snapshot-every must be >= 0, got {every}")
     mesh = _get_mesh(o)
     params = _params(o)
     out = cfg.options.get("out") or "."
     os.makedirs(out, exist_ok=True)
     snapshots = []
-    every = o.get("snapshot_every") or 0
 
     def snap(row, snap_mesh):
         it = row[0]

@@ -40,7 +40,6 @@ from .surface import (
 __all__ = [
     "FlowState",
     "energy_gradient",
-    "project_area",
     "minimize",
     "hausdorff_to_best_sphere",
 ]
@@ -190,7 +189,7 @@ def energy_gradient(mesh, params, order="gauss3",
     return _fork_map(share, cost, n, workers)
 
 
-def project_area(mesh: DiscreteHypersurface) -> DiscreteHypersurface:
+def _project_area(mesh: DiscreteHypersurface) -> DiscreteHypersurface:
     """Rescale about the area centroid so the total measure is exactly 1."""
     lam = mesh.area ** (-1.0 / mesh.dim_d)
     c = mesh.area_centroid
@@ -243,6 +242,10 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
     projects back to unit area; a trial is accepted only if the energy
     strictly decreases, so the accepted-energy sequence is monotone.
     """
+    if isinstance(max_iter, bool) or not (
+            isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise InvalidParams(f"max_iter must be a positive integer, got "
+                            f"{max_iter!r}")
     if not (0.0 < step0 < np.inf) or not np.isfinite(grad_tol):
         raise InvalidParams("step0 must be finite and positive and grad_tol "
                             "finite")
@@ -250,7 +253,7 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
         warnings.warn("p <= d/s: energy is not subcritical; descent may "
                       "not be meaningful", stacklevel=2)
     workers = get_workers(workers)
-    mesh = project_area(mesh)
+    mesh = _project_area(mesh)
     min_measure0 = mesh.element_measures.min()
     energy = _bending(mesh, params, order, diagonal_policy, workers)
     step = step0
@@ -261,8 +264,6 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
         if callback is not None:
             callback(traj[-1], mesh)
 
-    it = 0
-    gnorm = np.inf
     for it in range(1, max_iter + 1):
         grad = energy_gradient(mesh, params, order, diagonal_policy, workers)
         gnorm = float(np.linalg.norm(grad, axis=1).max())
@@ -277,7 +278,7 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
             if smoothing:
                 trial = trial.with_vertices(
                     _smooth_tangential(trial, _SMOOTHING_ETA))
-            trial = project_area(trial)
+            trial = _project_area(trial)
             if trial.element_measures.min() < 1e-10 * min_measure0:
                 raise MeshDegenerationError(
                     f"element collapsed at iteration {it}")

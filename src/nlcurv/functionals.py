@@ -23,8 +23,6 @@ from .surface import _PAIR_BUDGET, _fork_map, _rotation_to_z, _vertex_indices
 __all__ = [
     "EnergyReport",
     "pointwise_curvature",
-    "fractional_mean_curvature",
-    "nonlocal_second_fundamental",
     "willmore_energy",
     "bending_energy",
     "tangent_point_energy",
@@ -417,18 +415,6 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
                         _PAIR_CUTOFF * mesh.diameter, [(expo, power)],
                         workers)[0]
     return params.c_s * (sums + near)
-
-
-def fractional_mean_curvature(mesh, scheme, vertex, params, workers=None):
-    """Signed fractional mean curvature at one vertex."""
-    return float(pointwise_curvature(mesh, scheme, params, [vertex], "H",
-                                     workers)[0])
-
-
-def nonlocal_second_fundamental(mesh, scheme, vertex, params, workers=None):
-    """Nonlocal second-fundamental-form magnitude at one vertex (>= 0)."""
-    return float(pointwise_curvature(mesh, scheme, params, [vertex], "A",
-                                     workers)[0])
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ __all__ = [
     "circle_fmc",
     "sphere_fmc",
     "tangent_radius_circle",
-    "expected_scaling_exponent",
     "oracle",
 ]
 
@@ -101,11 +100,6 @@ def tangent_radius_circle(R):
     return 2.0 * R
 
 
-def expected_scaling_exponent(d, s, p):
-    """Homogeneity degree of W_{s,p} and B_{s,p} under rescaling: d - s*p."""
-    return d - s * p
-
-
 _QUADRATURES = {"circle_fmc": (circle_fmc, _circle_quad),
                 "sphere_fmc": (sphere_fmc, _sphere_quad)}
 
@@ -129,9 +123,8 @@ def oracle(quantity, **inputs) -> OracleValue:
                            tangent_radius_circle(inputs.get("R", 1.0)),
                            "closed form", 0.0)
     if quantity == "scaling_exponent":
+        # homogeneity degree of W_{s,p} and B_{s,p} under rescaling: d - s*p
         return OracleValue(quantity, inputs,
-                           expected_scaling_exponent(inputs.get("d", 2),
-                                                     inputs.get("s", 0.5),
-                                                     inputs.get("p", 4.0)),
-                           "closed form", 0.0)
+                           inputs.get("d", 2) - inputs.get("s", 0.5)
+                           * inputs.get("p", 4.0), "closed form", 0.0)
     raise InvalidParams(f"unknown oracle quantity {quantity!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "save_off",
     "make_primitive",
     "rescale",
-    "signed_volume",
     "convexity_check",
     "PRIMITIVE_KINDS",
 ]
@@ -50,6 +49,7 @@ class DiscreteHypersurface:
     element_normals (M, ambient_n) unit outward normals, empty in codim-2 mode
     element_measures(M,) segment lengths / triangle areas
     vertex_measures (V,) lumped measures, 1/(d+1) share of each adjacent element
+    edges           (E, 2) sorted vertex pairs, rows in lexicographic order
     """
 
     dim_d: int
@@ -59,11 +59,11 @@ class DiscreteHypersurface:
     element_normals: np.ndarray
     element_measures: np.ndarray
     vertex_measures: np.ndarray
-    has_boundary: bool = False
+    edges: np.ndarray
 
     def __post_init__(self):
         for a in (self.vertices, self.elements, self.element_normals,
-                  self.element_measures, self.vertex_measures):
+                  self.element_measures, self.vertex_measures, self.edges):
             a.setflags(write=False)
 
     @property
@@ -129,19 +129,6 @@ class DiscreteHypersurface:
         c.setflags(write=False)
         return c
 
-    @functools.cached_property
-    def edges(self) -> np.ndarray:
-        """Undirected edge list (E, 2), sorted per row, deduplicated."""
-        el = self.elements
-        if self.dim_d == 1:
-            e = el
-        else:
-            e = np.concatenate([el[:, [0, 1]], el[:, [1, 2]], el[:, [2, 0]]])
-        e = np.sort(e, axis=1)
-        e = np.unique(e, axis=0)
-        e.setflags(write=False)
-        return e
-
     def with_vertices(self, vertices: np.ndarray) -> "DiscreteHypersurface":
         """Same elements, new vertex positions: only the geometry is
         recomputed, and the elements are never re-oriented, so the new mesh
@@ -151,9 +138,7 @@ class DiscreteHypersurface:
             raise ParseError(f"need vertices of shape {self.vertices.shape}")
         if not np.all(np.isfinite(V)):
             raise ParseError("vertex coordinates must be finite")
-        mesh = _assemble(V, self.elements, self.has_boundary)
-        mesh.__dict__["edges"] = self.edges
-        return mesh
+        return _assemble(V, self.elements, self.edges)
 
 
 @dataclass(frozen=True)
@@ -166,7 +151,6 @@ class EnergyParameters:
 
     s: float
     p: float = 4.0
-    q: float | None = None
     normalization: str = "raw"
 
     def __post_init__(self):
@@ -174,8 +158,6 @@ class EnergyParameters:
             raise InvalidParams(f"s must lie in (0,1), got {self.s}")
         if not (0.0 < self.p < np.inf):
             raise InvalidParams(f"p must be finite and positive, got {self.p}")
-        if self.q is not None and not (self.p < self.q < np.inf):
-            raise InvalidParams("tangent-point energies need finite q > p")
         if self.normalization not in ("raw", "limit_normalized"):
             raise InvalidParams(f"unknown normalization {self.normalization!r}")
 
@@ -342,7 +324,7 @@ def _check_seed(seed):
                             f"{seed!r}")
 
 
-def signed_volume(vertices: np.ndarray, elements: np.ndarray) -> float:
+def _signed_volume(vertices, elements):
     """Signed enclosed volume (d=2) or signed area (d=1 in the plane)."""
     if elements.shape[1] == 3:
         P = vertices[elements]
@@ -352,38 +334,37 @@ def signed_volume(vertices: np.ndarray, elements: np.ndarray) -> float:
     return float(np.sum(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])) / 2.0
 
 
-def _check_manifold(elements, n_vertices, dim_d, allow_boundary):
-    if elements.min() < 0 or elements.max() >= n_vertices:
+def _edge_table(E, n, allow_boundary):
+    """The undirected edges of elements E on n vertices, sorted per row, in
+    lexicographic order, from one table of directed edges.
+
+    It checks, in this order: every index lies in [0, n) (ParseError);
+    every (d-1)-face, a curve's vertex or a triangle's edge, lies on
+    exactly two elements, at most two with allow_boundary
+    (NonManifoldError); no directed face occurs twice, so adjacent
+    elements induce opposite orientations on it (OrientationError).
+    """
+    if E.min() < 0 or E.max() >= n:
         raise ParseError("element index out of range")
-    if dim_d == 1:
-        faces = elements.reshape(-1)
-    else:
-        faces = np.sort(np.concatenate(
-            [elements[:, [0, 1]], elements[:, [1, 2]], elements[:, [2, 0]]]), axis=1)
-        faces = faces[:, 0] * (elements.max() + 1) + faces[:, 1]
-    _, counts = np.unique(faces, return_counts=True)
+    curve = E.shape[1] == 2
+    # (tail, head) rows: a curve's segments, a triangle's three half-edges
+    tail, head = (E if curve else E[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)).T
+    keys, counts = np.unique(np.minimum(tail, head) * n
+                             + np.maximum(tail, head), return_counts=True)
+    if curve:  # a curve's (d-1)-faces are its vertices
+        counts = np.unique(E, return_counts=True)[1]
     if allow_boundary:
         if counts.max() > 2:
             raise NonManifoldError("a face is shared by more than two elements")
     elif counts.min() != 2 or counts.max() != 2:
         raise NonManifoldError("mesh is not a closed manifold "
                                f"(face multiplicities {counts.min()}..{counts.max()})")
-
-
-def _check_orientation(elements, dim_d):
-    """Each directed (d-1)-face must appear at most once; exactly once if closed."""
-    if dim_d == 1:
-        heads = elements[:, 1]
-        tails = elements[:, 0]
-        if len(np.unique(heads)) != len(heads) or len(np.unique(tails)) != len(tails):
-            raise OrientationError("inconsistent segment winding")
-        return
-    d = np.concatenate([elements[:, [0, 1]], elements[:, [1, 2]], elements[:, [2, 0]]])
-    key = d[:, 0].astype(np.int64) * (elements.max() + 1) + d[:, 1]
-    _, counts = np.unique(key, return_counts=True)
-    if counts.max() > 1:
+    if curve and max(np.bincount(tail).max(), np.bincount(head).max()) > 1:
+        raise OrientationError("inconsistent segment winding")
+    if not curve and np.diff(np.sort(tail * n + head)).min() == 0:
         raise OrientationError("adjacent elements do not induce opposite "
                                "orientations on their shared edge")
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def build_surface(vertices, elements, *, codim2=False,
@@ -407,16 +388,15 @@ def build_surface(vertices, elements, *, codim2=False,
     if not codim2 and ambient != dim_d + 1:
         raise InvalidParams(f"ambient dimension {ambient} does not match d={dim_d}")
 
-    _check_manifold(E, len(V), dim_d, allow_boundary)
-    _check_orientation(E, dim_d)
-
-    if not allow_boundary and not codim2 and signed_volume(V, E) < 0:
+    edges = _edge_table(E, len(V), allow_boundary)
+    if not allow_boundary and not codim2 and _signed_volume(V, E) < 0:
         E = E[:, ::-1].copy()
-    return _assemble(V, E, allow_boundary)
+    return _assemble(V, E, edges)
 
 
-def _assemble(V, E, has_boundary):
-    """Per-element and per-vertex geometry on validated elements."""
+def _assemble(V, E, edges):
+    """Per-element and per-vertex geometry on validated elements with the
+    edge list edges."""
     dim_d = E.shape[1] - 1
     if dim_d == 1:
         normals, measures = _segment_geometry(V, E)
@@ -430,7 +410,7 @@ def _assemble(V, E, has_boundary):
     for k in range(dim_d + 1):
         np.add.at(vm, E[:, k], share)
     return DiscreteHypersurface(dim_d, V.shape[1], V, E, normals, measures,
-                                vm, has_boundary=has_boundary)
+                                vm, edges)
 
 
 # --------------------------------------------------------------------------
@@ -632,6 +612,9 @@ def _positive(what, *values):
 def _circle(radius=1.0, n=64, ambient=2):
     if n < 8:
         raise InvalidParams("circle needs at least 8 vertices")
+    if ambient not in (2, 3):
+        raise InvalidParams(f"circle ambient dimension must be 2 or 3, got "
+                            f"{ambient!r}")
     _positive("radius", radius)
     th = 2 * np.pi * np.arange(n) / n
     V = radius * np.stack([np.cos(th), np.sin(th)], 1)

@@ -16,7 +16,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from conftest import flat_icosahedron_refined, naive_energy, record_criterion
-from nlcurv.flow import energy_gradient, minimize, project_area
+from nlcurv.flow import _project_area, energy_gradient, minimize
 from nlcurv.functionals import (
     bending_energy,
     pointwise_curvature,
@@ -247,7 +247,7 @@ def test_criterion_11_flow():
     mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
                           subdivisions=1)
     params = EnergyParameters(s=0.5, p=4.0)
-    start = project_area(mesh)
+    start = _project_area(mesh)
     e0 = bending_energy(start, build_scheme(start), params).energy
     g = energy_gradient(start, params)
     euler = abs(float(np.sum(g * start.vertices))) / e0

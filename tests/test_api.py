@@ -16,19 +16,17 @@ PUBLIC = [
     "NlcurvError", "OracleValue", "PatchChart", "QuadratureScheme",
     "ScalarField", "StabilityReport", "ahlfors_ratio", "bending_energy",
     "build_scheme", "build_surface", "chord_arc_constant", "circle_fmc",
-    "convexity_check", "energy_gradient", "expected_scaling_exponent",
-    "extract_patch", "fractional_mean_curvature",
+    "convexity_check", "energy_gradient", "extract_patch",
     "graph_linearization_functional", "hausdorff_to_best_sphere",
     "holder_seminorm", "intrinsic_distances", "load_mesh", "lq_norm",
     "make_primitive", "minimize", "morrey_check",
-    "nonlocal_second_fundamental", "oracle", "patch_radii",
-    "pointwise_curvature", "project_area", "rescale", "save_off",
-    "signed_volume", "sobolev_seminorm", "sphere_fmc", "stability_probe",
+    "oracle", "patch_radii", "pointwise_curvature", "rescale", "save_off",
+    "sobolev_seminorm", "sphere_fmc", "stability_probe",
     "tangent_point_energy", "tangent_radius_circle", "willmore_energy",
 ]
 
 DEFAULTED = {
-    "EnergyParameters": ["p", "q", "normalization"],
+    "EnergyParameters": ["p", "normalization"],
     "bending_energy": ["workers"],
     "build_scheme": ["order", "diagonal_policy"],
     "build_surface": ["codim2", "allow_boundary"],
@@ -36,12 +34,10 @@ DEFAULTED = {
     "energy_gradient": ["order", "diagonal_policy", "workers"],
     "extract_patch": ["grad_bound", "grid_step", "rmax", "zmax",
                       "compute_holder"],
-    "fractional_mean_curvature": ["workers"],
     "holder_seminorm": ["distance_mode"],
     "intrinsic_distances": ["sources"],
     "minimize": ["max_iter", "step0", "grad_tol", "smoothing", "order",
                  "diagonal_policy", "workers", "callback"],
-    "nonlocal_second_fundamental": ["workers"],
     "patch_radii": ["vertices", "workers"],
     "pointwise_curvature": ["vertices", "kind", "workers"],
     "sobolev_seminorm": ["distance_mode"],
@@ -86,4 +82,4 @@ def test_defaulted_parameters_snapshot():
 
 
 def test_defaulted_parameter_count():
-    assert sum(map(len, _defaulted().values())) == 40
+    assert sum(map(len, _defaulted().values())) == 37

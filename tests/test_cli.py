@@ -317,6 +317,21 @@ class TestCommands:
         assert len(doc["snapshots"]) >= 1
         assert os.path.exists(os.path.join(tmp_path, doc["snapshots"][0]))
 
+    @pytest.mark.parametrize("argv, code, kind", [
+        (["--max-iter", "0"], 1, "InvalidParams"),
+        (["--max-iter", "-1"], 1, "InvalidParams"),
+        (["--snapshot-every", "-2"], 2, "UsageError"),
+    ])
+    def test_flow_bad_iteration_options(self, tmp_path, capsys, argv, code,
+                                        kind):
+        # a run of no iterations would write "grad_norm": Infinity, which
+        # is not JSON, and a negative snapshot period would write nothing
+        rc = main(["flow", "--primitive", "perturbed_sphere", "--sub", "0",
+                   *argv, "--out", str(tmp_path)])
+        assert rc == code
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
+        assert not os.path.exists(os.path.join(tmp_path, "report.json"))
+
     def test_flow_reports_subcritical_without_warning(self, tmp_path, capsys):
         # the default p = 4 sits on the critical line p = d/s of a surface;
         # a warning escaping main would reach stderr
@@ -395,6 +410,8 @@ class TestCommands:
         ["--primitive", "ellipsoid", "--sub", "-1"],
         ["--primitive", "sphere_icosub", "--radius", "inf"],
         ["--primitive", "ellipsoid", "--semi-axes", "1,inf,2"],
+        ["--primitive", "circle", "--ambient", "5"],
+        ["--primitive", "circle", "--ambient", "0"],
     ])
     def test_bad_primitive_exit_code(self, tmp_path, capsys, argv):
         with warnings.catch_warnings():

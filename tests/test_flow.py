@@ -6,10 +6,10 @@ from nlcurv.errors import DegenerateGeometry, InvalidParams, StallError
 from nlcurv.flow import (
     _FD_STEP,
     _best_fit_sphere,
+    _project_area,
     energy_gradient,
     hausdorff_to_best_sphere,
     minimize,
-    project_area,
 )
 from nlcurv.functionals import bending_energy
 from nlcurv.quadrature import build_scheme
@@ -96,11 +96,11 @@ class TestGradient:
 
 class TestProjection:
     def test_unit_area_exact(self, bumpy):
-        assert abs(project_area(bumpy).area - 1.0) < 1e-13
+        assert abs(_project_area(bumpy).area - 1.0) < 1e-13
 
     def test_idempotent(self, bumpy):
-        once = project_area(bumpy)
-        twice = project_area(once)
+        once = _project_area(bumpy)
+        twice = _project_area(once)
         assert abs(twice.area - 1.0) < 1e-14
         assert np.allclose(once.vertices, twice.vertices, atol=1e-14)
 
@@ -154,6 +154,12 @@ class TestMinimize:
     def test_invalid_step_and_tolerance(self, bumpy, kw):
         with pytest.raises(InvalidParams):
             minimize(bumpy, PARAMS, max_iter=1, **kw)
+
+    @pytest.mark.parametrize("max_iter", [0, -1, 1.5, 2.0, True])
+    def test_invalid_max_iter(self, bumpy, max_iter):
+        # a run that does nothing would report grad_norm = inf
+        with pytest.raises(InvalidParams):
+            minimize(bumpy, PARAMS, max_iter=max_iter)
 
     def test_grad_tol_stop(self, bumpy):
         state = minimize(bumpy, PARAMS, max_iter=2, step0=1e-3,

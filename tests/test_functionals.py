@@ -12,9 +12,7 @@ from nlcurv import functionals
 from nlcurv.errors import DegenerateGeometry, InvalidParams, UnsupportedMode
 from nlcurv.functionals import (
     bending_energy,
-    fractional_mean_curvature,
     get_workers,
-    nonlocal_second_fundamental,
     pointwise_curvature,
     tangent_point_energy,
     willmore_energy,
@@ -35,21 +33,21 @@ class TestPointwise:
     def test_matches_naive_circle(self, circle128):
         sc = build_scheme(circle128, order="gauss3")
         for v in (0, 17, 100):
-            fast = fractional_mean_curvature(circle128, sc, v, PARAMS)
+            fast = pointwise_curvature(circle128, sc, PARAMS, [v], "H")[0]
             ref = naive_pointwise(circle128, sc, PARAMS, v, absolute=False)
             assert abs(fast - ref) < 1e-12 * abs(ref)
 
     def test_matches_naive_sphere(self, sphere1):
         sc = build_scheme(sphere1, order="gauss3")
         for v in (0, 11, 30):
-            fast = nonlocal_second_fundamental(sphere1, sc, v, PARAMS)
+            fast = pointwise_curvature(sphere1, sc, PARAMS, [v], "A")[0]
             ref = naive_pointwise(sphere1, sc, PARAMS, v, absolute=True)
             assert abs(fast - ref) < 1e-12 * abs(ref)
 
     def test_circle_toward_oracle(self):
         sc = build_scheme(make_primitive("circle", n=2048), order="gauss7")
-        got = fractional_mean_curvature(make_primitive("circle", n=2048), sc,
-                                        0, PARAMS)
+        got = pointwise_curvature(make_primitive("circle", n=2048), sc,
+                                  PARAMS, [0], "H")[0]
         assert abs(got - circle_fmc(1.0, 0.5)) < 0.1 * abs(circle_fmc(1.0, 0.5))
 
     def test_sphere_sign_and_symmetry(self, sphere2):
@@ -118,7 +116,7 @@ class TestPointwise:
     def test_vertex_outside_mesh_rejected(self, sphere1, vertex):
         sc = build_scheme(sphere1)
         with pytest.raises(InvalidParams):
-            fractional_mean_curvature(sphere1, sc, vertex, PARAMS)
+            pointwise_curvature(sphere1, sc, PARAMS, vertex, kind="H")
         with pytest.raises(InvalidParams):
             pointwise_curvature(sphere1, sc, PARAMS, [0, vertex], kind="A")
 
@@ -213,7 +211,8 @@ class TestTangentPoint:
 
     def test_invalid_exponents(self, circle128):
         sc = build_scheme(circle128)
-        for p, q in ((4.0, 2.0), (2.0, np.inf), (np.nan, 4.0), (2.0, np.nan)):
+        for p, q in ((4.0, 2.0), (4.0, 4.0), (2.0, np.inf), (np.nan, 4.0),
+                     (2.0, np.nan)):
             with pytest.raises(InvalidParams):
                 tangent_point_energy(circle128, sc, p=p, q=q)
 

@@ -7,7 +7,6 @@ from nlcurv import oracles
 from nlcurv.errors import InvalidParams
 from nlcurv.oracles import (
     circle_fmc,
-    expected_scaling_exponent,
     oracle,
     sphere_fmc,
     tangent_radius_circle,
@@ -69,8 +68,8 @@ class TestClosedForms:
             tangent_radius_circle(0.0)
 
     def test_scaling_exponent(self):
-        assert expected_scaling_exponent(2, 0.5, 4.0) == 0.0
-        assert expected_scaling_exponent(1, 0.5, 4.0) == -1.0
+        assert oracle("scaling_exponent", d=2, s=0.5, p=4.0).value == 0.0
+        assert oracle("scaling_exponent", d=1, s=0.5, p=4.0).value == -1.0
 
     @pytest.mark.parametrize("kw", [{"R": -1.0, "s": 0.5},
                                     {"R": 1.0, "s": 1.5}])
