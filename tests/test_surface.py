@@ -383,8 +383,10 @@ class TestEnergyParameters:
 
     @pytest.mark.parametrize("kw", [
         {"s": 0.0}, {"s": 1.0}, {"s": 0.5, "p": 0.0},
+        {"s": 0.5, "p": -4.0},
         {"s": 0.5, "normalization": "weird"},
         {"s": 0.5, "p": np.nan}, {"s": 0.5, "p": np.inf},
+        {"s": np.nan}, {"s": -0.5},
     ])
     def test_invalid(self, kw):
         with pytest.raises(errors.InvalidParams):
