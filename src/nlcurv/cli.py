@@ -21,21 +21,29 @@ from . import flow as flowmod
 from . import functionals, oracles, probes, seminorms
 from .errors import InvalidParams, NlcurvError, NonGraphical, UsageError
 from .quadrature import DIAGONAL_POLICIES, ORDERS, build_scheme
-from .surface import (
-    EnergyParameters,
-    PRIMITIVE_KINDS,
-    load_mesh,
-    make_primitive,
-    save_off,
-)
+from .surface import (EnergyParameters, PRIMITIVE_KINDS, load_mesh,
+                      make_primitive, save_off)
 
 SCHEMA_VERSION = 1
 
-DEFAULTS = {
-    "s": 0.5, "p": 4.0, "q": None, "normalization": "raw",
-    "order": "gauss3", "policy": "skip_vertex_star",
-    "workers": None, "seed": 0, "out": ".",
-}
+# the options each primitive (with its make_primitive keywords), probe
+# mode and oracle quantity reads; every mesh command takes --seed
+_PRIMITIVE_READS = {
+    "circle": {"radius": "radius", "n": "n", "ambient": "ambient"},
+    "sphere_icosub": {"radius": "radius", "sub": "subdivisions"},
+    "ellipsoid": {"semi_axes": "semi_axes", "sub": "subdivisions"},
+    "torus": {"major": "major_radius", "minor": "minor_radius"},
+    "perturbed_sphere": {"radius": "radius", "amp": "amplitude",
+                         "seed": "seed", "sub": "subdivisions"},
+    "dumbbell": {"neck": "neck_radius"}}
+_MODE_READS = {  # patch_all is patch with --all-vertices
+    "ahlfors": ("vertex", "radii"), "chordarc": ("pairs",),
+    "patch": ("vertex", "grad_bound", "grid_step"),
+    "patch_all": ("all_vertices", "grad_bound", "grid_step"),
+    "stability": ("alpha", "hq")}
+_ORACLE_READS = {"circle_fmc": ("R", "s"), "sphere_fmc": ("R", "s"),
+                 "tangent_radius_circle": ("R",),
+                 "scaling_exponent": ("d", "s", "p")}
 
 
 @dataclass
@@ -56,49 +64,48 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    """The top parser and the subparser of each command."""
     top = _Parser(prog="nlcurv", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_mesh_opts(p):
+    def mesh_command(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--mesh", help="OFF/OBJ file path")
         p.add_argument("--primitive", choices=sorted(PRIMITIVE_KINDS))
         p.add_argument("--radius", type=float, default=1.0)
-        p.add_argument("--sub", type=int, default=3,
-                       help="icosphere subdivision level")
+        p.add_argument("--sub", type=int, default=3, help="icosphere level")
         p.add_argument("--n", type=int, default=256, help="circle vertices")
         p.add_argument("--amp", type=float, default=0.0)
         p.add_argument("--semi-axes", default="1,1,2")
         p.add_argument("--major", type=float, default=2.0)
         p.add_argument("--minor", type=float, default=0.5)
         p.add_argument("--neck", type=float, default=0.2)
-        p.add_argument("--ambient", type=int, default=None,
+        p.add_argument("--ambient", type=int, default=2,
                        help="embed a circle in 3-space with 3")
+        p.add_argument("--config", help="JSON object of option values")
+        p.add_argument("--workers", type=int, help="worker processes")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=".", help="output directory")
+        return p
 
-    def add_common(p):
-        add_mesh_opts(p)
-        p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
+    def energy_command(name, help):
+        p = mesh_command(name, help)
+        p.add_argument("--s", type=float, default=0.5)
+        p.add_argument("--p", type=float, default=4.0)
         p.add_argument("--normalization", choices=["raw", "limit_normalized"],
-                       default=None)
-        p.add_argument("--order", choices=list(ORDERS), default=None)
+                       default="raw")
+        p.add_argument("--order", choices=list(ORDERS), default="gauss3")
         p.add_argument("--policy", choices=list(DIAGONAL_POLICIES),
-                       default=None)
-        p.add_argument("--workers", type=int, default=None,
-                       help="processes for the kernel passes, the geodesic "
-                            "search, the patch probe and the flow gradient")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
+                       default="skip_vertex_star")
+        return p
 
-    p = sub.add_parser("eval", help="evaluate energies on a mesh")
-    add_common(p)
+    p = energy_command("eval", "evaluate energies on a mesh")
+    p.add_argument("--q", type=float, default=None)
     p.add_argument("--tangent-point", action="store_true",
                    help="also evaluate T_{p,q} (needs --q)")
 
-    p = sub.add_parser("probe", help="geometric probes")
-    add_common(p)
-    p.add_argument("--mode", required=True,
+    p = mesh_command("probe", "geometric probes")
+    p.add_argument("--mode",
                    choices=["ahlfors", "chordarc", "patch", "stability"])
     p.add_argument("--vertex", type=int, default=0)
     p.add_argument("--radii", default="0.1,0.2,0.4")
@@ -111,18 +118,15 @@ def _build_parser():
     p.add_argument("--all-vertices", action="store_true",
                    help="patch mode: radii for every vertex, CSV output")
 
-    p = sub.add_parser("sobolev", help="seminorms of a vertex field")
-    add_common(p)
-    p.add_argument("--field", default="z",
-                   choices=["x", "y", "z", "support"])
+    p = mesh_command("sobolev", "seminorms of a vertex field")
+    p.add_argument("--field", default="z", choices=["x", "y", "z", "support"])
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--fq", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--distance", default="extrinsic",
                    choices=["extrinsic", "intrinsic"])
 
-    p = sub.add_parser("flow", help="area-constrained descent on B_{s,p}")
-    add_common(p)
+    p = energy_command("flow", "area-constrained descent on B_{s,p}")
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--step0", type=float, default=1e-2)
     p.add_argument("--grad-tol", type=float, default=1e-3)
@@ -131,50 +135,76 @@ def _build_parser():
                    help="write a mesh snapshot every k accepted steps")
 
     p = sub.add_parser("oracle", help="closed-form reference values")
-    p.add_argument("quantity", choices=["circle_fmc", "sphere_fmc",
-                                        "tangent_radius_circle",
-                                        "scaling_exponent"])
+    p.add_argument("quantity", choices=list(_ORACLE_READS))
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--p", type=float, default=4.0)
-    return top
+    return top, sub.choices
+
+
+def _read_config(path, parser):
+    """Parser defaults from config file path, as strings argparse converts."""
+    try:
+        with open(path) as fh:
+            vals = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"bad config file: {exc}") from exc
+    if not isinstance(vals, dict):
+        raise UsageError("the config file must hold a JSON object")
+    acts = {a.dest: a for a in parser._actions
+            if a.dest not in ("help", "config")}
+    for key, val in vals.items():
+        if key not in acts or val not in (acts[key].choices or [val]):
+            raise UsageError(f"config {key}={val!r}: no such option or "
+                             f"choice of {parser.prog}")
+    return {k: v if acts[k].nargs == 0 else str(v)  # a switch stays a bool
+            for k, v in vals.items() if v is not None}
+
+
+def _check_reads(o, defaults, table, key, who):
+    """UsageError for an option of table off its default not in row key."""
+    unread = [f for f in sorted(set().union(*table.values()) - {"seed"})
+              if f not in table.get(key, ()) and o[f] != defaults[f]]
+    if unread:
+        raise UsageError(f"{who} does not read " + ", ".join(
+            "--" + f.replace("_", "-") for f in unread))
 
 
 def parse_config(argv) -> RunConfig:
     """argv -> validated RunConfig; config-file values sit below flags."""
-    args = vars(_build_parser().parse_args(argv))
-    cfg_path = args.pop("config", None)
-    file_vals = {}
-    if cfg_path:
-        try:
-            with open(cfg_path) as fh:
-                file_vals = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad config file: {exc}") from exc
-    command = args.pop("command")
-    opts = {}
-    for k, v in args.items():
-        if v is None and k in file_vals:
-            v = file_vals[k]
-        if v is None and k in DEFAULTS:
-            v = DEFAULTS[k]
-        opts[k] = v
-    s = opts.get("s")
-    if s is not None and command != "oracle" and not (0.0 < s < 1.0):
-        raise UsageError(f"s must lie in (0,1), got {s}")
-    if opts.get("p") is not None and opts["p"] <= 0:
+    top, commands = _build_parser()
+    opts = vars(top.parse_args(argv))
+    command = opts.pop("command")
+    parser = commands[command]
+    defaults = {k: parser.get_default(k) for k in opts}
+    if path := opts.pop("config", None):
+        parser.set_defaults(**_read_config(path, parser))
+        opts = vars(top.parse_args(argv))
+        del opts["command"], opts["config"]
+    if command == "oracle":
+        q = opts["quantity"]
+        _check_reads(opts, defaults, _ORACLE_READS, q, f"oracle {q}")
+    elif bool(opts["mesh"]) == bool(opts["primitive"]):
+        raise UsageError("give exactly one mesh source: --mesh or --primitive")
+    else:
+        kind = opts["primitive"]
+        _check_reads(opts, defaults, _PRIMITIVE_READS, kind,
+                     f"--primitive {kind}" if kind else "--mesh")
+    if command == "probe":
+        if (mode := opts["mode"]) is None:
+            raise UsageError("probe needs --mode")
+        key = "patch_all" if mode == "patch" and opts["all_vertices"] else mode
+        _check_reads(opts, defaults, _MODE_READS, key, f"probe --mode {mode}")
+    if command in ("eval", "flow") and not 0.0 < opts["s"] < 1.0:
+        raise UsageError(f"s must lie in (0,1), got {opts['s']}")
+    if opts.get("p", 1.0) <= 0:
         raise UsageError("p must be positive")
     if opts.get("workers") is not None:
         try:
             functionals.get_workers(opts["workers"])
         except InvalidParams as exc:
             raise UsageError(str(exc)) from None
-    if command != "oracle" and not opts.get("mesh") \
-            and not opts.get("primitive"):
-        raise UsageError("need exactly one mesh source: --mesh or --primitive")
-    if opts.get("mesh") and opts.get("primitive"):
-        raise UsageError("give either --mesh or --primitive, not both")
     return RunConfig(command, opts)
 
 
@@ -185,52 +215,48 @@ def _floats(text, flag):
         raise UsageError(f"{flag} needs comma-separated numbers") from None
 
 
-_PRIMITIVE_KW = {  # make_primitive keywords per primitive, from the options
-    "circle": lambda o: dict(radius=o["radius"], n=o["n"], **(
-        {"ambient": o["ambient"]} if o["ambient"] is not None else {})),
-    "sphere_icosub": lambda o: dict(radius=o["radius"], subdivisions=o["sub"]),
-    "ellipsoid": lambda o: dict(semi_axes=tuple(
-        _floats(o["semi_axes"], "--semi-axes")), subdivisions=o["sub"]),
-    "torus": lambda o: dict(major_radius=o["major"], minor_radius=o["minor"]),
-    "perturbed_sphere": lambda o: dict(radius=o["radius"], amplitude=o["amp"],
-                                       seed=o["seed"], subdivisions=o["sub"]),
-    "dumbbell": lambda o: dict(neck_radius=o["neck"]),
-}
-
-
 def _get_mesh(o):
-    if o.get("mesh"):
+    if o["mesh"]:
         return load_mesh(o["mesh"])
-    kind = o["primitive"]
-    return make_primitive(kind, **_PRIMITIVE_KW[kind](o))
+    kw = {k: o[f] for f, k in _PRIMITIVE_READS[o["primitive"]].items()}
+    if "semi_axes" in kw:
+        kw["semi_axes"] = tuple(_floats(kw["semi_axes"], "--semi-axes"))
+    return make_primitive(o["primitive"], **kw)
 
 
-def _params(o):
-    return EnergyParameters(s=o["s"], p=o["p"],
-                            normalization=o["normalization"])
+def _out_path(cfg, name):
+    os.makedirs(cfg.options["out"], exist_ok=True)
+    return os.path.join(cfg.options["out"], name)
 
 
-def _write_report(cfg, payload, name="report.json"):
-    out = cfg.options.get("out") or "."
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, name)
-    doc = {"schema_version": SCHEMA_VERSION, "run_config": cfg.to_dict()}
-    doc.update(payload)
+def _write_report(cfg, payload):
+    path = _out_path(cfg, "report.json")
+    doc = {"schema_version": SCHEMA_VERSION, "run_config": cfg.to_dict(),
+           **payload}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
     return path
 
 
+def _write_csv(cfg, name, header, rows):
+    """CSV of rows (index, *values), each value written as repr(float)."""
+    path = _out_path(cfg, name)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + [
+            [i] + [repr(float(x)) for x in xs] for i, *xs in rows])
+    return path
+
+
 def _cmd_eval(cfg):
     o = cfg.options
-    if o.get("tangent_point") and o.get("q") is None:
-        raise UsageError("--tangent-point needs --q")
+    if o["tangent_point"] != (o["q"] is not None):
+        raise UsageError("--tangent-point and --q go together")
     mesh = _get_mesh(o)
-    params = _params(o)
+    params = EnergyParameters(o["s"], o["p"], o["normalization"])
     scheme = build_scheme(mesh, o["order"], o["policy"])
     kinds = ["bending"] + ([] if mesh.codim2 else ["willmore"]) \
-        + (["tangent_point"] if o.get("tangent_point") else [])
+        + (["tangent_point"] if o["tangent_point"] else [])
     reports = {r.kind: r.to_dict() for r in functionals._energies(
         mesh, scheme, kinds, o["workers"], params, o["p"], o["q"])}
     path = _write_report(cfg, {"results": reports})
@@ -256,21 +282,14 @@ def _cmd_probe(cfg):
         payload = {"mode": mode, **res}
         summary = "gamma %.6g" % res["gamma"]
     elif mode == "patch":
-        if o.get("all_vertices"):
+        if o["all_vertices"]:
             radii = probes.patch_radii(mesh, grad_bound=o["grad_bound"],
                                        grid_step=o["grid_step"],
                                        workers=o["workers"])
             if np.isnan(radii).all():
-                raise NonGraphical("no vertex has a graphical patch at this "
-                                   "grid step")
-            out = cfg.options.get("out") or "."
-            os.makedirs(out, exist_ok=True)
-            csv_path = os.path.join(out, "patch_radii.csv")
-            with open(csv_path, "w", newline="") as fh:
-                wtr = csv.writer(fh)
-                wtr.writerow(["vertex", "radius"])
-                for i, r in enumerate(radii):
-                    wtr.writerow([i, repr(float(r))])
+                raise NonGraphical("no graphical patch at this grid step")
+            csv_path = _write_csv(cfg, "patch_radii.csv",
+                                  ["vertex", "radius"], enumerate(radii))
             payload = {"mode": mode, "csv": csv_path,
                        "min_radius": float(np.nanmin(radii)),
                        "max_radius": float(np.nanmax(radii))}
@@ -325,16 +344,13 @@ def _cmd_flow(cfg):
     if every < 0:
         raise UsageError(f"--snapshot-every must be >= 0, got {every}")
     mesh = _get_mesh(o)
-    params = _params(o)
-    out = cfg.options.get("out") or "."
-    os.makedirs(out, exist_ok=True)
+    params = EnergyParameters(o["s"], o["p"], o["normalization"])
     snapshots = []
 
     def snap(row, snap_mesh):
-        it = row[0]
-        if every > 0 and it % every == 0:
+        if every > 0 and (it := row[0]) % every == 0:
             name = f"snapshot_{it:04d}.off"
-            save_off(snap_mesh, os.path.join(out, name))
+            save_off(snap_mesh, _out_path(cfg, name))
             snapshots.append(name)
 
     # the report's "subcritical" says what minimize's warning would
@@ -345,13 +361,9 @@ def _cmd_flow(cfg):
                                  smoothing=o["smoothing"], order=o["order"],
                                  diagonal_policy=o["policy"],
                                  workers=o["workers"], callback=snap)
-    csv_path = os.path.join(out, "trajectory.csv")
-    with open(csv_path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["iteration", "energy", "area", "grad_norm",
-                      "hausdorff_to_best_sphere"])
-        for row in state.trajectory:
-            wtr.writerow([row[0]] + [repr(float(x)) for x in row[1:]])
+    csv_path = _write_csv(cfg, "trajectory.csv",
+                          ["iteration", "energy", "area", "grad_norm",
+                           "hausdorff_to_best_sphere"], state.trajectory)
     payload = {"iterations": state.iteration, "energy": state.energy,
                "area": state.area, "grad_norm": state.grad_norm,
                "subcritical": params.subcritical(mesh.dim_d),
@@ -365,12 +377,7 @@ def _cmd_flow(cfg):
 def _cmd_oracle(cfg):
     o = cfg.options
     q = o["quantity"]
-    if q in ("circle_fmc", "sphere_fmc"):
-        val = oracles.oracle(q, R=o["R"], s=o["s"])
-    elif q == "tangent_radius_circle":
-        val = oracles.oracle(q, R=o["R"])
-    else:
-        val = oracles.oracle(q, d=o["d"], s=o["s"], p=o["p"])
+    val = oracles.oracle(q, **{k: o[k] for k in _ORACLE_READS[q]})
     print(json.dumps(val.to_dict(), sort_keys=True, default=float))
     return 0
 

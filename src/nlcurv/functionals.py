@@ -103,6 +103,13 @@ def _rows(table, keys):
             indices[first + np.arange(len(first))])
 
 
+def _unique(a):
+    """np.unique(a) of non-negative integers by sort and diff: the flagless
+    np.unique of numpy 2.4 imports numpy.ma on its first call."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=-1) != 0]
+
+
 def _neighbourhoods(mesh, policy):
     """Per element, the inner elements its samples exclude, as CSR: the
     element itself, or every element sharing a vertex with it."""
@@ -110,7 +117,7 @@ def _neighbourhoods(mesh, policy):
     if policy == "skip_same_element":
         return np.arange(M + 1), np.arange(M)
     at, near = _rows(_stars(mesh), mesh.elements.ravel())
-    pairs = np.unique(at // n * M + near)
+    pairs = _unique(at // n * M + near)
     return np.searchsorted(pairs // M, np.arange(M + 1)), pairs % M
 
 
@@ -279,8 +286,8 @@ def _fit_rings(adj, v):
     indptr, nbr = adj
     one = nbr[indptr[v]:indptr[v + 1]]
     yield one
-    two = np.unique(np.concatenate([one] + [nbr[indptr[w]:indptr[w + 1]]
-                                            for w in one]))
+    two = _unique(np.concatenate([one] + [nbr[indptr[w]:indptr[w + 1]]
+                                          for w in one]))
     yield two[two != v]
 
 

@@ -43,6 +43,15 @@ def _check_rs(R, s):
         raise InvalidParams(f"s must lie in (0,1), got {s}")
 
 
+def _check_dsp(d, s, p):
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise InvalidParams(f"d must be a positive integer, got {d!r}")
+    if not (0.0 < s < 1.0):
+        raise InvalidParams(f"s must lie in (0,1), got {s}")
+    if not (0.0 < p < np.inf):
+        raise InvalidParams(f"p must lie in (0,inf), got {p}")
+
+
 def circle_fmc(R, s):
     """Fractional mean curvature of a circle of radius R (c_s = 1, d = 1).
 
@@ -124,7 +133,8 @@ def oracle(quantity, **inputs) -> OracleValue:
                            "closed form", 0.0)
     if quantity == "scaling_exponent":
         # homogeneity degree of W_{s,p} and B_{s,p} under rescaling: d - s*p
-        return OracleValue(quantity, inputs,
-                           inputs.get("d", 2) - inputs.get("s", 0.5)
-                           * inputs.get("p", 4.0), "closed form", 0.0)
+        d, s = inputs.get("d", 2), inputs.get("s", 0.5)
+        p = inputs.get("p", 4.0)
+        _check_dsp(d, s, p)
+        return OracleValue(quantity, inputs, d - s * p, "closed form", 0.0)
     raise InvalidParams(f"unknown oracle quantity {quantity!r}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nlcurv import functionals
-from nlcurv.cli import main, parse_config
+from nlcurv.cli import _MODE_READS, _PRIMITIVE_READS, main, parse_config
 from nlcurv.errors import UsageError
 from nlcurv.quadrature import build_scheme
 from nlcurv.surface import EnergyParameters, make_primitive
@@ -73,6 +73,128 @@ class TestParseConfig:
     def test_schema_version_embedded(self):
         d = parse_config(["eval", "--primitive", "circle"]).to_dict()
         assert d["schema_version"] == 1
+
+
+def _assert_usage_error(argv, tmp_path, capsys):
+    """argv exits 2 with a JSON UsageError and writes no report."""
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == \
+        "UsageError"
+    assert not (tmp_path / "report.json").exists()
+
+
+# an off-default value of each mesh and probe flag
+MESH_VALUES = {"radius": "2", "sub": "1", "n": "64", "amp": "0.1",
+               "semi_axes": "1,2,3", "major": "3", "minor": "0.25",
+               "neck": "0.3", "ambient": "3"}
+PROBE_VALUES = {"vertex": ["1"], "radii": ["0.5"], "pairs": ["100"],
+                "grad_bound": ["0.25"], "grid_step": ["0.05"],
+                "alpha": ["0.25"], "hq": ["3"], "all_vertices": []}
+MODE_ARGV = {"ahlfors": ["--mode", "ahlfors"],
+             "chordarc": ["--mode", "chordarc"],
+             "patch": ["--mode", "patch"],
+             "patch_all": ["--mode", "patch", "--all-vertices"],
+             "stability": ["--mode", "stability"]}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+class TestOptionsApply:
+    """Each command takes only the options it reads (exit 2 otherwise)."""
+
+    @pytest.mark.parametrize("command, argv", [
+        (command, [flag, value])
+        for command in ("probe", "sobolev")
+        for flag, value in [("--s", "0.7"), ("--p", "5"), ("--q", "6"),
+                            ("--normalization", "limit_normalized"),
+                            ("--order", "gauss7"),
+                            ("--policy", "skip_same_element")]
+    ] + [("flow", ["--q", "6"])])
+    def test_removed_option(self, tmp_path, capsys, command, argv):
+        mode = ["--mode", "stability"] if command == "probe" else []
+        _assert_usage_error([command, *mode, "--primitive", "sphere_icosub",
+                             "--sub", "1", *argv], tmp_path, capsys)
+
+    @pytest.mark.parametrize("source, flag", [
+        (kind, flag) for kind in sorted(_PRIMITIVE_READS)
+        for flag in MESH_VALUES if flag not in _PRIMITIVE_READS[kind]
+    ] + [("mesh", flag) for flag in MESH_VALUES])
+    def test_unread_mesh_flag(self, tmp_path, capsys, source, flag):
+        mesh = (["--mesh", str(tmp_path / "m.off")] if source == "mesh"
+                else ["--primitive", source])
+        _assert_usage_error(["eval", *mesh, _flag(flag), MESH_VALUES[flag]],
+                            tmp_path, capsys)
+
+    @pytest.mark.parametrize("kind", sorted(_PRIMITIVE_READS))
+    def test_read_mesh_flags_accepted(self, kind):
+        argv = [a for flag in _PRIMITIVE_READS[kind] if flag in MESH_VALUES
+                for a in (_flag(flag), MESH_VALUES[flag])]
+        o = parse_config(["eval", "--primitive", kind, *argv]).options
+        assert o["primitive"] == kind
+
+    @pytest.mark.parametrize("mode, flag", [
+        (mode, flag) for mode in sorted(MODE_ARGV) for flag in PROBE_VALUES
+        if flag not in _MODE_READS[mode]
+        and (mode, flag) != ("patch", "all_vertices")])  # that is patch_all
+    def test_unread_probe_flag(self, tmp_path, capsys, mode, flag):
+        _assert_usage_error(["probe", *MODE_ARGV[mode], "--primitive",
+                             "sphere_icosub", "--sub", "1", _flag(flag),
+                             *PROBE_VALUES[flag]], tmp_path, capsys)
+
+    @pytest.mark.parametrize("mode", sorted(MODE_ARGV))
+    def test_read_probe_flags_accepted(self, mode):
+        argv = [a for flag in _MODE_READS[mode] if flag != "all_vertices"
+                for a in (_flag(flag), *PROBE_VALUES[flag])]
+        parse_config(["probe", *MODE_ARGV[mode], "--primitive",
+                      "sphere_icosub", "--workers", "2", "--seed", "3",
+                      *argv])
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "circle_fmc", "--d", "3"],
+        ["oracle", "sphere_fmc", "--p", "5"],
+        ["oracle", "tangent_radius_circle", "--s", "0.25"],
+        ["oracle", "scaling_exponent", "--R", "2"],
+    ])
+    def test_unread_oracle_input(self, capsys, argv):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == \
+            "UsageError"
+
+    def test_q_needs_tangent_point(self, tmp_path, capsys):
+        _assert_usage_error(["eval", "--primitive", "sphere_icosub", "--sub",
+                             "1", "--q", "6"], tmp_path, capsys)
+
+    def test_config_sets_any_option(self, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"sub": 1, "tangent_point": True,
+                                       "q": 6, "out": "elsewhere"}))
+        o = parse_config(["eval", "--primitive", "sphere_icosub",
+                          "--config", str(cfgfile), "--out", "here"]).options
+        assert (o["sub"], o["tangent_point"], o["q"]) == (1, True, 6)
+        assert o["out"] == "here"   # flag wins
+        assert "config" not in o
+
+    def test_config_supplies_probe_mode(self, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"mode": "patch", "vertex": 2,
+                                       "primitive": "sphere_icosub"}))
+        o = parse_config(["probe", "--config", str(cfgfile)]).options
+        assert (o["mode"], o["vertex"]) == ("patch", 2)
+
+    @pytest.mark.parametrize("content", [
+        {"bogus_key": 5}, {"config": "other.json"}, {"help": True},
+        {"s": 0.25, "hq": 3}, {"field": "z"}, {"order": "gauss5"},
+        {"primitive": "cube"}, {"sub": 1, "ambient": 3}, {"sub": 1.5},
+        {"s": [0.25]}, {"semi_axes": [1, 1, 2]}, {"workers": True},
+        [1, 2], 3, "sub",
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, content):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(content))
+        _assert_usage_error(["eval", "--primitive", "sphere_icosub",
+                             "--config", str(cfgfile)], tmp_path, capsys)
 
 
 class TestCommands:
@@ -353,6 +475,13 @@ class TestCommands:
                    "--p", "4"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+    @pytest.mark.parametrize("argv", [["--s", "5", "--p", "4"], ["--d", "-3"],
+                                      ["--d", "0"], ["--p", "inf"]])
+    def test_oracle_scaling_bad_inputs(self, capsys, argv):
+        assert main(["oracle", "scaling_exponent", *argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "InvalidParams"
 
     def test_usage_error_exit_code(self, capsys):
         rc = main(["eval", "--primitive", "circle", "--s", "2.0"])

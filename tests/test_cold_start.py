@@ -7,6 +7,8 @@ sphere (its harmonics are numpy polynomials), and neither do the patch
 and stability probes, whose candidate searches are numpy ball queries.
 Only the geodesics' Dijkstra, behind `probe --mode chordarc` and
 `sobolev --distance intrinsic`, loads scipy (its sparse graph routines).
+The numpy-only commands do not load `numpy.ma` either, which the flagless
+`np.unique` of numpy 2.4 imports.
 The checks run in a fresh interpreter because pytest itself imports
 scipy.integrate (the IntegrationWarning filter).
 """
@@ -64,34 +66,44 @@ def test_eval_loads_no_unused_scipy(tmp_path):
     assert not loaded & unused
 
 
-def _cli_scipy_modules(argv, cwd):
+def _cli_modules(argv, cwd, top="scipy"):
     code = ("import nlcurv.cli\n"
             f"assert nlcurv.cli.main({argv + ['--out', 'out']!r}) == 0")
-    return _modules(code, cwd)
+    return _modules(code, cwd, top)
 
 
 PERTURBED = ["--primitive", "perturbed_sphere", "--amp", "0.05", "--sub", "1"]
 
 
 def test_eval_loads_no_scipy(tmp_path):
-    assert _cli_scipy_modules(["eval", *PERTURBED, "--tangent-point",
+    assert _cli_modules(["eval", *PERTURBED, "--tangent-point",
                                "--q", "6"], tmp_path) == []
 
 
 def test_flow_loads_no_scipy(tmp_path):
-    assert _cli_scipy_modules(["flow", *PERTURBED, "--max-iter", "1"],
+    assert _cli_modules(["flow", *PERTURBED, "--max-iter", "1"],
                               tmp_path) == []
 
 
 def test_patch_and_stability_probes_load_no_scipy(tmp_path):
     for mode in (["patch", "--all-vertices"], ["stability"]):
-        assert _cli_scipy_modules(["probe", *PERTURBED, "--mode", *mode],
+        assert _cli_modules(["probe", *PERTURBED, "--mode", *mode],
                                   tmp_path) == []
+
+
+def test_numpy_only_commands_load_no_numpy_ma(tmp_path):
+    # the flagless np.unique of numpy 2.4 imports numpy.ma; the geodesic
+    # commands load it anyway, through scipy.sparse
+    for argv in (["eval", *PERTURBED, "--tangent-point", "--q", "6"],
+                 ["flow", *PERTURBED, "--max-iter", "1"],
+                 ["probe", *PERTURBED, "--mode", "patch", "--all-vertices"],
+                 ["probe", *PERTURBED, "--mode", "stability"]):
+        assert "numpy.ma" not in _cli_modules(argv, tmp_path, "numpy")
 
 
 def test_geodesic_commands_load_no_spatial_or_special(tmp_path):
     for argv in (["probe", *PERTURBED, "--mode", "chordarc"],
                  ["sobolev", *PERTURBED, "--distance", "intrinsic"]):
-        loaded = _cli_scipy_modules(argv, tmp_path)
+        loaded = _cli_modules(argv, tmp_path)
         assert "scipy.sparse.csgraph" in loaded
         assert not {"scipy.spatial", "scipy.special"} & set(loaded)

@@ -71,6 +71,15 @@ class TestClosedForms:
         assert oracle("scaling_exponent", d=2, s=0.5, p=4.0).value == 0.0
         assert oracle("scaling_exponent", d=1, s=0.5, p=4.0).value == -1.0
 
+    @pytest.mark.parametrize("kw", [
+        {"d": 2, "s": 5.0, "p": 4.0}, {"d": 2, "s": float("nan"), "p": 4.0},
+        {"d": -3}, {"d": 0}, {"d": True}, {"d": 2.5}, {"p": 0.0},
+        {"p": -1.0}, {"p": float("inf")}, {"p": float("nan")},
+    ])
+    def test_scaling_exponent_invalid(self, kw):
+        with pytest.raises(InvalidParams):
+            oracle("scaling_exponent", **kw)
+
     @pytest.mark.parametrize("kw", [{"R": -1.0, "s": 0.5},
                                     {"R": 1.0, "s": 1.5}])
     def test_invalid(self, kw):
