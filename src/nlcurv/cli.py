@@ -57,7 +57,10 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports bad arguments as UsageError; subparsers inherit the class."""
+    """Whole option names only, bad arguments as UsageError; subparsers too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)

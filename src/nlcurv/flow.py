@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, MeshDegenerationError, ParseError, StallError
+from .errors import InvalidParams, MeshDegenerationError, StallError
 from .functionals import (
     _PAIR_CUTOFF,
     _inner_data,
@@ -32,9 +32,8 @@ from .quadrature import _element_samples, build_scheme
 from .surface import (
     DiscreteHypersurface,
     EnergyParameters,
+    _element_geometry,
     _fork_map,
-    _segment_geometry,
-    _triangle_geometry,
 )
 
 __all__ = [
@@ -126,12 +125,9 @@ def energy_gradient(mesh, params, order="gauss3",
     P[:, corners == owner[:, None]] = moved
     P = P.reshape(-1, n)
     el = np.arange(len(P)).reshape(-1, corners.shape[1])
-    geometry = _segment_geometry if mesh.dim_d == 1 else _triangle_geometry
-    nrm, meas = geometry(P, el)
-    if meas.min() <= 0:
-        raise ParseError("degenerate element with non-positive measure")
+    nrm, meas, tangents = _element_geometry(P, el)
     if mode == "projection":
-        nrm = (P[el[:, 1]] - P[el[:, 0]]) / meas[:, None]
+        nrm = tangents
     Ys, Ws = _element_samples(P, el, meas, order)
     Ys, Ws = Ys.reshape(G, -1, n), Ws.reshape(G, -1)
     Ns = np.repeat(nrm, k, axis=0).reshape(G, -1, n)

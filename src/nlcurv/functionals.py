@@ -250,15 +250,12 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers):
                     dest[:, i] += tmp @ W[c:d]
         return out.reshape(len(out), -1)
 
-    if workers > 1:
-        # each block's pairs, in _fork_map's units, on its first row, so
-        # that every share starts at a block
-        cost = np.zeros(n)
-        cost[::rows] = np.minimum(rows, n - np.arange(0, n, rows)) * S
-        sums = _fork_map(share, cost / _FORK_PAIRS * _PAIR_BUDGET,
-                         len(terms) * (W.size // S), workers)
-    else:
-        sums = share(slice(0, n))
+    # each block's pairs, in _fork_map's units, on its first row, so that
+    # every share starts at a block
+    cost = np.zeros(n)
+    cost[::rows] = np.minimum(rows, n - np.arange(0, n, rows)) \
+        * (S / _FORK_PAIRS * _PAIR_BUDGET)
+    sums = _fork_map(share, cost, len(terms) * (W.size // S), workers)
     return np.ascontiguousarray(
         sums.reshape((n, len(terms)) + W.shape[1:]).swapaxes(0, 1))
 

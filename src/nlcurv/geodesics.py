@@ -19,13 +19,11 @@ __all__ = ["intrinsic_distances"]
 _SOURCE_BLOCK = 128
 
 
-def _curve_graph(mesh):
-    E = mesh.elements
-    L = mesh.element_measures
-    return E[:, 0], E[:, 1], L, mesh.n_vertices
-
-
 def _triangle_graph(mesh):
+    """Arcs (rows, cols, weights) and node count of the refined graph of a
+    triangle mesh, each once: the two halves of every edge k, split at
+    node V + k, its midpoint, and per face the medial triangle and the
+    three median chords."""
     V = mesh.vertices
     e = mesh.edges
     # midpoint nodes, one per undirected edge; edges are sorted rows, so
@@ -40,29 +38,28 @@ def _triangle_graph(mesh):
                                     + np.maximum(u, v))
 
     mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-    # per face: split edges, medial triangle, and median chords
-    rows = np.stack([a, mab, b, mbc, c, mca, mab, mbc, mca, a, b, c], 1)
-    cols = np.stack([mab, b, mbc, c, mca, a, mbc, mca, mab, mbc, mca, mab], 1)
-    rows, cols = rows.ravel(), cols.ravel()
+    m = nv + np.arange(len(e))
+    rows = np.concatenate([e[:, 0], m, mab, mbc, mca, a, b, c])
+    cols = np.concatenate([m, e[:, 1], mbc, mca, mab, mbc, mca, mab])
     w = np.linalg.norm(P[rows] - P[cols], axis=1)
     return rows, cols, w, len(P)
 
 
 def _graph(mesh):
-    from scipy.sparse import coo_matrix
+    """The CSR matrix of the refined graph with both arcs of every edge: a
+    curve's edges, or those of _triangle_graph."""
+    from scipy.sparse import csr_matrix
 
     if mesh.dim_d == 1:
-        rows, cols, w, n = _curve_graph(mesh)
+        V, (rows, cols) = mesh.vertices, mesh.edges.T
+        w, n = np.linalg.norm(V[rows] - V[cols], axis=1), len(V)
     else:
         rows, cols, w, n = _triangle_graph(mesh)
-    rows = np.concatenate([rows, cols])
-    cols = np.concatenate([cols[:len(w)], rows[:len(w)]])
-    w = np.concatenate([w, w])
-    # drop duplicate arcs (shared faces emit them twice); coo would sum them
-    key = rows.astype(np.int64) * n + cols
-    _, first = np.unique(key, return_index=True)
-    g = coo_matrix((w[first], (rows[first], cols[first])), shape=(n, n))
-    return g.tocsr()
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    order = np.lexsort((cols, rows))
+    return csr_matrix((np.concatenate([w, w])[order], cols[order],
+                       np.searchsorted(rows[order], np.arange(n + 1))),
+                      shape=(n, n))
 
 
 def _search(mesh, sources, reduce, width, workers):

@@ -64,20 +64,6 @@ def circle_fmc(R, s):
             * gamma((1 - s) / 2) / gamma(1 - s / 2))
 
 
-def _circle_quad(R, s):
-    """(quad, err) of the arc-length reduction: chord 2R sin(t/2), pairing
-    -2R sin^2(t/2), measure R dt on (0, 2pi).  With u = t/2 and symmetry,
-    that is -R (2R)^{-1-s} 4 int_0^{pi/2} sin(u)^{-s} du, whose u^{-s}
-    endpoint singularity goes into quad's algebraic weight."""
-    from scipy import integrate
-
-    scale = -4 * R * (2 * R) ** (-1 - s)
-    quad, err = integrate.quad(lambda u: np.sinc(u / np.pi) ** -s,
-                               0, np.pi / 2, weight="alg", wvar=(-s, 0),
-                               epsabs=1e-13, epsrel=1e-13, limit=400)
-    return scale * quad, abs(scale) * err
-
-
 def sphere_fmc(R, s):
     """Fractional mean curvature of a round sphere of radius R (c_s = 1, d = 2).
 
@@ -87,18 +73,21 @@ def sphere_fmc(R, s):
     return -(2.0 ** (1 - s)) * np.pi * R ** -s / (1 - s)
 
 
-def _sphere_quad(R, s):
-    """(quad, err) of the polar-angle reduction about x: chord 2R sin(t/2),
-    pairing -2R sin^2(t/2), ring measure 2 pi R^2 sin(t) dt on (0, pi).
-    With u = t/2 that is -16 pi R^3 (2R)^{-3-s} int_0^{pi/2} sin(u)^{-s}
-    cos(u) du, whose u^{-s} endpoint singularity goes into quad's
-    algebraic weight."""
+def _fmc_quad(R, s, d):
+    """(quad, err) of H_s on the round d-sphere of radius R (d = 1, 2) in
+    the half angle u = t/2 about x: chord 2R sin(u), pairing -2R sin^2(u),
+    measure 2R du on (0, pi) folded onto (0, pi/2), or the ring 8 pi R^2
+    sin(u) cos(u) du.  That is -c R^m (2R)^{-m-s} int_0^{pi/2} sin(u)^{-s}
+    cos(u)^{d-1} du, (c, m) = (4, 1) or (16 pi, 3); quad's algebraic
+    weight takes the u^{-s} endpoint singularity."""
     from scipy import integrate
 
-    scale = -16 * np.pi * R ** 3 * (2 * R) ** (-3 - s)
-    quad, err = integrate.quad(lambda u: np.sinc(u / np.pi) ** -s * np.cos(u),
-                               0, np.pi / 2, weight="alg", wvar=(-s, 0),
-                               epsabs=1e-13, epsrel=1e-13, limit=400)
+    c, m = (4, 1) if d == 1 else (16 * np.pi, 3)
+    scale = -c * R ** m * (2 * R) ** (-m - s)
+    quad, err = integrate.quad(
+        lambda u: np.sinc(u / np.pi) ** -s * np.cos(u) ** (d - 1),
+        0, np.pi / 2, weight="alg", wvar=(-s, 0), epsabs=1e-13,
+        epsrel=1e-13, limit=400)
     return scale * quad, abs(scale) * err
 
 
@@ -109,18 +98,17 @@ def tangent_radius_circle(R):
     return 2.0 * R
 
 
-_QUADRATURES = {"circle_fmc": (circle_fmc, _circle_quad),
-                "sphere_fmc": (sphere_fmc, _sphere_quad)}
+_QUADRATURES = {"circle_fmc": (circle_fmc, 1), "sphere_fmc": (sphere_fmc, 2)}
 
 
 def oracle(quantity, **inputs) -> OracleValue:
     """Uniform entry point used by the CLI; fractional mean curvatures are
     cross-checked against the adaptive quadrature of their reduction."""
     if quantity in _QUADRATURES:
-        closed, quad = _QUADRATURES[quantity]
+        closed, d = _QUADRATURES[quantity]
         R, s = inputs.get("R", 1.0), inputs.get("s", 0.5)
         value = closed(R, s)
-        q, err = quad(R, s)
+        q, err = _fmc_quad(R, s, d)
         if abs(q - value) > 1e-10 * abs(value):
             raise ArithmeticError(
                 f"{quantity} oracle self-check failed: {value} vs {q}")

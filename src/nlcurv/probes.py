@@ -4,8 +4,9 @@ chord-arc constant, and the sphere-stability probe.
 
 from __future__ import annotations
 
+import functools
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .surface import (
     _check_seed,
     _fork_map,
     _rotation_to_z,
+    _square_distances,
     _vertex_indices,
 )
 
@@ -59,7 +61,6 @@ class PatchChart:
     heights: np.ndarray
     gradients: np.ndarray
     grad_sup: float
-    grad_holder: float
     refit_rounds: int
     refit_residual: float
 
@@ -67,6 +68,12 @@ class PatchChart:
         for a in (self.base_point, self.rotation, self.grid, self.heights,
                   self.gradients):
             a.setflags(write=False)
+
+    @functools.cached_property
+    def grad_holder(self) -> float:
+        """The gradient's Hölder quotient of exponent _HOLDER_EXPONENT over
+        the grid, computed when first read."""
+        return _holder_max(self.grid, self.gradients, _HOLDER_EXPONENT)
 
     def to_dict(self) -> dict:
         return {"base_vertex": self.base_vertex, "radius": self.radius,
@@ -292,14 +299,13 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
                 out[b] = PatchChart(
                     int(vs[b]), base[b].copy(), R[b].copy(), radius,
                     grid_step, nodes[fit[keep]], H.ravel()[fit[keep]],
-                    coef[keep, 1:3], float(gn[keep].max()), float("nan"),
-                    int(rounds[b]), float(resid[b]))
+                    coef[keep, 1:3], float(gn[keep].max()), int(rounds[b]),
+                    float(resid[b]))
         yield from out
 
 
 def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
-                  grid_step=0.02, rmax=0.6, zmax=0.6,
-                  compute_holder=True) -> PatchChart:
+                  grid_step=0.02, rmax=0.6, zmax=0.6) -> PatchChart:
     """Largest validated Monge patch around a vertex.
 
     The vertex normal is rotated to the vertical; heights over a Cartesian
@@ -316,16 +322,12 @@ def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
                                grad_bound, grid_step, rmax, zmax))
     if isinstance(chart, NonGraphical):
         raise chart
-    if compute_holder:
-        chart = replace(chart, grad_holder=_holder_max(
-            chart.grid, chart.gradients, _HOLDER_EXPONENT))
     return chart
 
 
 def patch_radii(mesh, vertices=None, workers=None, **kwargs):
     """extract_patch radius for many vertices (all by default), computed
-    together; NaN where NonGraphical.  kwargs are extract_patch's, without
-    compute_holder.
+    together; NaN where NonGraphical.  kwargs are extract_patch's.
 
     The probe's Python refit loop holds the interpreter lock, so shares of
     the vertices run in up to `workers` processes (get_workers) once their
@@ -424,8 +426,9 @@ def chord_arc_constant(mesh: DiscreteHypersurface, sample_pairs=20000, seed=0):
     rng = np.random.default_rng(seed)
     sources = np.sort(rng.choice(V, size=n_src, replace=False))
     D = intrinsic_distances(mesh, sources)
-    chord = np.linalg.norm(mesh.vertices[sources][:, None, :]
-                           - mesh.vertices[None, :, :], axis=-1)
+    chord = np.empty_like(D)
+    for sl, d2 in _square_distances(mesh.vertices[sources], mesh.vertices):
+        chord[sl] = np.sqrt(d2)
     ratio = np.where(chord > 1e-12 * mesh.diameter, D / np.maximum(chord, 1e-300),
                      1.0)
     k = int(np.argmax(ratio))

@@ -13,7 +13,7 @@ from .errors import DegeneratePatch, InvalidParams
 from .functionals import get_workers
 # intrinsic_distances stays bound here: bench/test_bench.py reads the binding
 from .geodesics import _search, intrinsic_distances  # noqa: F401
-from .surface import DiscreteHypersurface, _budget_slices
+from .surface import DiscreteHypersurface, _square_distances
 
 __all__ = [
     "ScalarField",
@@ -57,12 +57,10 @@ def _check_holder(beta):
 
 
 def _distance_rows(points):
-    """Yield (slice, distance rows): consecutive slices of at most
-    _PAIR_BUDGET pairs and the Euclidean distances from their points to all
-    points, +inf on the diagonal."""
-    N = len(points)
-    for sl in _budget_slices(np.full(N, N)):
-        r = np.linalg.norm(points[sl, None, :] - points[None, :, :], axis=-1)
+    """Yield (slice, distance rows): the _square_distances blocks of the
+    points against themselves, as distances with +inf on the diagonal."""
+    for sl, d2 in _square_distances(points, points):
+        r = np.sqrt(d2, out=d2)
         r[np.arange(sl.stop - sl.start), np.arange(sl.start, sl.stop)] = np.inf
         yield sl, r
 
@@ -97,7 +95,7 @@ def _field_rows(field, mode, reductions, workers=1):
     """(V, len(reductions)) array whose column k holds reductions[k](sl, r)
     for every vertex row: r are the distances of rows sl to every vertex in
     `mode`, +inf on the diagonal.  Extrinsic rows are built per
-    _budget_slices slice; intrinsic rows stream from the geodesic search,
+    _distance_rows block; intrinsic rows stream from the geodesic search,
     one source block at a time in up to `workers` processes, so no (V, V)
     matrix is ever held.  The mode is checked first."""
     if mode not in DISTANCE_MODES:

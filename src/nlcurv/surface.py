@@ -84,15 +84,10 @@ class DiscreteHypersurface:
 
     @functools.cached_property
     def diameter(self) -> float:
-        """Largest vertex distance, over _budget_slices row blocks."""
+        """Largest vertex distance, over _square_distances row blocks."""
         V = self.vertices
-        best = 0.0
-        for sl in _budget_slices(np.full(len(V), len(V))):
-            d2 = (V[sl, None, 0] - V[:, 0]) ** 2
-            for c in range(1, V.shape[1]):
-                d2 += (V[sl, None, c] - V[:, c]) ** 2
-            best = max(best, float(d2.max()))
-        return float(np.sqrt(best))
+        return float(np.sqrt(max(d2.max()
+                                 for _, d2 in _square_distances(V, V))))
 
     @functools.cached_property
     def element_centroids(self) -> np.ndarray:
@@ -105,8 +100,7 @@ class DiscreteHypersurface:
         """Unit tangents per segment (d=1 only)."""
         if self.dim_d != 1:
             raise UnsupportedMode("tangents are defined for curves only")
-        e = self.vertices[self.elements[:, 1]] - self.vertices[self.elements[:, 0]]
-        t = e / np.linalg.norm(e, axis=1)[:, None]
+        t = _element_geometry(self.vertices, self.elements)[2]
         t.setflags(write=False)
         return t
 
@@ -136,8 +130,8 @@ class DiscreteHypersurface:
         V = np.array(vertices, dtype=float, order="C", copy=True)
         if V.shape != self.vertices.shape:
             raise ParseError(f"need vertices of shape {self.vertices.shape}")
-        if not np.all(np.isfinite(V)):
-            raise ParseError("vertex coordinates must be finite")
+        if not np.all(np.abs(V) < 1e76):
+            raise ParseError("vertex coordinates must be finite, |x| < 1e76")
         return _assemble(V, self.elements, self.edges)
 
 
@@ -173,24 +167,28 @@ class EnergyParameters:
 # construction and validation
 # --------------------------------------------------------------------------
 
-def _segment_geometry(V, E):
-    vec = V[E[:, 1]] - V[E[:, 0]]
-    L = np.linalg.norm(vec, axis=1)
+def _element_geometry(V, E):
+    """(normals, measures, tangents) of segments or triangles E on vertices
+    V: unit normals (none for a curve in 3-space), lengths or areas, and
+    a segment's unit tangent (None for triangles).  A non-positive measure
+    raises ParseError."""
+    P = V[E]
+    vec = P[:, 1] - P[:, 0]
+    if E.shape[1] == 3:
+        (a0, a1, a2), (b0, b1, b2) = vec.T, (P[:, 2] - P[:, 0]).T
+        # np.cross's own formula, without its per-call axis handling
+        vec = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                        a0 * b1 - a1 * b0], 1)
+    size = np.linalg.norm(vec, axis=1)
+    measures = size if E.shape[1] == 2 else size / 2.0
+    if measures.min() <= 0:
+        raise ParseError("degenerate element with non-positive measure")
+    unit = vec / size[:, None]
+    if E.shape[1] == 3:
+        return unit, measures, None
     if V.shape[1] == 2:
-        n = np.stack([vec[:, 1], -vec[:, 0]], axis=1) / L[:, None]
-    else:
-        n = np.empty((0, V.shape[1]))
-    return n, L
-
-
-def _triangle_geometry(V, F):
-    P = V[F]
-    (a0, a1, a2), (b0, b1, b2) = (P[:, 1] - P[:, 0]).T, (P[:, 2] - P[:, 0]).T
-    # np.cross's own formula, without its per-call axis handling
-    cr = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], 1)
-    A2 = np.linalg.norm(cr, axis=1)
-    n = cr / A2[:, None]
-    return n, A2 / 2.0
+        return np.stack([unit[:, 1], -unit[:, 0]], 1), measures, unit
+    return np.empty((0, V.shape[1])), measures, unit
 
 
 def _rotation_to_z(n):
@@ -238,17 +236,25 @@ def _budget_slices(cost):
         a = b
 
 
-def _ball_pairs(P, C, reach):
-    """Row-major (point, centre) index arrays of the pairs of points P and
-    centres C with |p - c|^2 <= reach^2.  reach is a number, or a function
-    of the points' squared distances to their nearest centre that gives
-    each point's reach.  The scan runs over _budget_slices rows of (point,
-    centre) pairs, with d^2 summed one coordinate at a time."""
-    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+def _square_distances(P, C):
+    """Yield (slice, squared distances) per _budget_slices block of rows of
+    (point, centre) pairs: the points P[slice] against every centre C, d^2
+    summed one coordinate at a time, the square of np.linalg.norm's
+    distance bit for bit."""
     for sl in _budget_slices(np.full(len(P), len(C))):
         d2 = (P[sl, None, 0] - C[:, 0]) ** 2
         for c in range(1, P.shape[1]):
             d2 += (P[sl, None, c] - C[:, c]) ** 2
+        yield sl, d2
+
+
+def _ball_pairs(P, C, reach):
+    """Row-major (point, centre) index arrays of the pairs of points P and
+    centres C with |p - c|^2 <= reach^2.  reach is a number, or a function
+    of the points' squared distances to their nearest centre that gives
+    each point's reach.  The scan runs over _square_distances rows."""
+    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for sl, d2 in _square_distances(P, C):
         r = reach(d2.min(axis=1))[:, None] if callable(reach) else reach
         i, j = np.nonzero(d2 <= r * r)
         rows.append(i + sl.start)
@@ -379,8 +385,10 @@ def build_surface(vertices, elements, *, codim2=False,
     E = np.array(elements, dtype=np.int64, order="C", copy=True)
     if V.ndim != 2 or E.ndim != 2 or E.shape[1] not in (2, 3):
         raise ParseError("need (V,n) vertices and (M,2|3) elements")
-    if not np.all(np.isfinite(V)):
-        raise ParseError("vertex coordinates must be finite")
+    # the element geometry takes fourth powers of coordinate differences,
+    # which stay finite below 1e76
+    if not np.all(np.abs(V) < 1e76):
+        raise ParseError("vertex coordinates must be finite, |x| < 1e76")
     dim_d = E.shape[1] - 1
     ambient = V.shape[1]
     if codim2 and not (dim_d == 1 and ambient == 3):
@@ -398,13 +406,7 @@ def _assemble(V, E, edges):
     """Per-element and per-vertex geometry on validated elements with the
     edge list edges."""
     dim_d = E.shape[1] - 1
-    if dim_d == 1:
-        normals, measures = _segment_geometry(V, E)
-    else:
-        normals, measures = _triangle_geometry(V, E)
-    if measures.min() <= 0:
-        raise ParseError("degenerate element with non-positive measure")
-
+    normals, measures, _ = _element_geometry(V, E)
     vm = np.zeros(len(V))
     share = measures / (dim_d + 1)
     for k in range(dim_d + 1):
@@ -430,10 +432,14 @@ def _tokens(path):
 
 def load_mesh(path) -> DiscreteHypersurface:
     """Read an ASCII OBJ (by its .obj extension) or OFF file (triangles or
-    closed polylines)."""
-    if str(path).lower().endswith(".obj"):
-        return _load_obj(path)
-    return _load_off(path)
+    closed polylines).  A malformed file raises ParseError or another
+    NlcurvError."""
+    try:
+        if str(path).lower().endswith(".obj"):
+            return _load_obj(path)
+        return _load_off(path)
+    except (ValueError, IndexError, OverflowError) as exc:
+        raise ParseError(f"malformed mesh file: {exc}") from exc
 
 
 def _load_off(path):
@@ -441,16 +447,13 @@ def _load_off(path):
     if not lines or lines[0].split()[0] != "OFF":
         raise ParseError("missing OFF header")
     rest = lines[1:] if lines[0].strip() == "OFF" else [lines[0][3:]] + lines[1:]
-    try:
-        nv, nf, _ = (int(x) for x in rest[0].split()[:3])
-        verts = [tuple(float(x) for x in rest[1 + i].split()[:3]) for i in range(nv)]
-        faces = []
-        for i in range(nf):
-            parts = rest[1 + nv + i].split()
-            k = int(parts[0])
-            faces.append(tuple(int(x) for x in parts[1:1 + k]))
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"malformed OFF file: {exc}") from exc
+    nv, nf, _ = (int(x) for x in rest[0].split()[:3])
+    verts = [tuple(float(x) for x in rest[1 + i].split()[:3]) for i in range(nv)]
+    faces = []
+    for i in range(nf):
+        parts = rest[1 + nv + i].split()
+        k = int(parts[0])
+        faces.append(tuple(int(x) for x in parts[1:1 + k]))
     return _from_polygons(verts, faces)
 
 

@@ -32,8 +32,7 @@ DEFAULTED = {
     "build_surface": ["codim2", "allow_boundary"],
     "chord_arc_constant": ["sample_pairs", "seed"],
     "energy_gradient": ["order", "diagonal_policy", "workers"],
-    "extract_patch": ["grad_bound", "grid_step", "rmax", "zmax",
-                      "compute_holder"],
+    "extract_patch": ["grad_bound", "grid_step", "rmax", "zmax"],
     "holder_seminorm": ["distance_mode"],
     "intrinsic_distances": ["sources"],
     "minimize": ["max_iter", "step0", "grad_tol", "smoothing", "order",
@@ -82,4 +81,4 @@ def test_defaulted_parameters_snapshot():
 
 
 def test_defaulted_parameter_count():
-    assert sum(map(len, _defaulted().values())) == 37
+    assert sum(map(len, _defaulted().values())) == 36

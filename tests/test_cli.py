@@ -489,6 +489,19 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "UsageError"
 
+    @pytest.mark.parametrize("text", [
+        "v 0 0 x\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 a\n",
+    ], ids=["vertex", "face"])
+    def test_malformed_obj_exit_code(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.obj"
+        bad.write_text(text)
+        rc = main(["eval", "--mesh", str(bad), "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ParseError"
+        assert not (tmp_path / "report.json").exists()
+
     def test_computation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.off"
         bad.write_text("garbage\n")
@@ -574,6 +587,19 @@ class TestCommands:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "UsageError"
+
+    @pytest.mark.parametrize("argv", [
+        ["sobolev", "--p", "sphere_icosub", "--sub", "1"],
+        ["eval", "--prim", "sphere_icosub", "--sub", "1", "--tang", "--q",
+         "6"],
+        ["probe", "--mode", "stability", "--prim", "sphere_icosub", "--sub",
+         "1", "--work", "2"],
+        ["flow", "--primitive", "sphere_icosub", "--sub", "1", "--max", "1"],
+        ["probe", "--mo", "patch", "--primitive", "sphere_icosub"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_option_prefix_rejected(self, tmp_path, capsys, argv):
+        # only whole option names: --p is not --primitive on sobolev
+        _assert_usage_error(argv, tmp_path, capsys)
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

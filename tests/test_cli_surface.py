@@ -48,6 +48,13 @@ def test_cli_option_count():
     assert sum(map(len, _options().values())) == 96
 
 
+def test_no_option_prefix_matching():
+    # a prefix such as --prim for --primitive is rejected, not expanded
+    top, commands = _build_parser()
+    assert not top.allow_abbrev
+    assert all(not parser.allow_abbrev for parser in commands.values())
+
+
 def _readme_commands():
     """argv of each `nlcurv ...` line in README's command-line block, with
     continuation lines joined."""

@@ -46,7 +46,7 @@ class TestClosedForms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             o = oracle("sphere_fmc", R=R, s=s)
-            q, _ = oracles._sphere_quad(R, s)
+            q, _ = oracles._fmc_quad(R, s, 2)
         assert abs(q - o.value) <= 1e-10 * abs(o.value)
 
     @pytest.mark.parametrize("fn", [circle_fmc, sphere_fmc])
@@ -107,11 +107,10 @@ class TestOracleEntryPoint:
                           "error_estimate"}
 
     def test_crosscheck_mismatch_raises(self, monkeypatch):
-        def off(R, s):
+        def off(R, s, d):
             return circle_fmc(R, s) * (1 + 1e-8), 0.0
 
-        monkeypatch.setitem(oracles._QUADRATURES, "circle_fmc",
-                            (circle_fmc, off))
+        monkeypatch.setattr(oracles, "_fmc_quad", off)
         with pytest.raises(ArithmeticError):
             oracle("circle_fmc", R=1.0, s=0.5)
 

@@ -101,7 +101,7 @@ class TestPatch:
     @pytest.mark.parametrize("seed", [3, 7])
     def test_patch_radii_match_extract_patch(self, seed):
         mesh = _perturbed(1, seed)
-        one = [extract_patch(mesh, v, compute_holder=False).radius
+        one = [extract_patch(mesh, v).radius
                for v in range(mesh.n_vertices)]
         assert np.array_equal(patch_radii(mesh), one)
 
@@ -117,6 +117,7 @@ class TestPatch:
         mesh = _perturbed(1)
         radii = patch_radii(mesh, grid_step=0.05)
         p = extract_patch(mesh, 5, grid_step=0.05)
+        p.grad_holder  # computed when first read: here, at the full budget
         monkeypatch.setattr(surface, "_PAIR_BUDGET", 300)
         assert np.array_equal(patch_radii(mesh, grid_step=0.05), radii)
         q = extract_patch(mesh, 5, grid_step=0.05)
@@ -125,7 +126,7 @@ class TestPatch:
 
     def test_refit_reported(self, sphere3):
         mesh = _perturbed(1)
-        charts = [extract_patch(mesh, v, compute_holder=False)
+        charts = [extract_patch(mesh, v)
                   for v in range(mesh.n_vertices)]
         assert any(c.refit_rounds == _MAX_REFIT and c.refit_residual > 1e-10
                    for c in charts)

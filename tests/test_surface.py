@@ -300,6 +300,37 @@ class TestIO:
         with pytest.raises(errors.ParseError):
             load_mesh(p)
 
+    def test_fuzzed_files_raise_only_nlcurv_errors(self, tmp_path):
+        # one to three tokens of an icosahedron OFF or OBJ replaced,
+        # deleted or inserted; load_mesh may raise nothing but an
+        # NlcurvError
+        V, F = surface._icosahedron()
+        off = [["OFF"], [str(len(V)), str(len(F)), "0"]] \
+            + [["%.17g" % x for x in v] for v in V] \
+            + [["3", *map(str, f)] for f in F]
+        obj = [["v", *("%.17g" % x for x in v)] for v in V] \
+            + [["f", *(str(i + 1) for i in f)] for f in F]
+        pool = ["x", "-1", "0", "2", "99", "1e999", "nan", "1/2", "f", "v",
+                "l", "OFF", "3", "#", "1.5", "1e300", "9" * 23]
+        rng = np.random.default_rng(0)
+        for case in range(300):
+            name, lines = ("m.off", off) if case % 2 else ("m.obj", obj)
+            lines = [list(line) for line in lines]
+            for _ in range(rng.integers(1, 4)):
+                line = lines[rng.integers(len(lines))]
+                k, op = rng.integers(len(line) + 1), rng.integers(3)
+                token = pool[rng.integers(len(pool))]
+                if op == 0:
+                    line.insert(k, token)
+                elif k < len(line):
+                    line[k:k + 1] = [token] if op == 1 else []
+            path = tmp_path / name
+            path.write_text("\n".join(map(" ".join, lines)) + "\n")
+            try:
+                load_mesh(path)
+            except errors.NlcurvError:
+                pass
+
 
 class TestGeometry:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
