@@ -21,8 +21,8 @@ from . import flow as flowmod
 from . import functionals, oracles, probes, seminorms
 from .errors import InvalidParams, NlcurvError, NonGraphical, UsageError
 from .quadrature import DIAGONAL_POLICIES, ORDERS, build_scheme
-from .surface import (EnergyParameters, PRIMITIVE_KINDS, load_mesh,
-                      make_primitive, save_off)
+from .surface import (EnergyParameters, PRIMITIVE_KINDS, _check_s,
+                      load_mesh, make_primitive, save_off)
 
 SCHEMA_VERSION = 1
 
@@ -199,15 +199,15 @@ def parse_config(argv) -> RunConfig:
             raise UsageError("probe needs --mode")
         key = "patch_all" if mode == "patch" and opts["all_vertices"] else mode
         _check_reads(opts, defaults, _MODE_READS, key, f"probe --mode {mode}")
-    if command in ("eval", "flow") and not 0.0 < opts["s"] < 1.0:
-        raise UsageError(f"s must lie in (0,1), got {opts['s']}")
     if opts.get("p", 1.0) <= 0:
         raise UsageError("p must be positive")
-    if opts.get("workers") is not None:
-        try:
+    try:
+        if command in ("eval", "flow"):
+            _check_s(opts["s"])
+        if opts.get("workers") is not None:
             functionals.get_workers(opts["workers"])
-        except InvalidParams as exc:
-            raise UsageError(str(exc)) from None
+    except InvalidParams as exc:
+        raise UsageError(str(exc)) from None
     return RunConfig(command, opts)
 
 
@@ -232,13 +232,20 @@ def _out_path(cfg, name):
     return os.path.join(cfg.options["out"], name)
 
 
+def _json(doc, indent=None):
+    """doc as sorted JSON text; a NaN or infinity, not JSON, is an error."""
+    try:
+        return json.dumps(doc, indent=indent, sort_keys=True, default=float,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise InvalidParams(f"the result is not finite: {exc}") from None
+
+
 def _write_report(cfg, payload):
-    path = _out_path(cfg, "report.json")
-    doc = {"schema_version": SCHEMA_VERSION, "run_config": cfg.to_dict(),
-           **payload}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    text = _json({"schema_version": SCHEMA_VERSION,
+                  "run_config": cfg.to_dict(), **payload}, indent=2)
+    with open(path := _out_path(cfg, "report.json"), "w") as fh:
+        fh.write(text + "\n")
     return path
 
 
@@ -381,7 +388,7 @@ def _cmd_oracle(cfg):
     o = cfg.options
     q = o["quantity"]
     val = oracles.oracle(q, **{k: o[k] for k in _ORACLE_READS[q]})
-    print(json.dumps(val.to_dict(), sort_keys=True, default=float))
+    print(_json(val.to_dict()))
     return 0
 
 
@@ -392,7 +399,9 @@ _COMMANDS = {"eval": _cmd_eval, "probe": _cmd_probe, "sobolev": _cmd_sobolev,
 def main(argv=None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
-        return _COMMANDS[cfg.command](cfg)
+        # a floating-point fault shows as _json's error, not as warnings
+        with np.errstate(all="ignore"):
+            return _COMMANDS[cfg.command](cfg)
     except NlcurvError as exc:
         print(json.dumps({"error": {"kind": type(exc).__name__,
                                     "message": str(exc)}}), file=sys.stderr)

@@ -32,8 +32,10 @@ from .quadrature import _element_samples, build_scheme
 from .surface import (
     DiscreteHypersurface,
     EnergyParameters,
+    _check_int,
     _element_geometry,
     _fork_map,
+    _positive,
 )
 
 __all__ = [
@@ -238,13 +240,10 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
     projects back to unit area; a trial is accepted only if the energy
     strictly decreases, so the accepted-energy sequence is monotone.
     """
-    if isinstance(max_iter, bool) or not (
-            isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
-        raise InvalidParams(f"max_iter must be a positive integer, got "
-                            f"{max_iter!r}")
-    if not (0.0 < step0 < np.inf) or not np.isfinite(grad_tol):
-        raise InvalidParams("step0 must be finite and positive and grad_tol "
-                            "finite")
+    _check_int("max_iter", max_iter, 1)
+    _positive("step0", step0)
+    if not np.isfinite(grad_tol):
+        raise InvalidParams(f"grad_tol must be finite, got {grad_tol}")
     if not params.subcritical(mesh.dim_d):
         warnings.warn("p <= d/s: energy is not subcritical; descent may "
                       "not be meaningful", stacklevel=2)

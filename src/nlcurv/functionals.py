@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidParams, UnsupportedMode
-from .surface import _PAIR_BUDGET, _fork_map, _rotation_to_z, _vertex_indices
+from .surface import (_PAIR_BUDGET, _check_int, _fork_map, _rotation_to_z,
+                      _vertex_indices)
 
 __all__ = [
     "EnergyReport",
@@ -37,22 +38,14 @@ _PAIR_CUTOFF = 1e-14  # times diameter: closer non-excluded pairs are an error
 def get_workers(workers=None) -> int:
     """Worker-process count: explicit argument, else NLCURV_WORKERS, else 1.
 
-    A bool or a non-integral number raises InvalidParams rather than being
-    truncated.
+    A bool or a float raises InvalidParams rather than being truncated.
     """
     if workers is None:
         workers = os.environ.get("NLCURV_WORKERS", "1")
-    try:
-        count = int(workers)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if isinstance(workers, (bool, np.bool_)) or count is None \
-            or not (isinstance(workers, str) or count == workers):
-        raise InvalidParams(
-            f"worker count must be an integer, got {workers!r}")
-    if count < 1:
-        raise InvalidParams("worker count must be >= 1")
-    return count
+    if isinstance(workers, str) and workers.strip().isdecimal():
+        workers = int(workers)
+    _check_int("worker count", workers, 1)
+    return int(workers)
 
 
 @dataclass(frozen=True)
@@ -410,6 +403,8 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
     workers = get_workers(workers)
     vertices = np.arange(mesh.n_vertices) if vertices is None \
         else np.atleast_1d(_vertex_indices(mesh, vertices))
+    if not len(vertices):
+        return np.empty(0)
     X = mesh.vertices[vertices]
     expo = mesh.dim_d + 1 + params.s
     power = None if kind == "H" else 1.0

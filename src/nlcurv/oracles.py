@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
+from .surface import _check_int, _check_s, _positive
 
 __all__ = [
     "OracleValue",
@@ -36,22 +37,6 @@ class OracleValue:
                 "error_estimate": self.error_estimate}
 
 
-def _check_rs(R, s):
-    if R <= 0:
-        raise InvalidParams(f"radius must be positive, got {R}")
-    if not (0.0 < s < 1.0):
-        raise InvalidParams(f"s must lie in (0,1), got {s}")
-
-
-def _check_dsp(d, s, p):
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidParams(f"d must be a positive integer, got {d!r}")
-    if not (0.0 < s < 1.0):
-        raise InvalidParams(f"s must lie in (0,1), got {s}")
-    if not (0.0 < p < np.inf):
-        raise InvalidParams(f"p must lie in (0,inf), got {p}")
-
-
 def circle_fmc(R, s):
     """Fractional mean curvature of a circle of radius R (c_s = 1, d = 1).
 
@@ -59,7 +44,8 @@ def circle_fmc(R, s):
     """
     from scipy.special import gamma
 
-    _check_rs(R, s)
+    _positive("R", R)
+    _check_s(s)
     return (-(2.0 ** -s) * R ** -s * np.sqrt(np.pi)
             * gamma((1 - s) / 2) / gamma(1 - s / 2))
 
@@ -69,7 +55,8 @@ def sphere_fmc(R, s):
 
     Closed form: -2^{1-s} pi R^{-s} / (1 - s).
     """
-    _check_rs(R, s)
+    _positive("R", R)
+    _check_s(s)
     return -(2.0 ** (1 - s)) * np.pi * R ** -s / (1 - s)
 
 
@@ -77,13 +64,14 @@ def _fmc_quad(R, s, d):
     """(quad, err) of H_s on the round d-sphere of radius R (d = 1, 2) in
     the half angle u = t/2 about x: chord 2R sin(u), pairing -2R sin^2(u),
     measure 2R du on (0, pi) folded onto (0, pi/2), or the ring 8 pi R^2
-    sin(u) cos(u) du.  That is -c R^m (2R)^{-m-s} int_0^{pi/2} sin(u)^{-s}
-    cos(u)^{d-1} du, (c, m) = (4, 1) or (16 pi, 3); quad's algebraic
-    weight takes the u^{-s} endpoint singularity."""
+    sin(u) cos(u) du.  That is -c R^m (2R)^{-m-s} = -c 2^{-m-s} R^{-s}, in
+    which no power overflows, times int_0^{pi/2} sin(u)^{-s} cos(u)^{d-1}
+    du, (c, m) = (4, 1) or (16 pi, 3); quad's algebraic weight takes the
+    u^{-s} endpoint singularity."""
     from scipy import integrate
 
     c, m = (4, 1) if d == 1 else (16 * np.pi, 3)
-    scale = -c * R ** m * (2 * R) ** (-m - s)
+    scale = -c * 2.0 ** (-m - s) * R ** -s
     quad, err = integrate.quad(
         lambda u: np.sinc(u / np.pi) ** -s * np.cos(u) ** (d - 1),
         0, np.pi / 2, weight="alg", wvar=(-s, 0), epsabs=1e-13,
@@ -93,8 +81,7 @@ def _fmc_quad(R, s, d):
 
 def tangent_radius_circle(R):
     """Tangent-point radius between any two points of a circle: 2R."""
-    if R <= 0:
-        raise InvalidParams(f"radius must be positive, got {R}")
+    _positive("R", R)
     return 2.0 * R
 
 
@@ -123,6 +110,8 @@ def oracle(quantity, **inputs) -> OracleValue:
         # homogeneity degree of W_{s,p} and B_{s,p} under rescaling: d - s*p
         d, s = inputs.get("d", 2), inputs.get("s", 0.5)
         p = inputs.get("p", 4.0)
-        _check_dsp(d, s, p)
+        _check_int("d", d, 1)
+        _check_s(s)
+        _positive("p", p)
         return OracleValue(quantity, inputs, d - s * p, "closed form", 0.0)
     raise InvalidParams(f"unknown oracle quantity {quantity!r}")

@@ -20,10 +20,12 @@ from .geodesics import intrinsic_distances
 from .seminorms import ScalarField, _holder_max, sobolev_seminorm
 from .surface import (
     DiscreteHypersurface,
+    _PAIR_BUDGET,
     _ball_pairs,
     _budget_slices,
-    _check_seed,
+    _check_int,
     _fork_map,
+    _positive,
     _rotation_to_z,
     _square_distances,
     _vertex_indices,
@@ -156,11 +158,15 @@ def _raycast_heights(TP, owner, nb, delta, nh, zmax, tol):
 
 def _grid_half(grad_bound, grid_step, rmax, zmax):
     """Grid nodes on each side of a patch's origin, once the patch options
-    are checked."""
-    if not all(0.0 < v < np.inf for v in (grad_bound, grid_step, rmax, zmax)):
-        raise InvalidParams("grad_bound, grid_step, rmax and zmax must be "
-                            "finite and positive")
-    return int(np.floor(rmax / grid_step + 1e-12))
+    are checked: 1 to _PAIR_BUDGET / 16, so that a grid has a fit window
+    and at most a few million nodes."""
+    _positive("grad_bound, grid_step, rmax and zmax", grad_bound, grid_step,
+              rmax, zmax)
+    half = np.floor(rmax / grid_step + 1e-12)
+    if not 1 <= half <= _PAIR_BUDGET // 16:
+        raise InvalidParams(f"rmax / grid_step gives {half:g} grid nodes on "
+                            f"each side, not 1 to {_PAIR_BUDGET // 16}")
+    return int(half)
 
 
 def _local_corners(X, F, base, R):
@@ -400,8 +406,10 @@ def ahlfors_ratio(mesh: DiscreteHypersurface, vertex, radii):
     The measure is exact, in closed form per segment or triangle.
     """
     radii = np.atleast_1d(np.asarray(radii, float))
-    if not np.all((radii > 0) & (radii <= mesh.diameter)):
-        raise InvalidParams("radii must lie in (0, diameter]")
+    # the measure takes r^2, which must not underflow to 0
+    if not np.all((radii <= mesh.diameter)
+                  & (np.clip(radii, 0, mesh.diameter) ** 2 > 0)):
+        raise InvalidParams("radii must lie in (0, diameter], with r^2 > 0")
     x = mesh.vertices[int(_vertex_indices(mesh, vertex))]
     return [(r, _ball_measure(mesh, x, r) / r ** mesh.dim_d)
             for r in radii.tolist()]
@@ -417,12 +425,10 @@ def chord_arc_constant(mesh: DiscreteHypersurface, sample_pairs=20000, seed=0):
     Sources are seeded random vertices; each source contributes all V
     pairs, so gamma is a max over >= sample_pairs pairs (or all of them).
     """
-    if not 1 <= sample_pairs < np.inf:
-        raise InvalidParams(f"sample_pairs must be finite and >= 1, got "
-                            f"{sample_pairs}")
-    _check_seed(seed)
+    _check_int("sample_pairs", sample_pairs, 1)
+    _check_int("seed", seed, 0)
     V = mesh.n_vertices
-    n_src = min(V, max(1, -(-int(sample_pairs) // V)))
+    n_src = min(V, max(1, -(-sample_pairs // V)))
     rng = np.random.default_rng(seed)
     sources = np.sort(rng.choice(V, size=n_src, replace=False))
     D = intrinsic_distances(mesh, sources)

@@ -13,7 +13,8 @@ from .errors import DegeneratePatch, InvalidParams
 from .functionals import get_workers
 # intrinsic_distances stays bound here: bench/test_bench.py reads the binding
 from .geodesics import _search, intrinsic_distances  # noqa: F401
-from .surface import DiscreteHypersurface, _square_distances
+from .surface import (DiscreteHypersurface, _check_s, _positive,
+                      _square_distances)
 
 __all__ = [
     "ScalarField",
@@ -182,10 +183,8 @@ def graph_linearization_functional(patch, s, p):
     The p-th power (not its root) is returned, so the value is
     lambda^{d-sp} homogeneous under patch rescaling.
     """
-    if not (0.0 < s < 1.0):
-        raise InvalidParams(f"s must lie in (0,1), got {s}")
-    if not (0 < p < np.inf):
-        raise InvalidParams(f"p must be finite and positive, got {p}")
+    _check_s(s)
+    _positive("p", p)
     X, f, G = _patch_arrays(patch)
     d = X.shape[1]
     cell = patch.grid_step ** d
@@ -204,8 +203,7 @@ def morrey_check(patch, s, p):
     rhs: graph_linearization_functional^{1/p}.
     The constant is not asserted; callers track the ratio.
     """
-    if not (0 < p < np.inf):
-        raise InvalidParams(f"p must be finite and positive, got {p}")
+    _positive("p", p)
     X, f, G = _patch_arrays(patch)
     d = X.shape[1]
     if s <= d / p:

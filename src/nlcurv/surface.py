@@ -127,11 +127,9 @@ class DiscreteHypersurface:
         """Same elements, new vertex positions: only the geometry is
         recomputed, and the elements are never re-oriented, so the new mesh
         shares this one's edge list."""
-        V = np.array(vertices, dtype=float, order="C", copy=True)
+        V = _coordinates(vertices)
         if V.shape != self.vertices.shape:
             raise ParseError(f"need vertices of shape {self.vertices.shape}")
-        if not np.all(np.abs(V) < 1e76):
-            raise ParseError("vertex coordinates must be finite, |x| < 1e76")
         return _assemble(V, self.elements, self.edges)
 
 
@@ -148,10 +146,8 @@ class EnergyParameters:
     normalization: str = "raw"
 
     def __post_init__(self):
-        if not (0.0 < self.s < 1.0):
-            raise InvalidParams(f"s must lie in (0,1), got {self.s}")
-        if not (0.0 < self.p < np.inf):
-            raise InvalidParams(f"p must be finite and positive, got {self.p}")
+        _check_s(self.s)
+        _positive("p", self.p)
         if self.normalization not in ("raw", "limit_normalized"):
             raise InvalidParams(f"unknown normalization {self.normalization!r}")
 
@@ -200,6 +196,37 @@ def _rotation_to_z(n):
     v = np.array([n[1], -n[0], 0.0])          # n x e_z
     K = np.array([[0, 0, v[1]], [0, 0, -v[0]], [-v[1], v[0], 0]])
     return np.eye(3) + K + K @ K / (1 + c)
+
+
+def _check_s(s):
+    """Raise InvalidParams unless 0 < s < 1."""
+    if not 0.0 < s < 1.0:
+        raise InvalidParams(f"s must lie in (0,1), got {s}")
+
+
+def _positive(what, *values):
+    """Raise InvalidParams unless every value is positive and finite."""
+    if not all(0 < v < np.inf for v in values):
+        raise InvalidParams(f"{what} must be positive and finite")
+
+
+def _check_int(what, value, least):
+    """Raise InvalidParams unless value is an integer >= least; a bool or a
+    float is not one, so it is rejected, not truncated."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       and value >= least):
+        raise InvalidParams(f"{what} must be an integer >= {least}, got "
+                            f"{value!r}")
+
+
+def _coordinates(vertices):
+    """vertices as a new C-ordered float array; ParseError unless every
+    coordinate is finite with |x| < 1e76, below which the element
+    geometry's fourth powers of coordinate differences stay finite."""
+    V = np.array(vertices, dtype=float, order="C", copy=True)
+    if not np.all(np.abs(V) < 1e76):
+        raise ParseError("vertex coordinates must be finite, |x| < 1e76")
+    return V
 
 
 def _vertex_indices(mesh, v):
@@ -322,14 +349,6 @@ def _fork_map(share, cost, width, workers):
     return out
 
 
-def _check_seed(seed):
-    """Raise InvalidParams unless seed is a non-negative integer."""
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer))
-                                      and seed >= 0):
-        raise InvalidParams(f"seed must be a non-negative integer, got "
-                            f"{seed!r}")
-
-
 def _signed_volume(vertices, elements):
     """Signed enclosed volume (d=2) or signed area (d=1 in the plane)."""
     if elements.shape[1] == 3:
@@ -373,31 +392,27 @@ def _edge_table(E, n, allow_boundary):
     return np.stack([keys // n, keys % n], axis=1)
 
 
-def build_surface(vertices, elements, *, codim2=False,
+def build_surface(vertices, elements, *,
                   allow_boundary=False) -> DiscreteHypersurface:
     """Assemble and validate a DiscreteHypersurface from raw arrays.
 
-    Closed meshes are re-oriented outward (positive signed volume) by a
-    single global flip when needed.  ``allow_boundary`` admits open test
+    The array widths give the mode: segments in the plane or in 3-space
+    (codimension 2), or triangles in 3-space.  Closed hypersurfaces are
+    re-oriented outward (positive signed volume) by a single global flip
+    when needed.  ``allow_boundary`` admits open test
     fixtures and skips the closedness and volume-sign checks.
     """
-    V = np.array(vertices, dtype=float, order="C", copy=True)
+    V = _coordinates(vertices)
     E = np.array(elements, dtype=np.int64, order="C", copy=True)
-    if V.ndim != 2 or E.ndim != 2 or E.shape[1] not in (2, 3):
-        raise ParseError("need (V,n) vertices and (M,2|3) elements")
-    # the element geometry takes fourth powers of coordinate differences,
-    # which stay finite below 1e76
-    if not np.all(np.abs(V) < 1e76):
-        raise ParseError("vertex coordinates must be finite, |x| < 1e76")
-    dim_d = E.shape[1] - 1
-    ambient = V.shape[1]
-    if codim2 and not (dim_d == 1 and ambient == 3):
-        raise InvalidParams("codimension-2 mode supports curves in 3-space only")
-    if not codim2 and ambient != dim_d + 1:
-        raise InvalidParams(f"ambient dimension {ambient} does not match d={dim_d}")
+    if V.ndim != 2 or E.ndim != 2 or E.shape[1] not in (2, 3) or not len(E):
+        raise ParseError("need (V,n) vertices and (M,2|3) elements, M >= 1")
+    if (E.shape[1], V.shape[1]) not in ((2, 2), (2, 3), (3, 3)):
+        raise InvalidParams(f"need segments in 2- or 3-space or triangles "
+                            f"in 3-space, got shapes {V.shape}, {E.shape}")
 
     edges = _edge_table(E, len(V), allow_boundary)
-    if not allow_boundary and not codim2 and _signed_volume(V, E) < 0:
+    if not allow_boundary and V.shape[1] == E.shape[1] \
+            and _signed_volume(V, E) < 0:
         E = E[:, ::-1].copy()
     return _assemble(V, E, edges)
 
@@ -478,15 +493,13 @@ def _from_polygons(verts, faces):
         raise ParseError("vertex lines hold different numbers of coordinates")
     verts = np.array(verts)
     sizes = {len(f) for f in faces}
-    if sizes == {2}:
-        # a curve in the z = 0 plane is a plane curve; any other is a curve
-        # in 3-space (codimension 2)
-        planar = verts.shape[1] != 3 or np.allclose(verts[:, 2], 0.0)
-        return build_surface(verts[:, :2] if planar else verts,
-                             np.array(faces), codim2=not planar)
-    if sizes == {3}:
-        return build_surface(verts, np.array(faces))
-    raise ParseError(f"unsupported polygon sizes {sorted(sizes)}")
+    if sizes not in ({2}, {3}):
+        raise ParseError(f"unsupported polygon sizes {sorted(sizes)}")
+    # a curve in the z = 0 plane is a plane curve; any other is a curve in
+    # 3-space (codimension 2)
+    if sizes == {2} and (verts.shape[1] != 3 or np.allclose(verts[:, 2], 0)):
+        verts = verts[:, :2]
+    return build_surface(verts, np.array(faces))
 
 
 def save_off(mesh: DiscreteHypersurface, path) -> None:
@@ -543,8 +556,7 @@ def _subdivide_project(V, F):
 
 def unit_icosphere(subdivisions: int):
     """Unit-radius icosphere directions and faces (midpoints re-projected)."""
-    if subdivisions < 0:
-        raise InvalidParams("subdivision level must be >= 0")
+    _check_int("subdivisions", subdivisions, 0)
     V, F = _icosahedron()
     for _ in range(subdivisions):
         V, F = _subdivide_project(V, F)
@@ -606,15 +618,8 @@ def _revolve(prof_x, prof_r, n_theta):
     return V, np.asarray(F)
 
 
-def _positive(what, *values):
-    """Raise InvalidParams unless every value is positive and finite."""
-    if not all(0 < v < np.inf for v in values):
-        raise InvalidParams(f"{what} must be positive and finite")
-
-
 def _circle(radius=1.0, n=64, ambient=2):
-    if n < 8:
-        raise InvalidParams("circle needs at least 8 vertices")
+    _check_int("circle vertex count n", n, 8)
     if ambient not in (2, 3):
         raise InvalidParams(f"circle ambient dimension must be 2 or 3, got "
                             f"{ambient!r}")
@@ -622,9 +627,7 @@ def _circle(radius=1.0, n=64, ambient=2):
     th = 2 * np.pi * np.arange(n) / n
     V = radius * np.stack([np.cos(th), np.sin(th)], 1)
     E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
-    if ambient == 3:
-        return build_surface(np.c_[V, np.zeros(n)], E, codim2=True)
-    return build_surface(V, E)
+    return build_surface(np.c_[V, np.zeros(n)] if ambient == 3 else V, E)
 
 
 def _sphere_icosub(radius=1.0, subdivisions=3):
@@ -671,7 +674,7 @@ def _perturbed_sphere(radius=1.0, amplitude=0.0, seed=0, subdivisions=3):
     _positive("radius", radius)
     if not np.isfinite(amplitude):
         raise InvalidParams("perturbation amplitude must be finite")
-    _check_seed(seed)
+    _check_int("seed", seed, 0)
     V, F = unit_icosphere(subdivisions)
     if amplitude == 0.0:
         return build_surface(radius * V, F)
@@ -734,8 +737,7 @@ def make_primitive(kind: str, **params) -> DiscreteHypersurface:
 
 def rescale(mesh: DiscreteHypersurface, lam: float) -> DiscreteHypersurface:
     """Scale about the origin by lam > 0; measures scale by lam**d."""
-    if lam <= 0:
-        raise InvalidParams("scale factor must be positive")
+    _positive("scale factor", lam)
     return mesh.with_vertices(mesh.vertices * lam)
 
 

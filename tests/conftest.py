@@ -36,7 +36,7 @@ def make_trefoil(n=96):
     V = np.stack([np.sin(t) + 2 * np.sin(2 * t),
                   np.cos(t) - 2 * np.cos(2 * t), -np.sin(3 * t)], 1)
     E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
-    return build_surface(V, E, codim2=True)
+    return build_surface(V, E)
 
 
 def make_bumpy_polygon(ambient=2, n=64):
@@ -48,7 +48,7 @@ def make_bumpy_polygon(ambient=2, n=64):
     E = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
     if ambient == 3:
         V = np.c_[V, 0.2 * np.sin(3 * th)]
-    return build_surface(V, E, codim2=ambient == 3)
+    return build_surface(V, E)
 
 
 def make_flat_strip(n=32, scale=1.0):

@@ -29,7 +29,7 @@ DEFAULTED = {
     "EnergyParameters": ["p", "normalization"],
     "bending_energy": ["workers"],
     "build_scheme": ["order", "diagonal_policy"],
-    "build_surface": ["codim2", "allow_boundary"],
+    "build_surface": ["allow_boundary"],
     "chord_arc_constant": ["sample_pairs", "seed"],
     "energy_gradient": ["order", "diagonal_policy", "workers"],
     "extract_patch": ["grad_bound", "grid_step", "rmax", "zmax"],
@@ -81,4 +81,4 @@ def test_defaulted_parameters_snapshot():
 
 
 def test_defaulted_parameter_count():
-    assert sum(map(len, _defaulted().values())) == 36
+    assert sum(map(len, _defaulted().values())) == 35

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from nlcurv import functionals
-from nlcurv.cli import _MODE_READS, _PRIMITIVE_READS, main, parse_config
+from nlcurv.cli import (_MODE_READS, _ORACLE_READS, _PRIMITIVE_READS,
+                        _build_parser, main, parse_config)
 from nlcurv.errors import UsageError
 from nlcurv.quadrature import build_scheme
 from nlcurv.surface import EnergyParameters, make_primitive
@@ -620,3 +621,78 @@ class TestCommands:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "InvalidParams"
+
+
+# every float option of every command, and the two comma-separated number
+# lists, each with the arguments of a primitive, probe mode or oracle
+# quantity that reads it
+_SPHERE1 = ["--primitive", "sphere_icosub", "--sub", "1"]
+_MESH_NUMBERS = {"radius": _SPHERE1,
+                 "amp": ["--primitive", "perturbed_sphere", "--sub", "1"],
+                 "major": ["--primitive", "torus"],
+                 "minor": ["--primitive", "torus"],
+                 "neck": ["--primitive", "dumbbell"],
+                 "semi_axes": ["--primitive", "ellipsoid", "--sub", "1"]}
+_MESH_COMMANDS = {"eval": [], "probe": ["--mode", "chordarc", "--pairs", "50"],
+                  "sobolev": [], "flow": ["--max-iter", "1"]}
+NUMBER_OPTIONS = [
+    (command, name, [command, *mesh, *reads])
+    for command, reads in _MESH_COMMANDS.items()
+    for name, mesh in _MESH_NUMBERS.items()
+] + [
+    (command, name, [command, *_SPHERE1, *reads])
+    for command, name, reads in [
+        ("eval", "s", []), ("eval", "p", []),
+        ("eval", "q", ["--tangent-point"]),
+        ("probe", "grad_bound", ["--mode", "patch"]),
+        ("probe", "grid_step", ["--mode", "patch"]),
+        ("probe", "radii", ["--mode", "ahlfors"]),
+        ("probe", "alpha", ["--mode", "stability"]),
+        ("probe", "hq", ["--mode", "stability"]),
+        ("sobolev", "alpha", []), ("sobolev", "fq", []),
+        ("sobolev", "beta", []),
+        ("flow", "s", ["--max-iter", "1"]), ("flow", "p", ["--max-iter", "1"]),
+        ("flow", "step0", ["--max-iter", "1"]),
+        ("flow", "grad_tol", ["--max-iter", "1"])]
+] + [("oracle", name, ["oracle", quantity])
+     for quantity, names in _ORACLE_READS.items() for name in names
+     if name != "d"]
+EXTREMES = ["nan", "inf", "-inf", "1e300", "1e-300"]
+
+
+def test_number_sweep_covers_every_float_option():
+    _, commands = _build_parser()
+    floats = {(command, a.dest) for command, parser in commands.items()
+              for a in parser._actions if a.type is float}
+    assert floats <= {(command, name) for command, name, _ in NUMBER_OPTIONS}
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (argv, name, value) for _, name, argv in NUMBER_OPTIONS
+    for value in EXTREMES
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_extreme_number(tmp_path, capsys, argv, name, value):
+    # main returns: 0 with finite numbers only, otherwise a JSON error
+    value = f"1,{value},2" if name == "semi_axes" else value
+    out = [] if argv[0] == "oracle" else ["--out", str(tmp_path)]
+    rc = main([*argv, f"{_flag(name)}={value}", *out])
+    stdout, stderr = capsys.readouterr()
+    if rc != 0:
+        assert rc in (1, 2) and json.loads(stderr)["error"]["kind"]
+    elif out:
+        read_report(tmp_path)
+    else:
+        json.loads(stdout, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", *_SPHERE1, "--p", "1e300"],
+    ["eval", *_SPHERE1, "--tangent-point", "--q", "1e300"],
+    ["probe", *_SPHERE1, "--mode", "stability", "--hq", "1e300"],
+    ["sobolev", *_SPHERE1, "--fq", "1e300"],
+], ids=lambda argv: " ".join(argv[3:]))
+def test_non_finite_result_writes_no_report(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == \
+        "InvalidParams"
+    assert not (tmp_path / "report.json").exists()

@@ -514,3 +514,18 @@ class TestWorkers:
         monkeypatch.setenv("NLCURV_WORKERS", "abc")
         with pytest.raises(InvalidParams):
             get_workers()
+
+
+@pytest.mark.parametrize("kind", ["H", "A"])
+@pytest.mark.parametrize("name", ["circle128", "sphere1"])
+def test_pointwise_no_vertices(request, name, kind):
+    mesh = request.getfixturevalue(name)
+    out = pointwise_curvature(mesh, build_scheme(mesh), PARAMS, [], kind)
+    assert out.shape == (0,) and out.dtype == float
+
+
+@pytest.mark.parametrize("workers", [2.0, np.float64(2), np.bool_(True),
+                                     "2.5"])
+def test_worker_count_is_an_integer(workers):
+    with pytest.raises(InvalidParams):
+        get_workers(workers)

@@ -117,3 +117,21 @@ class TestOracleEntryPoint:
     def test_unknown(self):
         with pytest.raises(InvalidParams):
             oracle("klein_bottle_fmc")
+
+
+@pytest.mark.parametrize("R", [float("nan"), float("inf")])
+@pytest.mark.parametrize("quantity", ["circle_fmc", "sphere_fmc",
+                                      "tangent_radius_circle"])
+def test_radius_positive_and_finite(quantity, R):
+    with pytest.raises(InvalidParams):
+        oracle(quantity, R=R)
+
+
+@pytest.mark.parametrize("R", [1e-300, 1e200, 1e300])
+@pytest.mark.parametrize("s", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("quantity, closed", [("circle_fmc", circle_fmc),
+                                              ("sphere_fmc", sphere_fmc)])
+def test_extreme_radius_crosscheck(quantity, closed, R, s):
+    # the quadrature's scale R^m (2R)^{-m-s} is taken as 2^{-m-s} R^{-s}
+    val = oracle(quantity, R=R, s=s)
+    assert val.value == closed(R, s) and np.isfinite(val.error_estimate)

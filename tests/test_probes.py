@@ -419,3 +419,22 @@ class TestBallPairs:
             with monkeypatch.context() as m:
                 m.setattr(probes, "_ball_pairs", _all_pairs)
                 assert np.array_equal(_dist_to_surface(P, mesh), d)
+
+
+@pytest.mark.parametrize("kw", [{"grid_step": 1e-300}, {"grid_step": 1e300},
+                                {"grid_step": 0.7}, {"rmax": 1e300},
+                                {"grid_step": 1e-4}])
+def test_patch_grid_size_checked(kw):
+    # a grid with no fit window or with tens of millions of nodes
+    mesh = make_primitive("sphere_icosub", subdivisions=1)
+    with pytest.raises(InvalidParams):
+        extract_patch(mesh, 0, **kw)
+    with pytest.raises(InvalidParams):
+        patch_radii(mesh, [0], **kw)
+
+
+@pytest.mark.parametrize("kind, kw", [("sphere_icosub", {"subdivisions": 1}),
+                                      ("circle", {"n": 64})])
+def test_ahlfors_radius_whose_square_underflows(kind, kw):
+    with pytest.raises(InvalidParams):
+        ahlfors_ratio(make_primitive(kind, **kw), 0, [0.5, 1e-200])

@@ -422,3 +422,40 @@ class TestEnergyParameters:
     def test_invalid(self, kw):
         with pytest.raises(errors.InvalidParams):
             EnergyParameters(**kw)
+
+
+class TestParameterDomains:
+    """One check per domain: integer counts, positive scales, the mode."""
+
+    @pytest.mark.parametrize("kind, kw", [
+        ("circle", {"n": 8.5}), ("circle", {"n": 9.0}),
+        ("sphere_icosub", {"subdivisions": True}),
+    ])
+    def test_integer_counts(self, kind, kw):
+        # rejected, not rounded or read as 1
+        with pytest.raises(errors.InvalidParams):
+            make_primitive(kind, **kw)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_rescale_non_finite(self, sphere2, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.InvalidParams):
+                rescale(sphere2, lam)
+
+    def test_no_elements(self):
+        with pytest.raises(errors.ParseError):
+            build_surface(np.zeros((3, 3)), np.empty((0, 3), int))
+
+    def test_mode_from_array_widths(self):
+        plane = make_primitive("circle", n=16)
+        space = build_surface(np.c_[plane.vertices, np.zeros(16)],
+                              plane.elements)
+        assert not plane.codim2 and space.codim2
+        assert space.element_normals.shape == (0, 3)
+        sphere = make_primitive("sphere_icosub", subdivisions=0)
+        for V, E in [(sphere.vertices[:, :2], sphere.elements),
+                     (np.c_[space.vertices, np.ones(16)], plane.elements),
+                     (plane.vertices[:, :1], plane.elements)]:
+            with pytest.raises(errors.InvalidParams):
+                build_surface(V, E)
