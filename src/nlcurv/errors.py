@@ -45,9 +45,5 @@ class StallError(NlcurvError):
     """Line search could not find a descent step above the minimum step size."""
 
 
-class MeshDegenerationError(NlcurvError):
-    """An element measure collapsed below the degeneration threshold."""
-
-
 class UsageError(NlcurvError):
     """Bad command line or config input (CLI exit code 2)."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, MeshDegenerationError, StallError
+from .errors import DegenerateGeometry, InvalidParams, ParseError, StallError
 from .functionals import (
     _PAIR_CUTOFF,
     _inner_data,
@@ -238,7 +238,10 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
 
     Each trial applies the step (and optional tangential smoothing), then
     projects back to unit area; a trial is accepted only if the energy
-    strictly decreases, so the accepted-energy sequence is monotone.
+    strictly decreases, so the accepted-energy sequence is monotone.  A
+    trial whose step moves coordinates out of range, collapses or
+    degenerates an element, or brings two samples together is rejected
+    like one that raises the energy.
     """
     _check_int("max_iter", max_iter, 1)
     _positive("step0", step0)
@@ -268,16 +271,17 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
             break
         accepted = False
         while step >= _MIN_STEP:
-            Vt = mesh.vertices - step * grad
-            trial = mesh.with_vertices(Vt)
-            if smoothing:
-                trial = trial.with_vertices(
-                    _smooth_tangential(trial, _SMOOTHING_ETA))
-            trial = _project_area(trial)
-            if trial.element_measures.min() < 1e-10 * min_measure0:
-                raise MeshDegenerationError(
-                    f"element collapsed at iteration {it}")
-            e_trial = _bending(trial, params, order, diagonal_policy, workers)
+            try:
+                trial = mesh.with_vertices(mesh.vertices - step * grad)
+                if smoothing:
+                    trial = trial.with_vertices(
+                        _smooth_tangential(trial, _SMOOTHING_ETA))
+                trial = _project_area(trial)
+                collapsed = trial.element_measures.min() < 1e-10 * min_measure0
+                e_trial = np.inf if collapsed else _bending(
+                    trial, params, order, diagonal_policy, workers)
+            except (ParseError, DegenerateGeometry):
+                e_trial = np.inf
             if e_trial < energy:
                 mesh, energy = trial, e_trial
                 accepted = True

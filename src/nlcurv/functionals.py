@@ -302,7 +302,7 @@ def _surface_star_terms(mesh, s, kind, verts, corners, owner, adj):
     tangent plane; this is the polar-coordinate integral of the leading
     term u^T A u / 2 |u|^{-3-s} over the triangle.
     """
-    frames = np.array([_rotation_to_z(n) for n in mesh.vertex_normals[verts]])
+    frames = _rotation_to_z(mesh.vertex_normals[verts])
     A = np.array([_shape_operator(mesh, v, f, adj)
                   for v, f in zip(verts, frames)])
     T = frames[owner, :2]

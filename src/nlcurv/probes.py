@@ -91,66 +91,82 @@ _HOLDER_EXPONENT = 0.25  # of the gradient Hölder quotient grad_holder
 _MAX_REFIT = 12  # base point and rotation refits before the final raycast
 
 
-def _raycast_heights(TP, owner, nb, delta, nh, zmax, tol):
+def _raycast_heights(TP, owner, nb, delta, nh, zmax, tol, disc=np.inf):
     """Vertical-ray heights of nb patches over the regular (2nh+1)^2 grid
     with spacing delta.  TP holds triangle corners, each in the local frame
     of the patch `owner` names.  Node (i, j) sits at ((i-nh)d, (j-nh)d) and
-    has flat index i*(2nh+1)+j.
+    has flat index i*(2nh+1)+j.  Nodes farther than disc steps from the
+    origin are left out (not valid).
 
-    Each triangle is rasterized onto the few grid nodes inside its bbox, in
-    chunks of at most _PAIR_BUDGET (triangle, node) pairs; hits are
-    aggregated per node by count, max and min, which ignore order.  valid
-    means at least one hit within the |z| <= zmax slab with all hits
-    clustered within tol (one sheet).
+    Each triangle is rasterized onto the grid nodes inside its bbox, row by
+    row: in chunks of at most _PAIR_BUDGET (triangle, row) pairs, each cut
+    into chunks of at most _PAIR_BUDGET (triangle, node) pairs.  The
+    barycentric terms that depend only on the row are taken once per
+    (triangle, row).  Hits are aggregated per node by count, max and min,
+    which ignore order.  valid means at least one hit within the |z| <= zmax
+    slab with all hits clustered within tol (one sheet).
     """
     n = 2 * nh + 1
-    fz = TP[:, :, 2]
-    near = (fz.min(axis=1) <= zmax) & (fz.max(axis=1) >= -zmax)
-    A, B, C = (TP[near, c, :2] for c in range(3))
-    zT, owner = fz[near], owner[near]
-    den = (B[:, 0] - A[:, 0]) * (C[:, 1] - A[:, 1]) \
-        - (B[:, 1] - A[:, 1]) * (C[:, 0] - A[:, 0])
-    ok = np.abs(den) > 1e-14
+    T = TP.transpose(1, 2, 0)  # (corner, coordinate, triangle)
+    lo, hi = functools.reduce(np.minimum, T), functools.reduce(np.maximum, T)
+    near = (lo[2] <= zmax) & (hi[2] >= -zmax)
+    T = T[:, :, near]
+    (ax, ay, _), (bx, by, _), (cx, cy, _) = T
+    den = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    # grid-node candidates per triangle from its 2-D bbox, as (x, y) rows
+    i0 = np.clip(np.ceil(lo[:2, near] / delta + nh - 1e-9).astype(int), 0,
+                 n - 1)
+    i1 = np.clip(np.floor(hi[:2, near] / delta + nh + 1e-9).astype(int), -1,
+                 n - 1)
+    ok = (np.abs(den) > 1e-14) & (i1[0] >= i0[0]) & (i1[1] >= i0[1])
+    # per-triangle scalars as contiguous rows, for the gathers below
+    ax, ay, z0, bx, by, z1, cx, cy, z2, den = np.concatenate(
+        [T.reshape(9, -1), den[None]])[:, ok]
+    (x0, y0), (x1, y1) = i0[:, ok], i1[:, ok]
+    off = owner[near][ok] * (n * n)
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
 
-    # grid-node candidates per triangle from its 2-D bbox
-    fxy = np.stack([A, B, C], 1)
-    lo = fxy.min(axis=1) / delta + nh
-    hi = fxy.max(axis=1) / delta + nh
-    i0 = np.clip(np.ceil(lo - 1e-9).astype(int), 0, n - 1)
-    i1 = np.clip(np.floor(hi + 1e-9).astype(int), -1, n - 1)
-    ok &= (i1[:, 0] >= i0[:, 0]) & (i1[:, 1] >= i0[:, 1])
-    A, B, C, zT, den, i0, i1, owner = (
-        a[ok] for a in (A, B, C, zT, den, i0, i1, owner))
-    ny = i1[:, 1] - i0[:, 1] + 1
-    cnt = (i1[:, 0] - i0[:, 0] + 1) * ny
+    grid = (np.arange(n) - nh) * delta
     count = np.zeros(nb * n * n, int)
     zhi = np.full(nb * n * n, -np.inf)
     zlo = np.full(nb * n * n, np.inf)
     eps = 1e-9
-    for sl in _budget_slices(cnt):
-        c = cnt[sl]
-        rep = np.repeat(np.arange(sl.start, sl.stop), c)
-        k = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
-        ny_r = ny[rep]
-        gi = i0[rep, 0] + k // ny_r
-        gj = i0[rep, 1] + k % ny_r
-        px = (gi - nh) * delta
-        py = (gj - nh) * delta
-
-        Ar, Br, Cr, dr = A[rep], B[rep], C[rep], den[rep]
-        w0 = ((Br[:, 0] - px) * (Cr[:, 1] - py)
-              - (Br[:, 1] - py) * (Cr[:, 0] - px)) / dr
-        w1 = ((Cr[:, 0] - px) * (Ar[:, 1] - py)
-              - (Cr[:, 1] - py) * (Ar[:, 0] - px)) / dr
-        w2 = 1.0 - w0 - w1
-        zz = w0 * zT[rep, 0] + w1 * zT[rep, 1] + w2 * zT[rep, 2]
-        inside = (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps) \
-            & (np.abs(zz) <= zmax)
-        lin = (owner[rep] * (n * n) + gi * n + gj)[inside]
-        zz = zz[inside]
-        np.add.at(count, lin, 1)
-        np.maximum.at(zhi, lin, zz)
-        np.minimum.at(zlo, lin, zz)
+    for sl in _budget_slices(nx):
+        # (triangle, row) pairs, each with its nodes j0..j1; a row's i, like
+        # a node's j below, is its first index plus its rank
+        c = nx[sl]
+        t = np.repeat(np.arange(sl.start, sl.stop), c)
+        i = np.arange(len(t)) + np.repeat(x0[sl] - np.cumsum(c) + c, c)
+        u = i - nh
+        j0, j1 = y0[t], y1[t]
+        if disc < nh * 2 ** 0.5:  # the disc leaves out the grid's corners
+            d2 = disc * disc - u * u
+            hw = np.where(d2 < 0, -1, (np.sqrt(np.maximum(d2, 0.0)) + 1e-9)
+                          .astype(int))
+            j0, j1 = np.maximum(j0, nh - hw), np.minimum(j1, nh + hw)
+        cnt = np.maximum(j1 - j0 + 1, 0)
+        for rs in _budget_slices(cnt):
+            # the rows' (triangle, node) pairs
+            tr, c = t[rs], cnt[rs]
+            px = grid[i[rs]]
+            dax, dbx, dcx = (np.repeat(v[tr] - px, c) for v in (ax, bx, cx))
+            rep = np.repeat(tr, c)
+            j = np.arange(len(rep)) + np.repeat(j0[rs] - np.cumsum(c) + c, c)
+            py = grid[j]
+            dy_a, dy_b, dy_c = ay[rep] - py, by[rep] - py, cy[rep] - py
+            dr = den[rep]
+            w0 = (dbx * dy_c - dy_b * dcx) / dr
+            w1 = (dcx * dy_a - dy_c * dax) / dr
+            w2 = 1.0 - w0 - w1
+            on = np.flatnonzero((w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps))
+            q = rep[on]
+            zz = w0[on] * z0[q] + w1[on] * z1[q] + w2[on] * z2[q]
+            slab = np.abs(zz) <= zmax
+            lin = (j + np.repeat(off[tr] + i[rs] * n, c))[on[slab]]
+            zz = zz[slab]
+            np.add.at(count, lin, 1)
+            np.maximum.at(zhi, lin, zz)
+            np.minimum.at(zlo, lin, zz)
     valid = (count >= 1) & (zhi - zlo <= tol)
     return (np.where(valid, zhi, np.nan).reshape(nb, -1),
             valid.reshape(nb, -1))
@@ -169,9 +185,32 @@ def _grid_half(grad_bound, grid_step, rmax, zmax):
     return int(half)
 
 
-def _local_corners(X, F, base, R):
-    """Corners of triangles F in the frame at base with axes R (rows)."""
-    return ((X[F].reshape(-1, 3) - base) @ R.T).reshape(-1, 3, 3)
+def _cols(ufunc, a):
+    """ufunc.reduce(a, axis=1) as a[:, 0] op a[:, 1] op ...: over a few
+    columns, ten times faster than the reduction."""
+    return functools.reduce(ufunc, np.moveaxis(a, 1, 0))
+
+
+def _in_frames(P, owner, base, R):
+    """Points P (k, 3) in the frames of their patches, (P - base) @ R.T with
+    the base and axes (rows of R) of patch owner, where owner is ascending.
+    Each patch's rows are one product, so that their BLAS bits do not
+    depend on the other patches; slicing them costs less than padding the
+    patches into one batched product."""
+    out = np.empty((len(P), R.shape[1]))
+    a = 0
+    for o, b in enumerate(np.cumsum(np.bincount(owner, minlength=len(base)))
+                          .tolist()):
+        if b > a:
+            out[a:b] = (P[a:b] - base[o]) @ R[o].T
+        a = b
+    return out
+
+
+def _corners(X, F, owner, base, R):
+    """Corners (k, 3, 3) of triangles F in the frames of patches owner."""
+    return _in_frames(X[F].reshape(-1, 3), np.repeat(owner, 3), base,
+                      R).reshape(-1, 3, 3)
 
 
 def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
@@ -179,14 +218,20 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
     """Generate, per vertex in order, its PatchChart without the Hölder
     quotient, or the NonGraphical error extract_patch raises for it.
 
-    Vertices run in blocks of at most _PAIR_BUDGET (vertex, triangle)
-    pairs.  Each refit round of a block is one raycast over all its
-    vertices still refitting; the final raycast and the gradient fits run
-    in slices of at most _PAIR_BUDGET (vertex, grid node) pairs.  A
-    block's candidate triangles come from one _ball_pairs scan of the
-    element centroids: a triangle whose local bbox meets the box has its
-    centroid within the box half-diagonal plus sqrt(3) times the largest
-    centroid-to-corner distance rho.
+    A vertex's candidate triangles are those whose corners meet the box
+    around it in its first frame.  They come from _ball_pairs scans of the
+    element centroids over at most _PAIR_BUDGET (vertex, element) pairs
+    each: a triangle whose local bbox meets the box has its centroid within
+    the box half-diagonal plus sqrt(3) times the largest centroid-to-corner
+    distance rho.  Vertices run in blocks of consecutive scans with at most
+    _PAIR_BUDGET candidate pairs in all, unless one scan alone has more,
+    and each step of a block runs on whole arrays: every refit round is one
+    hit test, one raycast and one batched update of the vertices still
+    refitting, and the final raycasts, prefix sums and radii run in slices
+    of at most _PAIR_BUDGET (vertex, grid node) pairs.  Only the rotations
+    into a patch's frame (_in_frames) and the gradient fits are one BLAS
+    product per vertex, over the rows that vertex alone gives them, so that
+    their bits do not depend on the other vertices.
     """
     if mesh.dim_d != 2:
         raise InvalidParams("patch extraction expects a surface in 3-space")
@@ -205,109 +250,176 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
     dist = np.hypot(nodes[:, 0], nodes[:, 1])
     n, w = 2 * nh + 1, 2 * _STENCIL + 1
     ctr, ctr_small = (n * n) // 2, (w * w) // 2
-    tol = 1e-6 * mesh.diameter
+    diam = mesh.diameter
+    tol = 1e-6 * diam
     gtol = 1e-10
     # quadratic least squares on a w x w window: one (6, w*w) pseudoinverse
     oi, oj = np.indices((w, w)).reshape(2, -1) - _STENCIL
     dx, dy = grid_step * oi, grid_step * oj
     pinv = np.linalg.pinv(np.stack([np.ones_like(dx), dx, dy, dx * dx,
                                     dx * dy, dy * dy], 1))
-    window = oi * n + oj  # flat offsets of a fit window's nodes
 
     # candidate elements for all raycasts, with slack for the refit tilt
     margin = 0.25 * max(rmax, zmax)
     box = np.array([rmax + margin, rmax + margin, zmax + margin])
     cen = mesh.element_centroids
-    rho = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max())
+    rt = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max(axis=1))
+    rho = rt.max()
     reach = (np.linalg.norm(box) + 3 ** 0.5 * rho) * (1 + 1e-9)
+    R0 = _rotation_to_z(normals)
 
-    for blk in _budget_slices(np.full(len(vertices), len(cen))):
+    def candidates(sl):
+        # the (vertex, triangle) pairs of vertices[sl] whose corners meet the
+        # box in the vertex's first frame; each local corner coordinate lies
+        # within rt of the centroid's, which settles a pair unless it is
+        # near the box faces
+        q, e = _ball_pairs(X[vertices[sl]], cen, reach)
+        C = _in_frames(cen[e], q, X[vertices[sl]], R0[sl])
+        r = (rt[e] + 1e-9 * diam)[:, None]
+        keep = _cols(np.logical_and, np.abs(C) + r <= box)
+        check = np.flatnonzero(~keep & _cols(np.logical_and, (C - r <= box)
+                                             & (C + r >= -box)))
+        TV0 = _corners(X, elements[e[check]], q[check], X[vertices[sl]],
+                       R0[sl])
+        keep[check] = _cols(np.logical_and, (_cols(np.minimum, TV0) <= box)
+                            & (_cols(np.maximum, TV0) >= -box))
+        return sl, q[keep] + sl.start, e[keep]
+
+    def blocks():
+        # consecutive scans with at most _PAIR_BUDGET candidate pairs in all,
+        # unless one scan alone has more
+        held = []
+        for sl in _budget_slices(np.full(len(vertices), len(cen))):
+            scan = candidates(sl)
+            if held and sum(len(h[2]) for h in held) + len(scan[2]) \
+                    > _PAIR_BUDGET:
+                yield held
+                held = []
+            held.append(scan)
+        if held:
+            yield held
+
+    for held in blocks():
+        blk = slice(held[0][0].start, held[-1][0].stop)
+        fq = np.concatenate([h[1] for h in held]) - blk.start
+        fe = np.concatenate([h[2] for h in held])
+        held.clear()  # the scans' arrays, which blocks() also holds
         vs = vertices[blk]
-        base = X[vs].copy()
-        R = np.stack([_rotation_to_z(m) for m in normals[blk]])
-        q, e = _ball_pairs(X[vs], cen, reach)
-        F = []
-        for b, c in enumerate(np.split(e, np.searchsorted(
-                q, np.arange(1, len(vs))))):
-            TV0 = _local_corners(X, elements[c], base[b], R[b])
-            F.append(c[np.all(TV0.min(axis=1) <= box, axis=1)
-                       & np.all(TV0.max(axis=1) >= -box, axis=1)])
+        base, R = X[vs].copy(), R0[blk].copy()
+        # centroids in the first frames: a later frame (base, R) moves one
+        # within reach of X by at most |R - R0| reach + |base - X|, in the
+        # Frobenius norm
+        m0 = _cols(np.maximum, np.abs(_in_frames(cen[fe], fq, base,
+                                                 R[:, :2])))
+        cnt = np.bincount(fq, minlength=len(vs))
+        del fq  # a block keeps only fe, m0 and cnt per candidate pair
 
-        def raycast(active, half):
-            # a triangle meets the grid only if its centroid meets it
-            # widened by rho; the slack covers the barycentric eps
+        def hits(bs, half, disc):
+            # the (patch, triangle) pairs of patches vs[bs] whose centroid
+            # meets the grid, or the disc of radius disc, widened by rho: no
+            # other triangle meets them, and the slack covers the
+            # barycentric eps
             lim = (half * grid_step + rho) * (1 + 1e-6)
-            hit = [F[b][np.all(np.abs((cen[F[b]] - base[b]) @ R[b, :2].T)
-                               <= lim, axis=1)] for b in active]
-            TP = np.concatenate([_local_corners(X, elements[f], base[b], R[b])
-                                 for f, b in zip(hit, active)])
-            owner = np.repeat(np.arange(len(active)), [len(f) for f in hit])
-            return _raycast_heights(TP, owner, len(active), grid_step, half,
-                                    zmax, tol)
+            drift = np.sqrt(((R - R0[blk]) ** 2).sum(axis=(1, 2))) * reach \
+                + np.sqrt(((base - X[vs]) ** 2).sum(axis=1)) + 1e-9 * diam
+            rank = np.full(len(vs), -1)
+            rank[bs] = np.arange(len(bs))
+            q = np.repeat(rank, cnt)
+            near = np.flatnonzero((q >= 0)
+                                  & (m0 <= lim + np.repeat(drift, cnt)))
+            q, f = q[near], fe[near]
+            C = _in_frames(cen[f], q, base[bs], R[bs, :2])
+            hit = _cols(np.logical_and, np.abs(C) <= lim) & (
+                np.sqrt(_cols(np.add, C * C)) <= (disc + rho) * (1 + 1e-6))
+            return q[hit], f[hit]
+
+        def raycast(bs, half, disc=np.inf):
+            q, f = hits(bs, half, disc * grid_step)
+            return _raycast_heights(_corners(X, elements[f], q, base[bs],
+                                             R[bs]),
+                                    q, len(bs), grid_step, half, zmax, tol,
+                                    disc)
 
         out = [NonGraphical(f"surface is not single-valued above vertex {v}")
                for v in vs]
         rounds = np.zeros(len(vs), int)
         resid = np.zeros(len(vs))
         # base point and rotation refits on the 7x7 window around the origin
-        active, done = list(range(len(vs))), []
+        active, done = np.arange(len(vs)), np.zeros(len(vs), bool)
         for it in range(_MAX_REFIT):
-            if not active:
+            if not len(active):
                 break
             hs, valid = raycast(active, _STENCIL)
-            refit = []
-            for k, b in enumerate(active):
-                if not valid[k, ctr_small]:
-                    continue
-                base[b] = base[b] + hs[k, ctr_small] * R[b, 2]
-                g0 = (pinv @ (hs[k] - hs[k, ctr_small]))[1:3] \
-                    if valid[k].all() else np.zeros(2)
-                rounds[b], resid[b] = it + 1, np.hypot(*g0)
-                if resid[b] <= gtol:
-                    done.append(b)
-                    continue
-                m = np.array([-g0[0], -g0[1], 1.0])
-                m /= np.linalg.norm(m)
-                R[b] = _rotation_to_z(m) @ R[b]
-                refit.append(b)
-            active = refit
-        done = sorted(done + active)
+            on = valid[:, ctr_small]
+            b, hs, valid = active[on], hs[on], valid[on]
+            base[b] = base[b] + hs[:, ctr_small, None] * R[b, 2]
+            g0 = np.zeros((len(b), 2))
+            full = valid.all(axis=1)
+            D = hs[full] - hs[full][:, ctr_small, None]
+            g0[full] = np.matmul(pinv, D[..., None])[:, 1:3, 0]
+            rounds[b], resid[b] = it + 1, np.hypot(g0[:, 0], g0[:, 1])
+            met = resid[b] <= gtol
+            done[b[met]] = True
+            active, g0 = b[~met], g0[~met]
+            m = np.stack([-g0[:, 0], -g0[:, 1], np.ones(len(g0))], 1)
+            # each row over its norm as np.linalg.norm takes it: one dot
+            m /= np.sqrt(np.matmul(m[:, None], m[..., None]))[:, 0]
+            R[active] = _rotation_to_z(m) @ R[active]
+        done[active] = True
 
         # the full grid, in slices of at most _PAIR_BUDGET nodes
+        done, sent = np.flatnonzero(done), 0
         for sub in _budget_slices(np.full(len(done), n * n)):
-            hs, valid = raycast(done[sub], nh)
-            for k, b in enumerate(done[sub]):
-                if not valid[k, ctr]:
-                    continue
-                base[b] = base[b] + hs[k, ctr] * R[b, 2]
-                H = (hs[k] - hs[k, ctr]).reshape(n, n)
-                # nodes whose whole fit window is valid, by a prefix sum; the
-                # outer _STENCIL rings never are, so `bad` is never empty
-                S = np.zeros((n + 1, n + 1), int)
-                S[1:, 1:] = valid[k].reshape(n, n).cumsum(0).cumsum(1)
-                full = np.zeros((n, n), bool)
-                full[_STENCIL:n - _STENCIL, _STENCIL:n - _STENCIL] = \
-                    S[w:, w:] - S[:-w, w:] - S[w:, :-w] + S[:-w, :-w] == w * w
-                bad = ~full.ravel()
-                # the radius is the nearest bad node, so only nodes nearer
-                # than the nearest invalid one need a gradient
-                radius = dist[bad].min()
-                fit = np.flatnonzero(~bad & (dist < radius))
-                coef = H.ravel()[fit[:, None] + window] @ pinv.T
-                gn = np.hypot(coef[:, 1], coef[:, 2])
-                radius = float(min(radius, dist[fit][gn > grad_bound].min(
-                    initial=np.inf)))
+            # the radius is at most nh - _STENCIL + 1 steps, at the nearest
+            # node whose fit window leaves the grid, so only nodes up to
+            # _STENCIL sqrt(2) steps further bear on the chart
+            hs, valid = raycast(done[sub], nh,
+                                nh - _STENCIL + 1 + _STENCIL * 2 ** 0.5)
+            on = valid[:, ctr]
+            b, hs, valid = done[sub][on], hs[on], valid[on]
+            base[b] = base[b] + hs[:, ctr, None] * R[b, 2]
+            H = hs - hs[:, ctr, None]
+            # nodes whose whole fit window is valid, by prefix sums; the
+            # outer _STENCIL rings never are, so `bad` is never empty
+            S = np.zeros((len(b), n + 1, n + 1), int)
+            S[:, 1:, 1:] = valid.reshape(-1, n, n).cumsum(1).cumsum(2)
+            full = np.zeros((len(b), n, n), bool)
+            full[:, _STENCIL:n - _STENCIL, _STENCIL:n - _STENCIL] = \
+                S[:, w:, w:] - S[:, :-w, w:] - S[:, w:, :-w] \
+                + S[:, :-w, :-w] == w * w
+            bad = ~full.reshape(len(b), -1)
+            # the radius is the nearest bad node, so only nodes nearer
+            # than the nearest invalid one need a gradient
+            radii = np.where(bad, dist, np.inf).min(axis=1)
+            # a grid narrower than a fit window has every radius 0
+            win = np.lib.stride_tricks.sliding_window_view(
+                H.reshape(-1, n, n), (w, w), axis=(1, 2)) if n >= w else None
+            for k, v in enumerate(b):
+                radius = radii[k]
+                if radius > grid_step:
+                    fit = np.flatnonzero(~bad[k] & (dist < radius))
+                    fi, fj = np.divmod(fit - _STENCIL * (n + 1), n)
+                    coef = win[k, fi, fj].reshape(-1, w * w) @ pinv.T
+                    gn = np.hypot(coef[:, 1], coef[:, 2])
+                    steep = dist[fit][gn > grad_bound]
+                    radius = float(min(radius, steep.min(initial=np.inf)))
                 if radius <= grid_step:
-                    out[b] = NonGraphical(f"no graphical disc above vertex "
-                                          f"{vs[b]} at this grid step")
+                    out[v] = NonGraphical(f"no graphical disc above vertex "
+                                          f"{vs[v]} at this grid step")
                     continue
                 keep = dist[fit] < radius
-                out[b] = PatchChart(
-                    int(vs[b]), base[b].copy(), R[b].copy(), radius,
-                    grid_step, nodes[fit[keep]], H.ravel()[fit[keep]],
-                    coef[keep, 1:3], float(gn[keep].max()), int(rounds[b]),
-                    float(resid[b]))
-        yield from out
+                out[v] = PatchChart(
+                    int(vs[v]), base[v].copy(), R[v].copy(), radius,
+                    grid_step, nodes[fit[keep]], H[k, fit[keep]],
+                    coef[keep, 1:3], float(gn[keep].max()), int(rounds[v]),
+                    float(resid[v]))
+            # the block's charts up to this slice's last vertex are final:
+            # hand them out, so that a block holds one slice of charts
+            for v in range(sent, done[sub][-1] + 1):
+                yield out[v]
+                out[v] = None
+            sent = done[sub][-1] + 1
+        yield from out[sent:]
 
 
 def extract_patch(mesh: DiscreteHypersurface, vertex, grad_bound=0.5,
@@ -335,10 +447,10 @@ def patch_radii(mesh, vertices=None, workers=None, **kwargs):
     """extract_patch radius for many vertices (all by default), computed
     together; NaN where NonGraphical.  kwargs are extract_patch's.
 
-    The probe's Python refit loop holds the interpreter lock, so shares of
-    the vertices run in up to `workers` processes (get_workers) once their
-    (vertex, grid node) pairs exceed _PAIR_BUDGET per process; each vertex
-    is its own computation, so the radii do not depend on the count.
+    The probe's many small numpy steps hold the interpreter lock, so shares
+    of the vertices run in up to `workers` processes (get_workers) once
+    their (vertex, grid node) pairs exceed _PAIR_BUDGET per process; each
+    vertex is its own computation, so the radii do not depend on the count.
     """
     vertices = np.arange(mesh.n_vertices) if vertices is None \
         else np.atleast_1d(_vertex_indices(mesh, vertices))
@@ -360,13 +472,23 @@ def patch_radii(mesh, vertices=None, workers=None, **kwargs):
 # Ahlfors regularity
 # --------------------------------------------------------------------------
 
-def _clip_roots(p, d, r2):
-    """Parameters t1 <= t2 in [0, 1] of the part of p + t d inside
-    |.|^2 <= r2; t1 == t2 where the line misses the ball."""
-    a, b = (d * d).sum(-1), (p * d).sum(-1)
-    s = np.sqrt(np.maximum(b * b - a * ((p * p).sum(-1) - r2), 0.0))
+def _clip_roots(p, q, r2):
+    """Where segments p -> q enter and leave the ball |.|^2 <= r2: the
+    points P1, P2 in order from p and the parameter length t2 - t1 between
+    them (P1 == P2 and 0 where the line misses the ball).  The roots of
+    |e + t d|^2 = r2 are taken from the end e nearer the centre, with the
+    discriminant a r2 - |e x d|^2 = a (r2 - h^2) for h the distance to the
+    line, so that neither cancels when the ball is small."""
+    flip = ((q * q).sum(-1) < (p * p).sum(-1))[..., None]
+    e, d = np.where(flip, q, p), np.where(flip, p - q, q - p)
+    a, b = (d * d).sum(-1), (e * d).sum(-1)
+    ed = e[..., :, None] * d[..., None, :]
+    cross2 = ((ed - np.swapaxes(ed, -1, -2)) ** 2).sum((-1, -2)) / 2
+    s = np.sqrt(np.maximum(a * r2 - cross2, 0.0))
     t1 = np.clip((-b - s) / a, 0.0, 1.0)
-    return t1, np.clip((-b + s) / a, t1, 1.0)
+    t2 = np.clip((-b + s) / a, t1, 1.0)
+    E1, E2 = e + t1[..., None] * d, e + t2[..., None] * d
+    return np.where(flip, E2, E1), np.where(flip, E1, E2), t2 - t1
 
 
 def _ball_measure(mesh, x, r):
@@ -382,16 +504,14 @@ def _ball_measure(mesh, x, r):
     """
     T = mesh.vertices[mesh.elements] - x
     if mesh.dim_d == 1:
-        d = T[:, 1] - T[:, 0]
-        t1, t2 = _clip_roots(T[:, 0], d, r * r)
-        return float(((t2 - t1) * np.linalg.norm(d, axis=1)).sum())
+        dt = _clip_roots(T[:, 0], T[:, 1], r * r)[2]
+        return float((dt * np.linalg.norm(T[:, 1] - T[:, 0], axis=1)).sum())
     n = mesh.element_normals[:, None, :]
     h = (T[:, :1] * n).sum(-1)
     P = T - h[..., None] * n
     rho2 = np.maximum(r * r - h * h, 0.0)
     Q = np.roll(P, -1, axis=1)
-    t1, t2 = _clip_roots(P, Q - P, rho2)
-    P1, P2 = P + t1[..., None] * (Q - P), P + t2[..., None] * (Q - P)
+    P1, P2, _ = _clip_roots(P, Q, rho2)
 
     def angle(u, v):
         return np.arctan2((np.cross(u, v) * n).sum(-1), (u * v).sum(-1))

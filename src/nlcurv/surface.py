@@ -188,14 +188,17 @@ def _element_geometry(V, E):
 
 
 def _rotation_to_z(n):
-    """Orthogonal matrix R with R @ n = e_z (rows are the local axes)."""
+    """Orthogonal matrices R with R @ n = e_z (rows are the local axes), of
+    shape (..., 3, 3) for unit vectors n of shape (..., 3)."""
     n = np.asarray(n, float)
-    c = n[2]
-    if c < -1 + 1e-12:
-        return np.diag([1.0, -1.0, -1.0])
-    v = np.array([n[1], -n[0], 0.0])          # n x e_z
-    K = np.array([[0, 0, v[1]], [0, 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + K + K @ K / (1 + c)
+    c = n[..., 2]
+    flip = c < -1 + 1e-12
+    K = np.zeros(n.shape + (3,))       # cross-product matrix of n x e_z
+    K[..., 0, 2], K[..., 1, 2] = -n[..., 0], -n[..., 1]
+    K[..., 2, 0], K[..., 2, 1] = n[..., 0], n[..., 1]
+    R = np.eye(3) + K + K @ K / (1 + np.where(flip, 0.0, c))[..., None, None]
+    R[flip] = np.diag([1.0, -1.0, -1.0])
+    return R
 
 
 def _check_s(s):

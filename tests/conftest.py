@@ -312,6 +312,47 @@ def patch_radius_oracle(mesh, vertex, grad_bound=0.5, grid_step=0.02,
     return radius if radius > grid_step else np.nan
 
 
+def raycast_heights_oracle(TP, owner, nb, delta, nh, zmax, tol,
+                           disc=np.inf):
+    """probes._raycast_heights one triangle at a time: every node of its
+    grid bbox within disc steps of the origin takes the barycentric test,
+    with the library's arithmetic."""
+    n = 2 * nh + 1
+    count = np.zeros((nb, n, n), int)
+    zhi = np.full((nb, n, n), -np.inf)
+    zlo = np.full((nb, n, n), np.inf)
+    for (A, B, C), o in zip(TP, owner):
+        if min(A[2], B[2], C[2]) > zmax or max(A[2], B[2], C[2]) < -zmax:
+            continue
+        den = (B[0] - A[0]) * (C[1] - A[1]) - (B[1] - A[1]) * (C[0] - A[0])
+        lo = [np.ceil(min(A[k], B[k], C[k]) / delta + nh - 1e-9)
+              for k in (0, 1)]
+        hi = [np.floor(max(A[k], B[k], C[k]) / delta + nh + 1e-9)
+              for k in (0, 1)]
+        i0, j0 = (int(np.clip(v, 0, n - 1)) for v in lo)
+        i1, j1 = (int(np.clip(v, -1, n - 1)) for v in hi)
+        if not abs(den) > 1e-14 or i1 < i0 or j1 < j0:
+            continue
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(i0, i1 + 1),
+                                               np.arange(j0, j1 + 1),
+                                               indexing="ij"))
+        inside = (i - nh) ** 2 + (j - nh) ** 2 <= disc * disc
+        i, j = i[inside], j[inside]
+        px, py = (i - nh) * delta, (j - nh) * delta
+        w0 = ((B[0] - px) * (C[1] - py) - (B[1] - py) * (C[0] - px)) / den
+        w1 = ((C[0] - px) * (A[1] - py) - (C[1] - py) * (A[0] - px)) / den
+        w2 = 1.0 - w0 - w1
+        zz = w0 * A[2] + w1 * B[2] + w2 * C[2]
+        on = (w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9) \
+            & (np.abs(zz) <= zmax)
+        np.add.at(count[o], (i[on], j[on]), 1)
+        np.maximum.at(zhi[o], (i[on], j[on]), zz[on])
+        np.minimum.at(zlo[o], (i[on], j[on]), zz[on])
+    valid = (count >= 1) & (zhi - zlo <= tol)
+    return (np.where(valid, zhi, np.nan).reshape(nb, -1),
+            valid.reshape(nb, -1))
+
+
 # Reference for probes._dist_to_surface on triangles: the library's former
 # Voronoi-region point-triangle test (Ericson, Real-Time Collision
 # Detection, 2004, 5.1.5).

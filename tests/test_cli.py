@@ -455,6 +455,19 @@ class TestCommands:
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
         assert not os.path.exists(os.path.join(tmp_path, "report.json"))
 
+    @pytest.mark.parametrize("step0", ["1e100", "1e30"])
+    def test_flow_backtracks_from_steps_that_break_the_mesh(self, tmp_path,
+                                                            step0):
+        # trials out of the coordinate range, with degenerate elements or
+        # with coincident samples are rejected, not mesh input errors
+        rc = main(["flow", "--primitive", "sphere_icosub", "--sub", "1",
+                   "--max-iter", "1", "--step0", step0, "--out",
+                   str(tmp_path)])
+        assert rc == 0
+        with open(os.path.join(tmp_path, "trajectory.csv")) as fh:
+            energies = [float(r[1]) for r in list(csv.reader(fh))[1:]]
+        assert len(energies) == 2 and energies[1] < energies[0]
+
     def test_flow_reports_subcritical_without_warning(self, tmp_path, capsys):
         # the default p = 4 sits on the critical line p = d/s of a surface;
         # a warning escaping main would reach stderr

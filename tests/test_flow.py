@@ -161,6 +161,17 @@ class TestMinimize:
         with pytest.raises(InvalidParams):
             minimize(bumpy, PARAMS, max_iter=max_iter)
 
+    @pytest.mark.parametrize("step0", [1e100, 1e30])
+    def test_rejects_steps_that_break_the_mesh(self, step0):
+        # the first trials move coordinates past 1e76, degenerate elements
+        # or bring two samples together: each is a rejected trial that
+        # halves the step, until one lowers the energy
+        m = make_primitive("sphere_icosub", subdivisions=1)
+        state = minimize(m, PARAMS, max_iter=1, step0=step0, grad_tol=1e-12)
+        energies = [row[1] for row in state.trajectory]
+        assert state.iteration == 1 and energies[1] < energies[0]
+        assert state.step < 1e-3
+
     def test_grad_tol_stop(self, bumpy):
         state = minimize(bumpy, PARAMS, max_iter=2, step0=1e-3,
                          grad_tol=1e9)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import (
     clipped_measure_oracle,
     make_trefoil,
     patch_radius_oracle,
+    raycast_heights_oracle,
     segment_distance_oracle,
     traced_peak,
     triangle_distance_oracle,
@@ -33,6 +36,14 @@ def sphere3():
 def _perturbed(sub, seed=3):
     return make_primitive("perturbed_sphere", amplitude=0.05, seed=seed,
                           subdivisions=sub)
+
+
+def _chart_bits(chart):
+    """Every field of a PatchChart as bytes, or a NonGraphical's message."""
+    if isinstance(chart, NonGraphical):
+        return str(chart)
+    return tuple(np.asarray(getattr(chart, f.name)).tobytes()
+                 for f in dataclasses.fields(chart))
 
 
 class TestPatch:
@@ -114,6 +125,16 @@ class TestPatch:
         assert np.array_equal(patch_radii(mesh, vs), ref, equal_nan=True)
 
     def test_blocks_do_not_change_results(self, monkeypatch):
+        # every chart field, bit for bit, at blocks of one vertex and at the
+        # default blocks (all of sub1, two blocks of sub2)
+        for sub in (1, 2):
+            mesh = _perturbed(sub)
+            together = list(probes._patch_charts(
+                mesh, np.arange(mesh.n_vertices)))
+            assert len(together) == mesh.n_vertices
+            for v, chart in enumerate(together):
+                alone, = probes._patch_charts(mesh, [v])
+                assert _chart_bits(alone) == _chart_bits(chart)
         mesh = _perturbed(1)
         radii = patch_radii(mesh, grid_step=0.05)
         p = extract_patch(mesh, 5, grid_step=0.05)
@@ -123,6 +144,39 @@ class TestPatch:
         q = extract_patch(mesh, 5, grid_step=0.05)
         assert np.array_equal(q.gradients, p.gradients)
         assert q.grad_holder == p.grad_holder
+
+    @pytest.mark.parametrize("kind", ["random", "sliver", "on_nodes",
+                                      "fan"])
+    def test_raycast_matches_dense_oracle(self, kind):
+        # rows expanded into nodes, cut to a disc, and hits aggregated per
+        # chunk give every height and validity of the per-triangle oracle
+        # bit for bit, with slivers and corners on grid nodes and lines
+        rng = np.random.default_rng(["random", "sliver", "on_nodes",
+                                     "fan"].index(kind))
+        for delta, nh in ((0.02, 10), (0.05, 4), (0.013, 12)):
+            k, ext = 120, nh * delta
+            TP = rng.uniform(-1.2 * ext, 1.2 * ext, (k, 1, 3)) \
+                + 10 ** rng.uniform(-3, 0, (k, 1, 1)) * ext \
+                * rng.standard_normal((k, 3, 3))
+            if kind == "sliver":  # third corner near the first edge's line
+                t = rng.uniform(-0.5, 1.5, (k, 1))
+                TP[:, 2] = TP[:, 0] + t * (TP[:, 1] - TP[:, 0]) \
+                    + 10 ** rng.uniform(-14, -4, (k, 1)) \
+                    * rng.standard_normal((k, 3))
+            elif kind == "on_nodes":
+                TP[..., :2] = np.round(TP[..., :2] / delta) * delta
+            elif kind == "fan":  # half-cell corners around the origin
+                TP[..., :2] = np.round(TP[..., :2] / (delta / 2)) * delta / 2
+                TP[:, 0, :2] = 0.0
+            owner = np.sort(rng.integers(0, 3, k))
+            for zmax, tol, disc in ((0.3, 1e-6, np.inf), (10.0, 1.0, np.inf),
+                                    (0.3, 1e-6, 0.77 * nh)):
+                got = probes._raycast_heights(TP, owner, 3, delta, nh, zmax,
+                                              tol, disc)
+                ref = raycast_heights_oracle(TP, owner, 3, delta, nh, zmax,
+                                             tol, disc)
+                assert got[0].tobytes() == ref[0].tobytes()
+                assert np.array_equal(got[1], ref[1])
 
     def test_refit_reported(self, sphere3):
         mesh = _perturbed(1)
@@ -180,6 +234,13 @@ class TestAhlfors:
         out = ahlfors_ratio(circle128, 0, [0.2, 0.5])
         for r, ratio in out:
             assert abs(ratio - 2.0) < 0.05
+
+    def test_circle_ratio_exact_at_tiny_radii(self):
+        # far below the edge length the clip is measured from the vertex
+        # end, so |d|^4 no longer cancels against |d|^4
+        circle = make_primitive("circle", n=64)
+        for r, ratio in ahlfors_ratio(circle, 0, [1e-8, 1e-9, 1e-12]):
+            assert abs(ratio - 2.0) <= 1e-9
 
     def test_icosahedron_vertex_exact(self):
         # five equilateral corners of angle pi/3 inside the ball
