@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateGeometry, InvalidParams, ParseError, StallError
 from .functionals import (
     _PAIR_CUTOFF,
+    _energies,
     _inner_data,
     _kernel_sums,
     _neighbourhoods,
@@ -58,9 +59,14 @@ class FlowState:
     # trajectory rows: (iteration, energy, area, grad_norm, hausdorff)
 
 
-def _bending(mesh, params, order, policy, workers):
+def _bending(mesh, params, order, policy, workers, bound=None):
+    """B of mesh; with a bound, +inf as soon as the rows summed so far show
+    that B exceeds it (functionals._energies)."""
     scheme = build_scheme(mesh, order, policy)
-    return bending_energy(mesh, scheme, params, workers=workers).energy
+    if bound is None:
+        return bending_energy(mesh, scheme, params, workers=workers).energy
+    return _energies(mesh, scheme, ["bending"], workers, params,
+                     bound=bound)[0].energy
 
 
 _FD_STEP = 1e-4  # central-difference step, times the mean incident edge
@@ -241,7 +247,11 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
     strictly decreases, so the accepted-energy sequence is monotone.  A
     trial whose step moves coordinates out of range, collapses or
     degenerates an element, or brings two samples together is rejected
-    like one that raises the energy.
+    like one that raises the energy.  B is a sum of non-negative rows, so
+    a trial's pass stops as soon as the rows summed so far exceed the
+    current energy (functionals._energies' bound): it rejects the trials
+    that the full pass would, and an accepted energy is the full pass's,
+    bit for bit.
     """
     _check_int("max_iter", max_iter, 1)
     _positive("step0", step0)
@@ -279,7 +289,7 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
                 trial = _project_area(trial)
                 collapsed = trial.element_measures.min() < 1e-10 * min_measure0
                 e_trial = np.inf if collapsed else _bending(
-                    trial, params, order, diagonal_policy, workers)
+                    trial, params, order, diagonal_policy, workers, energy)
             except (ParseError, DegenerateGeometry):
                 e_trial = np.inf
             if e_trial < energy:

@@ -33,6 +33,15 @@ __all__ = [
 _TILE_PAIRS = 1 << 16  # sample pairs per kernel tile (fixed for determinism)
 _FORK_PAIRS = 1 << 18  # kernel pairs per process that pay for its fork
 _PAIR_CUTOFF = 1e-14  # times diameter: closer non-excluded pairs are an error
+# A bounded pass (_kernel_sums) stops once its summed rows exceed
+# bound (1 + _BOUND_MARGIN).  The rows' terms w_x |c_s a_x|^p are >= 0, so
+# the running sum over parts of rows and the final dot over all S rows are
+# each within a relative gamma_S = S u / (1 - S u) (u = 2^-53) of the exact
+# sum, plus a few ulps where np.power rounds a term differently in the two:
+# a partial sum above bound (1 + 2 gamma_S + 8 u) proves that the final
+# energy is above the bound.  1e-6 covers that for S up to 10^9 samples,
+# where 2 gamma_S is 2.3e-7.
+_BOUND_MARGIN = 1e-6
 
 
 def get_workers(workers=None) -> int:
@@ -144,7 +153,7 @@ def _int_power(base, m, out):
     return src
 
 
-def _kernel_sums(X, excl, inner, cutoff, terms, workers):
+def _kernel_sums(X, excl, inner, cutoff, terms, workers, bound=None):
     """Per term (expo_r, power) and outer point x:  Sum_y |pairing|^power
     / r^expo_r * w(y), or the signed pairing when power is None, over the
     inner samples y outside x's excluded inner elements, given as the
@@ -173,21 +182,37 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers):
     result does not depend on the worker count.  The blocks split between
     up to `workers` processes (surface._fork_map) only when each process
     gets more than _FORK_PAIRS pairs, what a fork and its wait cost.
+
+    A bound (limit, energy) runs each block in parts of at most
+    4 ceil(n / 32) rows, about 8 chances to stop: a share adds
+    energy(a, b, sums), the non-negative energy of rows a:b, to its
+    partial sum after each part and, once that exceeds limit, fills its
+    rows with +inf and stops.  A part starts a multiple of 4 rows into its
+    block, where OpenBLAS's GEMV sums a row as it does over the whole
+    block, so a bounded pass that never stops returns the unbounded sums.
     """
     Y, W, N, mode, k = inner
     n, S = len(X), len(W)
     tile = min(S, max(k, _TILE_PAIRS // k * k))
     rows = max(1, min(n, _TILE_PAIRS // tile))
+    part = rows if bound is None else min(rows, -(-n // 32) * 4)
     Yt, Nt = Y.T.copy(), N.T.copy()
     ex_row, ex_el = excl
     order = sorted(range(len(terms)), key=lambda i: terms[i][1] is not None)
+
+    def parts(sl):
+        # the row ranges (a, b) of sl's blocks, split into parts if bounded
+        for lo in range(sl.start, sl.stop, rows):
+            hi = min(lo + rows, n)
+            for a in range(lo, hi, part):
+                yield a, min(a + part, hi)
 
     def share(sl):
         # the rows of outer points sl, terms then weight columns per row
         out = np.zeros((sl.stop - sl.start, len(terms)) + W.shape[1:])
         buf = np.empty((4, rows * tile))
-        for a in range(sl.start, sl.stop, rows):
-            b = min(a + rows, n)
+        partial = 0.0
+        for a, b in parts(sl):
             lo, hi = np.searchsorted(ex_row, (a, b))
             ex_r, ex_e = ex_row[lo:hi] - a, ex_el[lo:hi]
             dest = out[a - sl.start:b - sl.start]
@@ -241,6 +266,11 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers):
                         tmp *= kern
                     product = power is None
                     dest[:, i] += tmp @ W[c:d]
+            if bound is not None:
+                partial += bound[1](a, b, dest)
+                if partial > bound[0]:
+                    out[:] = np.inf
+                    break
         return out.reshape(len(out), -1)
 
     # each block's pairs, in _fork_map's units, on its first row, so that
@@ -420,13 +450,16 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
 # energies
 # --------------------------------------------------------------------------
 
-def _energies(mesh, scheme, kinds, workers, params=None, p=None, q=None):
+def _energies(mesh, scheme, kinds, workers, params=None, p=None, q=None,
+              bound=None):
     """Reports of the energies named in kinds ('bending' and 'willmore'
     from params, 'tangent_point' from p and q), all from one kernel pass
     over the sample pairs, whose wall time every report carries.
 
     B and W are |A|_s^p and |H_s|^p evaluated at the quadrature points
-    themselves.  Every request is validated before the pass.
+    themselves.  Every request is validated before the pass.  With a
+    bound, the first kind's energy (B or W) is +inf once the rows summed so
+    far exceed bound (1 + _BOUND_MARGIN), else the unbounded pass's.
     """
     if "willmore" in kinds and mesh.codim2:
         raise UnsupportedMode("W_{s,p} needs a hypersurface; "
@@ -438,16 +471,24 @@ def _energies(mesh, scheme, kinds, workers, params=None, p=None, q=None):
     terms = [(q - p, p) if kind == "tangent_point" else
              (mesh.dim_d + 1 + params.s, None if kind == "willmore" else 1.0)
              for kind in kinds]
+    w = scheme.weights
+
+    def energy(row, weights):  # B or W from its kernel row
+        return np.abs(params.c_s * row) ** params.p @ weights
+
+    if bound is not None:
+        bound = (bound * (1 + _BOUND_MARGIN),
+                 lambda a, b, sums: energy(sums[:, 0], w[a:b]))
     sums = _kernel_sums(scheme.points, _sample_exclusions(mesh, scheme),
                         _inner_data(mesh, scheme),
-                        _PAIR_CUTOFF * mesh.diameter, terms, workers)
+                        _PAIR_CUTOFF * mesh.diameter, terms, workers, bound)
     done = []
     for kind, row in zip(kinds, sums):
         if kind == "tangent_point":
-            e = float(row @ scheme.weights)
+            e = float(row @ w)
             pd = {"s": None, "p": p, "q": q, "normalization": None}
         else:
-            e = float(np.abs(params.c_s * row) ** params.p @ scheme.weights)
+            e = float(energy(row, w))
             pd = {"s": params.s, "p": params.p, "q": None,
                   "normalization": params.normalization}
         done.append((kind, e, pd))

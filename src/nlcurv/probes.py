@@ -399,6 +399,9 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
                 if radius > grid_step:
                     fit = np.flatnonzero(~bad[k] & (dist < radius))
                     fi, fj = np.divmod(fit - _STENCIL * (n + 1), n)
+                    # all six coefficients, though only the gradient's two
+                    # are read: a (K, 49) @ (49, 2) product is not bitwise
+                    # equal to these columns at most row counts K
                     coef = win[k, fi, fj].reshape(-1, w * w) @ pinv.T
                     gn = np.hypot(coef[:, 1], coef[:, 2])
                     steep = dist[fit][gn > grad_bound]

@@ -537,24 +537,25 @@ def _icosahedron():
 
 
 def _subdivide_project(V, F):
-    verts = [tuple(v) for v in V]
-    cache = {}
-
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in cache:
-            m = (np.asarray(verts[a]) + np.asarray(verts[b])) / 2
-            verts.append(tuple(m))
-            cache[key] = len(verts) - 1
-        return cache[key]
-
-    F2 = []
-    for a, b, c in F:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        F2 += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    V2 = np.asarray(verts)
+    """Split every triangle into four at its edge midpoints and project the
+    vertices onto the unit sphere.  The midpoints are numbered after V by
+    their edge's first appearance in face-major (ab, bc, ca) order."""
+    a, b = F.ravel(), F[:, [1, 2, 0]].ravel()
+    key = np.minimum(a, b) * len(V) + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    first = order[new]  # each edge's first position, in key order
+    rank = np.empty(len(first), int)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+    mid = np.empty(len(key), int)
+    mid[order] = len(V) + rank[np.cumsum(new) - 1]
+    V2 = np.concatenate([V, np.empty((len(first), 3))])
+    V2[mid[first]] = (V[a[first]] + V[b[first]]) / 2
     V2 /= np.linalg.norm(V2, axis=1)[:, None]
-    return V2, np.asarray(F2)
+    ab, bc, ca = mid.reshape(-1, 3).T
+    A, B, C = F.T
+    F2 = np.stack([A, ab, ca, ab, B, bc, ca, bc, C, ab, bc, ca], 1)
+    return V2, F2.reshape(-1, 3)
 
 
 def unit_icosphere(subdivisions: int):
@@ -576,8 +577,14 @@ def _real_harmonic(ell, m, directions):
     scale = np.sqrt((2 * ell + 1) / (4 * np.pi) * (1 if m == 0 else 2)
                     * factorial(ell - a) / factorial(ell + a))
     xy = (x + 1j * y) ** a
-    return scale * np.polynomial.Legendre.basis(ell).deriv(a)(z) \
+    return scale * _legendre_deriv(ell, a)(z) \
         * (xy.imag if m < 0 else xy.real)
+
+
+@functools.cache
+def _legendre_deriv(ell, a):
+    """(d/dz)^a P_ell, built once per (ell, a)."""
+    return np.polynomial.Legendre.basis(ell).deriv(a)
 
 
 def _harmonic_noise(directions, seed, degrees=(2, 3, 4)):

@@ -59,28 +59,35 @@ def make_flat_strip(n=32, scale=1.0):
     return build_surface(V, E, allow_boundary=True)
 
 
+def subdivide_edge_loop(V, F):
+    """One flat midpoint subdivision by a per-edge loop: the midpoints are
+    numbered after V in order of first use, face by face, edges ab, bc,
+    ca; the oracle of surface._subdivide_project without the projection."""
+    verts = [tuple(v) for v in V]
+    cache = {}
+    F2 = []
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in cache:
+            verts.append(tuple(
+                (np.asarray(verts[a]) + np.asarray(verts[b])) / 2))
+            cache[key] = len(verts) - 1
+        return cache[key]
+
+    for a, b, c in F:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        F2 += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    return np.asarray(verts), np.asarray(F2)
+
+
 def flat_icosahedron_refined(levels):
     """Icosahedron with flat midpoint subdivision (no sphere projection)."""
     from nlcurv.surface import unit_icosphere
 
     V, F = unit_icosphere(0)
     for _ in range(levels):
-        verts = [tuple(v) for v in V]
-        cache = {}
-        F2 = []
-
-        def mid(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in cache:
-                verts.append(tuple(
-                    (np.asarray(verts[a]) + np.asarray(verts[b])) / 2))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for a, b, c in F:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            F2 += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        V, F = np.asarray(verts), np.asarray(F2)
+        V, F = subdivide_edge_loop(V, F)
     return build_surface(V, F)
 
 

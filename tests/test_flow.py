@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import fd_gradient_oracle, make_bumpy_polygon
 
+from nlcurv import flow, functionals
 from nlcurv.errors import DegenerateGeometry, InvalidParams, StallError
 from nlcurv.flow import (
     _FD_STEP,
@@ -171,6 +172,58 @@ class TestMinimize:
         energies = [row[1] for row in state.trajectory]
         assert state.iteration == 1 and energies[1] < energies[0]
         assert state.step < 1e-3
+
+    @pytest.mark.parametrize("sub,seed,iters", [(1, 3, 5), (1, 7, 5),
+                                                (2, 3, 3)])
+    def test_bounded_trials_match_full_passes(self, monkeypatch, sub, seed,
+                                              iters):
+        # a mesh's gradient is computed once: it is the same for any
+        # worker count (test_worker_determinism), and a run whose trials
+        # went astray reaches meshes the others never saw
+        grads = {}
+        gradient = flow.energy_gradient
+
+        def cached(mesh, *args):
+            key = mesh.vertices.tobytes()
+            if key not in grads:
+                grads[key] = gradient(mesh, *args)
+            return grads[key]
+
+        monkeypatch.setattr(flow, "energy_gradient", cached)
+        mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=seed,
+                              subdivisions=sub)
+        runs = [minimize(mesh, PARAMS, max_iter=iters, smoothing=True,
+                         workers=w) for w in (1, 2)]
+        monkeypatch.setattr(flow, "_energies", lambda *args, bound, **kw:
+                            functionals._energies(*args, **kw))
+        full = minimize(mesh, PARAMS, max_iter=iters, smoothing=True)
+        for state in runs:
+            assert state.trajectory == full.trajectory
+            assert np.array_equal(state.mesh.vertices, full.mesh.vertices)
+            assert state.step == full.step
+
+    def test_most_first_trials_stop_after_one_part(self, bumpy, monkeypatch):
+        # the bench flow op: 12 trials, 11 of them rejected, most after
+        # the first of eight parts
+        parts = []
+        kernel = functionals._kernel_sums
+
+        def counted(*args):
+            if len(args) > 6 and args[6] is not None:
+                limit, energy = args[6]
+                parts.append(0)
+
+                def counting(a, b, sums):
+                    parts[-1] += 1
+                    return energy(a, b, sums)
+
+                args = (*args[:6], (limit, counting))
+            return kernel(*args)
+
+        monkeypatch.setattr(functionals, "_kernel_sums", counted)
+        minimize(bumpy, PARAMS, max_iter=1, smoothing=True)
+        assert len(parts) == 12 and parts[-1] == 8
+        assert sum(n == 1 for n in parts) >= 8
 
     def test_grad_tol_stop(self, bumpy):
         state = minimize(bumpy, PARAMS, max_iter=2, step0=1e-3,

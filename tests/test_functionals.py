@@ -439,6 +439,69 @@ class TestTiling:
         assert fused <= 1.1 * peaks[1]
 
 
+class TestBound:
+    """A bounded pass, the flow's line-search trial, stops once the rows
+    it has summed exceed the bound; any energy it returns is the unbounded
+    pass's, bit for bit."""
+
+    @staticmethod
+    def _args(mesh, order):
+        sc = build_scheme(mesh, order)
+        return (sc.points, functionals._sample_exclusions(mesh, sc),
+                functionals._inner_data(mesh, sc), 1e-14 * mesh.diameter,
+                [(mesh.dim_d + 1 + PARAMS.s, 1.0)])
+
+    # parts of 32 rows in one 240-row block, of 72 then 45 rows in
+    # 117-row blocks, of 12 rows, the sub2 blocks of 68 rows, and parts of
+    # 48 rows in 170-row blocks
+    @pytest.mark.parametrize("sub,order", [(1, "gauss3"), (1, "gauss7"),
+                                           (1, "centroid"), (2, "gauss3"),
+                                           (None, "gauss3")])
+    def test_unstopped_pass_matches_unbounded(self, circle128, sub, order):
+        # guards the OpenBLAS GEMV observation the parts rest on
+        mesh = circle128 if sub is None else make_primitive(
+            "perturbed_sphere", amplitude=0.05, seed=3, subdivisions=sub)
+        args = self._args(mesh, order)
+        for w in (1, 2):
+            parts = []
+            bound = (np.inf, lambda a, b, sums: parts.append(b - a) or 0.0)
+            full = functionals._kernel_sums(*args, w)
+            assert np.array_equal(functionals._kernel_sums(*args, w, bound),
+                                  full)
+            if w == 1:
+                assert len(parts) >= 7 and sum(parts) == len(args[0])
+
+    def test_energy_at_or_within_the_margin_runs_in_full(self):
+        mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                              subdivisions=1)
+        sc = build_scheme(mesh)
+        e = bending_energy(mesh, sc, PARAMS).energy
+
+        def bounded(bound):
+            return functionals._energies(mesh, sc, ["bending"], 1, PARAMS,
+                                         bound=bound)[0].energy
+
+        # B equal to the bound, or above it by less than the margin: the
+        # full pass's B, which a line search rejects as before
+        for bound in (e, e / (1 + functionals._BOUND_MARGIN / 2)):
+            assert bounded(bound) == e
+        assert bounded(e * 1.001) == e
+        assert bounded(e * 0.999) == np.inf
+
+    def test_coincident_samples_still_raise(self, circle128):
+        # the pair check runs before a part's rows are summed
+        n = circle128.n_vertices
+        doubled = build_surface(
+            np.vstack([circle128.vertices, circle128.vertices]),
+            np.vstack([circle128.elements, circle128.elements + n]))
+        sc = build_scheme(doubled)
+        for w in (1, 4):
+            for bound in (np.inf, 0.0):
+                with pytest.raises(DegenerateGeometry):
+                    functionals._energies(doubled, sc, ["bending"], w,
+                                          PARAMS, bound=bound)
+
+
 class TestExclusionTables:
     """The numpy tables hold exactly the pairs of the sparse incidence
     products they replace: inc.T @ inc (elements sharing a vertex), the

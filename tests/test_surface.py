@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from conftest import make_trefoil, traced_peak
+from conftest import make_trefoil, subdivide_edge_loop, traced_peak
 from nlcurv import errors, surface
 from nlcurv.functionals import bending_energy, pointwise_curvature
 from nlcurv.geodesics import intrinsic_distances
@@ -31,6 +31,17 @@ class TestPrimitives:
         m = make_primitive("sphere_icosub", subdivisions=0)
         assert m.n_vertices == 12 and m.n_elements == 20
         assert _signed_volume(m.vertices, m.elements) > 0
+
+    def test_icosphere_matches_edge_loop(self):
+        # the whole-array subdivision numbers and sums the midpoints as
+        # the per-edge loop does, so every icosphere keeps its bits
+        V, F = surface._icosahedron()
+        for sub in range(1, 5):
+            V, F = subdivide_edge_loop(V, F)
+            V /= np.linalg.norm(V, axis=1)[:, None]
+            got = surface.unit_icosphere(sub)
+            assert np.array_equal(got[0], V), sub
+            assert np.array_equal(got[1], F), sub
 
     def test_circle_perimeter(self):
         m = make_primitive("circle", radius=1.0, n=4096)
