@@ -14,7 +14,7 @@ class ParseError(NlcurvError):
 
 
 class NonManifoldError(NlcurvError):
-    """A (d-1)-face is not shared by exactly two elements."""
+    """A vertex lies on no element, or a (d-1)-face on other than two."""
 
 
 class OrientationError(NlcurvError):
@@ -26,7 +26,7 @@ class UnsupportedMode(NlcurvError):
 
 
 class DegenerateGeometry(NlcurvError):
-    """A non-excluded sample pair is closer than the degeneracy cutoff."""
+    """A non-excluded sample pair is too close, or a vertex normal cancels."""
 
 
 class NonGraphical(NlcurvError):

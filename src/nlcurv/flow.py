@@ -108,7 +108,7 @@ def energy_gradient(mesh, params, order="gauss3",
     elen = np.linalg.norm(V[e[:, 0]] - V[e[:, 1]], axis=1)
     ends = e.T.ravel()
     deg = np.bincount(ends, minlength=len(V))
-    local = np.bincount(ends, np.tile(elen, 2), len(V)) / np.maximum(deg, 1)
+    local = np.bincount(ends, np.tile(elen, 2), len(V)) / deg
 
     scheme = build_scheme(mesh, order, diagonal_policy)
     Y, W, N, mode, k = inner = _inner_data(mesh, scheme)

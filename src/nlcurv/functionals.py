@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidParams, UnsupportedMode
+from .quadrature import _gauss_legendre_01
 from .surface import (_PAIR_BUDGET, _check_int, _fork_map, _rotation_to_z,
                       _vertex_indices)
 
@@ -287,9 +288,7 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers, bound=None):
 # near field of the excluded vertex star
 # --------------------------------------------------------------------------
 
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_T = (_GL_T + 1.0) / 2.0   # nodes and weights on [0, 1]
-_GL_W = _GL_W / 2.0
+_GL_T, _GL_W = _gauss_legendre_01(16)
 
 
 def _adjacency(mesh):

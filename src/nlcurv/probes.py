@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateGeometry,
     InvalidParams,
     NonGraphical,
 )
@@ -237,11 +236,6 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
         raise InvalidParams("patch extraction expects a surface in 3-space")
     nh = _grid_half(grad_bound, grid_step, rmax, zmax)
     vertices = np.atleast_1d(_vertex_indices(mesh, vertices))
-    normals = mesh.vertex_normals[vertices]
-    undefined = ~np.all(np.isfinite(normals), axis=1)
-    if undefined.any():
-        raise DegenerateGeometry(
-            f"undefined normal at vertex {vertices[undefined][0]}")
     X, elements = mesh.vertices, mesh.elements
 
     ax = grid_step * np.arange(-nh, nh + 1)
@@ -266,7 +260,7 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
     rt = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max(axis=1))
     rho = rt.max()
     reach = (np.linalg.norm(box) + 3 ** 0.5 * rho) * (1 + 1e-9)
-    R0 = _rotation_to_z(normals)
+    R0 = _rotation_to_z(mesh.vertex_normals[vertices])
 
     def candidates(sl):
         # the (vertex, triangle) pairs of vertices[sl] whose corners meet the
@@ -637,15 +631,10 @@ _SPHERE_SAMPLES = 2048  # points on the comparison sphere (circle)
 
 def _support_function(mesh):
     """Measure-weighted vertex centroid c and u = <x - c, n(x)> per vertex."""
-    if mesh.codim2:
-        raise DegenerateGeometry("stability probe needs a hypersurface")
     w = mesh.vertex_measures
     X = mesh.vertices
     center = (X * w[:, None]).sum(0) / w.sum()
-    N = mesh.vertex_normals
-    if not np.all(np.isfinite(N)):
-        raise DegenerateGeometry("undefined vertex normal")
-    return center, np.einsum("ik,ik->i", X - center, N)
+    return center, np.einsum("ik,ik->i", X - center, mesh.vertex_normals)
 
 
 def stability_probe(mesh: DiscreteHypersurface, alpha=0.5,

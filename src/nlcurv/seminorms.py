@@ -13,8 +13,8 @@ from .errors import DegeneratePatch, InvalidParams
 from .functionals import get_workers
 # intrinsic_distances stays bound here: bench/test_bench.py reads the binding
 from .geodesics import _search, intrinsic_distances  # noqa: F401
-from .surface import (DiscreteHypersurface, _check_s, _positive,
-                      _square_distances)
+from .surface import (DiscreteHypersurface, _check_exponent, _check_s,
+                      _positive, _square_distances)
 
 __all__ = [
     "ScalarField",
@@ -46,15 +46,9 @@ class ScalarField:
 
 
 def _check_sobolev(alpha, q):
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParams(f"alpha must lie in (0,1], got {alpha}")
+    _check_exponent("alpha", alpha)
     if not (1.0 < q < np.inf):
         raise InvalidParams(f"q must be finite and exceed 1, got {q}")
-
-
-def _check_holder(beta):
-    if not (0.0 < beta <= 1.0):
-        raise InvalidParams(f"beta must lie in (0,1], got {beta}")
 
 
 def _distance_rows(points):
@@ -133,7 +127,7 @@ def _seminorms(field: ScalarField, alpha, q, beta, distance_mode,
     the distance rows, the geodesic search in up to `workers` processes
     (get_workers); every parameter is checked before the pass."""
     _check_sobolev(alpha, q)
-    _check_holder(beta)
+    _check_exponent("beta", beta)
     rows = _field_rows(field, distance_mode,
                        [_gagliardo_rows(field, alpha, q),
                         _holder_rows(field.values, beta)],
@@ -162,7 +156,7 @@ def lq_norm(field: ScalarField, q):
 
 def holder_seminorm(field: ScalarField, beta, distance_mode="extrinsic"):
     """Discrete Hölder seminorm max_{i != j} |f_i - f_j| / dist_ij^beta."""
-    _check_holder(beta)
+    _check_exponent("beta", beta)
     return float(_field_rows(field, distance_mode,
                              [_holder_rows(field.values, beta)]).max())
 

@@ -16,6 +16,7 @@ from math import factorial
 import numpy as np
 
 from .errors import (
+    DegenerateGeometry,
     InvalidParams,
     NonManifoldError,
     OrientationError,
@@ -43,6 +44,9 @@ __all__ = [
 @dataclass(frozen=True)
 class DiscreteHypersurface:
     """Closed oriented simplicial d-manifold with per-element geometry.
+
+    Every vertex lies on an element.  Vertex normals come only from
+    vertex_normals, which raises where one is undefined.
 
     vertices        (V, ambient_n) float array
     elements        (M, d+1) int array of vertex indices
@@ -106,14 +110,19 @@ class DiscreteHypersurface:
 
     @functools.cached_property
     def vertex_normals(self) -> np.ndarray:
-        """Measure-weighted averages of adjacent element normals, renormalized."""
+        """Measure-weighted averages of adjacent element normals, renormalized;
+        DegenerateGeometry where they cancel, to below 1e-12 of the vertex
+        measure, which leaves roundoff with no direction."""
         if self.codim2:
             raise UnsupportedMode("vertex normals need a hypersurface")
         vn = np.zeros_like(self.vertices)
         w = self.element_normals * self.element_measures[:, None]
         for k in range(self.elements.shape[1]):
             np.add.at(vn, self.elements[:, k], w)
-        vn /= np.linalg.norm(vn, axis=1)[:, None]
+        norm = np.linalg.norm(vn, axis=1)
+        if (bad := np.flatnonzero(norm <= 1e-12 * self.vertex_measures)).size:
+            raise DegenerateGeometry(f"undefined normal at vertex {bad[0]}")
+        vn /= norm[:, None]
         vn.setflags(write=False)
         return vn
 
@@ -205,6 +214,12 @@ def _check_s(s):
     """Raise InvalidParams unless 0 < s < 1."""
     if not 0.0 < s < 1.0:
         raise InvalidParams(f"s must lie in (0,1), got {s}")
+
+
+def _check_exponent(what, value):
+    """Raise InvalidParams unless 0 < value <= 1: a seminorm's alpha, beta."""
+    if not 0.0 < value <= 1.0:
+        raise InvalidParams(f"{what} must lie in (0,1], got {value}")
 
 
 def _positive(what, *values):
@@ -367,20 +382,22 @@ def _edge_table(E, n, allow_boundary):
     lexicographic order, from one table of directed edges.
 
     It checks, in this order: every index lies in [0, n) (ParseError);
-    every (d-1)-face, a curve's vertex or a triangle's edge, lies on
-    exactly two elements, at most two with allow_boundary
-    (NonManifoldError); no directed face occurs twice, so adjacent
-    elements induce opposite orientations on it (OrientationError).
+    every vertex lies on an element, and every (d-1)-face, a curve's
+    vertex or a triangle's edge, on exactly two, at most two with
+    allow_boundary (NonManifoldError); no directed face occurs twice, so
+    adjacent elements induce opposite orientations on it (OrientationError).
     """
     if E.min() < 0 or E.max() >= n:
         raise ParseError("element index out of range")
+    if (deg := np.bincount(E.ravel(), minlength=n)).min() == 0:
+        raise NonManifoldError(f"vertex {deg.argmin()} lies on no element")
     curve = E.shape[1] == 2
     # (tail, head) rows: a curve's segments, a triangle's three half-edges
     tail, head = (E if curve else E[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)).T
     keys, counts = np.unique(np.minimum(tail, head) * n
                              + np.maximum(tail, head), return_counts=True)
     if curve:  # a curve's (d-1)-faces are its vertices
-        counts = np.unique(E, return_counts=True)[1]
+        counts = deg
     if allow_boundary:
         if counts.max() > 2:
             raise NonManifoldError("a face is shared by more than two elements")

@@ -9,7 +9,8 @@ import pytest
 from nlcurv.functionals import _near_field, bending_energy
 from nlcurv.probes import _MAX_REFIT, _STENCIL, _raycast_heights
 from nlcurv.quadrature import build_scheme
-from nlcurv.surface import _rotation_to_z, build_surface, make_primitive
+from nlcurv.surface import (_rotation_to_z, build_surface, make_primitive,
+                            save_off)
 
 
 def make_flat_square(n=8, scale=1.0):
@@ -49,6 +50,26 @@ def make_bumpy_polygon(ambient=2, n=64):
     if ambient == 3:
         V = np.c_[V, 0.2 * np.sin(3 * th)]
     return build_surface(V, E)
+
+
+def make_bowtie(rotation=np.eye(3)):
+    """A closed octahedron-like mesh whose apex 0 sits over a self-crossing
+    quadrilateral link: the link's vector area is 0, so the area-weighted
+    normals at vertex 0 (and at vertex 1) cancel."""
+    V = np.array([(0, 0, 1), (0, 0, -1), (1, 1, 0), (1, -1, 0), (-1, 1, 0),
+                  (-1, -1, 0)], float)
+    F = [(0, 2 + i, 2 + (i + 1) % 4) for i in range(4)] \
+        + [(1, 2 + (i + 1) % 4, 2 + i) for i in range(4)]
+    return build_surface(V @ rotation.T, F)
+
+
+def save_off_with_stray_vertex(mesh, path):
+    """save_off of mesh plus one vertex, (5, 5, 0), on no element."""
+    save_off(mesh, path)
+    head, _, *rest = path.read_text().splitlines()
+    nv = mesh.n_vertices
+    path.write_text("\n".join([head, f"{nv + 1} {mesh.n_elements} 0",
+                               *rest[:nv], "5 5 0", *rest[nv:]]))
 
 
 def make_flat_strip(n=32, scale=1.0):
@@ -488,3 +509,8 @@ def flat_square():
 @pytest.fixture(scope="session")
 def flat_strip():
     return make_flat_strip()
+
+
+@pytest.fixture(scope="session")
+def bowtie():
+    return make_bowtie()

@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import make_bowtie, save_off_with_stray_vertex
 from nlcurv import functionals
 from nlcurv.cli import (_MODE_READS, _ORACLE_READS, _PRIMITIVE_READS,
                         _build_parser, main, parse_config)
 from nlcurv.errors import UsageError
 from nlcurv.quadrature import build_scheme
-from nlcurv.surface import EnergyParameters, make_primitive
+from nlcurv.surface import EnergyParameters, make_primitive, save_off
 
 
 def _reject_constant(name):
@@ -467,6 +468,39 @@ class TestCommands:
         with open(os.path.join(tmp_path, "trajectory.csv")) as fh:
             energies = [float(r[1]) for r in list(csv.reader(fh))[1:]]
         assert len(energies) == 2 and energies[1] < energies[0]
+
+    def test_mesh_preconditions_end_typed(self, tmp_path, capfd):
+        # a vertex on no element fails in load_mesh, an undefined vertex
+        # normal where the command reads it; no command ends in a traceback
+        stray, bowtie = tmp_path / "stray.off", tmp_path / "bowtie.off"
+        save_off_with_stray_vertex(make_primitive(
+            "perturbed_sphere", amplitude=0.05, seed=3, subdivisions=1), stray)
+        save_off(make_bowtie(), bowtie)
+        commands = [["eval"], ["eval", "--order", "centroid"],
+                    ["eval", "--tangent-point", "--q", "6"],
+                    ["probe", "--mode", "ahlfors", "--radii", "0.5"],
+                    ["probe", "--mode", "chordarc", "--pairs", "100"],
+                    ["probe", "--mode", "patch", "--vertex", "2"],
+                    ["probe", "--mode", "patch", "--all-vertices"],
+                    ["probe", "--mode", "stability"],
+                    ["sobolev"], ["sobolev", "--distance", "intrinsic"],
+                    ["sobolev", "--field", "support"],
+                    ["flow", "--max-iter", "1"],
+                    ["flow", "--max-iter", "1", "--smoothing", "--order",
+                     "centroid"]]
+        for mesh in (stray, bowtie):
+            for argv in commands:
+                rc = main([*argv, "--mesh", str(mesh), "--out",
+                           str(tmp_path / "out")])
+                err = capfd.readouterr().err
+                if rc == 0 and mesh == bowtie:
+                    assert err == "", argv
+                    continue
+                assert rc == 1, argv
+                kind = json.loads(err)["error"]["kind"]
+                assert (kind == "NonManifoldError" if mesh == stray
+                        else kind in ("DegenerateGeometry", "StallError")), \
+                    (argv, kind)
 
     def test_flow_reports_subcritical_without_warning(self, tmp_path, capsys):
         # the default p = 4 sits on the critical line p = d/s of a surface;

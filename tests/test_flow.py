@@ -131,6 +131,12 @@ class TestMinimize:
         assert np.allclose(traj[:, 2], 1.0, atol=1e-12)  # area pinned
         assert traj[-1, 4] < traj[0, 4]  # closer to a round sphere
 
+    def test_undefined_normal_stops_the_smoothed_flow(self, bowtie):
+        # every smoothed trial reads the trial's vertex normals
+        with pytest.raises((DegenerateGeometry, StallError)):
+            minimize(bowtie, PARAMS, max_iter=2, smoothing=True,
+                     order="centroid")
+
     def test_callback_sees_every_accepted_step(self, bumpy):
         seen = []
         state = minimize(bumpy, PARAMS, max_iter=3, step0=1e-3,

@@ -587,6 +587,18 @@ def test_pointwise_no_vertices(request, name, kind):
     assert out.shape == (0,) and out.dtype == float
 
 
+def test_undefined_normal_fails_only_where_read(bowtie, capfd):
+    # vertex curvature rotates the vertex normal to the vertical; B reads
+    # the element normals only
+    scheme = build_scheme(bowtie, "centroid")
+    for kind in ("H", "A"):
+        with pytest.raises(DegenerateGeometry,
+                           match="undefined normal at vertex 0"):
+            pointwise_curvature(bowtie, scheme, PARAMS, kind=kind)
+    assert np.isfinite(bending_energy(bowtie, scheme, PARAMS).energy)
+    assert capfd.readouterr().err == ""  # nothing from LAPACK either
+
+
 @pytest.mark.parametrize("workers", [2.0, np.float64(2), np.bool_(True),
                                      "2.5"])
 def test_worker_count_is_an_integer(workers):

@@ -13,7 +13,8 @@ from conftest import (
     triangle_distance_oracle,
 )
 from nlcurv import probes, surface
-from nlcurv.errors import InvalidParams, NonGraphical
+from nlcurv.errors import (DegenerateGeometry, InvalidParams, NonGraphical,
+                           UnsupportedMode)
 from nlcurv.probes import (
     _MAX_REFIT,
     _dist_to_surface,
@@ -24,7 +25,8 @@ from nlcurv.probes import (
     patch_radii,
     stability_probe,
 )
-from nlcurv.seminorms import graph_linearization_functional, morrey_check
+from nlcurv.seminorms import (ScalarField, graph_linearization_functional,
+                              morrey_check, sobolev_seminorm)
 from nlcurv.surface import _ball_pairs, make_primitive
 
 
@@ -370,6 +372,10 @@ class TestStability:
         exact = 2 * np.sin(np.pi / 512) ** 2
         assert abs(rep.hausdorff - exact) <= 1e-10 * exact
 
+    def test_needs_a_hypersurface(self):
+        with pytest.raises(UnsupportedMode):
+            stability_probe(make_trefoil())
+
     def test_report_dict(self, sphere1):
         d = stability_probe(sphere1).to_dict()
         assert set(d) == {"center", "R0", "u_seminorm", "hausdorff",
@@ -499,3 +505,18 @@ def test_patch_grid_size_checked(kw):
 def test_ahlfors_radius_whose_square_underflows(kind, kw):
     with pytest.raises(InvalidParams):
         ahlfors_ratio(make_primitive(kind, **kw), 0, [0.5, 1e-200])
+
+
+def test_undefined_normal_fails_only_where_read(bowtie):
+    # the patch charts and the support function read the vertex normals;
+    # the Ahlfors ratio, the chord-arc constant and the intrinsic seminorm
+    # do not
+    for call in (lambda: extract_patch(bowtie, 2), lambda: patch_radii(bowtie),
+                 lambda: stability_probe(bowtie)):
+        with pytest.raises(DegenerateGeometry,
+                           match="undefined normal at vertex 0"):
+            call()
+    field = ScalarField(bowtie, bowtie.vertices[:, 2])
+    assert np.isfinite([*(r for _, r in ahlfors_ratio(bowtie, 0, [0.5])),
+                        chord_arc_constant(bowtie, 100)["gamma"],
+                        sobolev_seminorm(field, 0.5, 2.0, "intrinsic")]).all()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from conftest import make_trefoil, subdivide_edge_loop, traced_peak
+from conftest import (make_bowtie, make_trefoil, save_off_with_stray_vertex,
+                      subdivide_edge_loop, traced_peak)
 from nlcurv import errors, surface
 from nlcurv.functionals import bending_energy, pointwise_curvature
 from nlcurv.geodesics import intrinsic_distances
@@ -15,6 +16,7 @@ from nlcurv.surface import (
     EnergyParameters,
     _harmonic_noise,
     _real_harmonic,
+    _rotation_to_z,
     _signed_volume,
     _vertex_indices,
     build_surface,
@@ -159,6 +161,30 @@ class TestValidation:
         m = make_primitive("sphere_icosub", subdivisions=0)
         with pytest.raises(errors.NonManifoldError):
             build_surface(m.vertices, m.elements[:-1])
+
+    @pytest.mark.parametrize("kind, kw", [
+        ("sphere_icosub", {"subdivisions": 1}), ("circle", {"n": 16})])
+    def test_vertex_on_no_element(self, tmp_path, kind, kw):
+        # a vertex on no element has no star, measure or normal, and
+        # would still set the diameter and the pair cutoff
+        m = make_primitive(kind, **kw)
+        stray = f"vertex {m.n_vertices} lies on no element"
+        V = np.r_[m.vertices, np.full((1, m.ambient_n), 5.0)]
+        for allow_boundary in (False, True):
+            with pytest.raises(errors.NonManifoldError, match=stray):
+                build_surface(V, m.elements, allow_boundary=allow_boundary)
+        save_off_with_stray_vertex(m, tmp_path / "stray.off")
+        with pytest.raises(errors.NonManifoldError, match=stray):
+            load_mesh(tmp_path / "stray.off")
+
+    @pytest.mark.parametrize("axis", [(0, 0, 1), (1, 2, 2)])
+    def test_cancelling_vertex_normals(self, axis):
+        # turned off the z-axis, the cancelled sum is roundoff, not zero
+        R = _rotation_to_z(np.array(axis) / np.linalg.norm(axis))
+        mesh = make_bowtie(R)
+        with pytest.raises(errors.DegenerateGeometry,
+                           match="undefined normal at vertex 0"):
+            mesh.vertex_normals
 
     def test_open_mesh_allowed_with_flag(self):
         m = make_primitive("sphere_icosub", subdivisions=0)
