@@ -2,11 +2,12 @@
 
 tests/golden.json holds a fixed matrix of outputs as float.hex strings:
 eval's B, W, T and vertex curvature on two surfaces and two curves at every
-order and policy, short flows, patch radii and refits, the chord-arc and
-stability probes, both seminorms and the oracles.  Each is recomputed at
-one and at two workers and compared exactly.  The file also records the
-numpy, BLAS and CPU it was written on, so that a mismatch on another
-machine reads as the environment, not as the program.
+order and policy, B's gradient (a sha256 of its bytes), short flows, patch
+radii and refits, the chord-arc and stability probes, both seminorms and
+the oracles.  Each is recomputed at one and at two workers and compared
+exactly.  The file also records the numpy, BLAS and CPU it was written on,
+so that a mismatch on another machine reads as the environment, not as
+the program.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,6 +28,7 @@ from nlcurv import (EnergyParameters, ScalarField, build_scheme,
                     chord_arc_constant, make_primitive, minimize, oracle,
                     patch_radii, pointwise_curvature, stability_probe)
 from nlcurv.errors import InvalidParams
+from nlcurv.flow import energy_gradient
 from nlcurv.functionals import _energies
 from nlcurv.probes import _patch_charts
 from nlcurv.seminorms import _seminorms, lq_norm
@@ -68,13 +70,35 @@ def _eval_rows(workers):
                                        workers=workers))
 
 
+def _sha256(a):
+    return [hashlib.sha256(np.ascontiguousarray(a, float).tobytes())
+            .hexdigest()]
+
+
+def _gradient_rows(workers):
+    # sub1 gauss7: 518 samples outside a star, two row blocks per pass
+    params = EnergyParameters(0.5, 5.0)
+    sub1 = _perturbed(3, 1)
+    for order in ORDERS:
+        for policy in POLICIES:
+            if order != "gauss3" or policy != "skip_same_element":
+                yield (f"gradient/perturbed_sub1/{order}/{policy}_sha256",
+                       _sha256(energy_gradient(sub1, params, order, policy,
+                                               workers)))
+    for ambient in (2, 3):
+        mesh = make_bumpy_polygon(ambient)
+        for policy in POLICIES:
+            yield (f"gradient/bumpy64_{ambient}d/gauss3/{policy}_sha256",
+                   _sha256(energy_gradient(mesh, params, "gauss3", policy,
+                                           workers)))
+
+
 def _flow_rows(workers):
     for seed in (3, 7):
         state = minimize(_perturbed(seed, 1), EnergyParameters(0.5, 5.0),
                          max_iter=3, smoothing=True, workers=workers)
         yield f"flow/seed{seed}/trajectory", np.ravel(state.trajectory)
-        digest = hashlib.sha256(state.mesh.vertices.tobytes()).hexdigest()
-        yield f"flow/seed{seed}/vertices_sha256", [digest]
+        yield f"flow/seed{seed}/vertices_sha256", _sha256(state.mesh.vertices)
 
 
 def _probe_rows(workers):
@@ -107,8 +131,8 @@ def _oracle_rows(workers):
         oracle("scaling_exponent", d=2, s=0.5, p=4.0).value]
 
 
-GROUPS = {"eval": _eval_rows, "flow": _flow_rows, "probes": _probe_rows,
-          "oracles": _oracle_rows}
+GROUPS = {"eval": _eval_rows, "gradient": _gradient_rows, "flow": _flow_rows,
+          "probes": _probe_rows, "oracles": _oracle_rows}
 
 
 def _encode(values):
