@@ -154,6 +154,25 @@ def _int_power(base, m, out):
     return src
 
 
+def _inv_power(r2, e, out):
+    """r^-e from r^2, into out: integer powers of r^2 by squarings and one
+    reciprocal, other powers by np.power."""
+    half = e / 2
+    if half == int(half):
+        return np.reciprocal(_int_power(r2, int(half), out), out=out)
+    return np.power(r2, -half, out=out)
+
+
+def _blocks(n, S, k):
+    """(tile, rows) of a pass of n outer points over S inner samples, k per
+    element: tiles of whole elements and at most _TILE_PAIRS samples, and
+    blocks of at most _TILE_PAIRS // tile outer rows.  The sums depend on
+    this split, so every pass that must match another's sums bit for bit
+    takes it from here."""
+    tile = max(1, min(S, max(k, _TILE_PAIRS // k * k)))
+    return tile, max(1, min(n, _TILE_PAIRS // tile))
+
+
 def _kernel_sums(X, excl, inner, cutoff, terms, workers, bound=None):
     """Per term (expo_r, power) and outer point x:  Sum_y |pairing|^power
     / r^expo_r * w(y), or the signed pairing when power is None, over the
@@ -184,18 +203,19 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers, bound=None):
     up to `workers` processes (surface._fork_map) only when each process
     gets more than _FORK_PAIRS pairs, what a fork and its wait cost.
 
-    A bound (limit, energy) runs each block in parts of at most
-    4 ceil(n / 32) rows, about 8 chances to stop: a share adds
-    energy(a, b, sums), the non-negative energy of rows a:b, to its
-    partial sum after each part and, once that exceeds limit, fills its
-    rows with +inf and stops.  A part starts a multiple of 4 rows into its
-    block, where OpenBLAS's GEMV sums a row as it does over the whole
-    block, so a bounded pass that never stops returns the unbounded sums.
+    A bound (limit, energy) runs each block in parts of 4 ceil(n / 32)
+    rows, about 8 chances to stop: a share adds energy(a, b, sums), the
+    non-negative energy of rows a:b, to its partial sum after each part
+    and, once that exceeds limit, fills its rows with +inf and stops.  A
+    part starts a multiple of 4 rows into its block, and the block's last
+    part takes its last full group of 4 rows together with the 1-3 rows
+    after it: so split, OpenBLAS's GEMV sums a row as it does over the
+    whole block, and a bounded pass that never stops returns the unbounded
+    sums.
     """
     Y, W, N, mode, k = inner
     n, S = len(X), len(W)
-    tile = min(S, max(k, _TILE_PAIRS // k * k))
-    rows = max(1, min(n, _TILE_PAIRS // tile))
+    tile, rows = _blocks(n, S, k)
     part = rows if bound is None else min(rows, -(-n // 32) * 4)
     Yt, Nt = Y.T.copy(), N.T.copy()
     ex_row, ex_el = excl
@@ -205,8 +225,8 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers, bound=None):
         # the row ranges (a, b) of sl's blocks, split into parts if bounded
         for lo in range(sl.start, sl.stop, rows):
             hi = min(lo + rows, n)
-            for a in range(lo, hi, part):
-                yield a, min(a + part, hi)
+            cuts = [*range(lo, max(lo + 1, hi - 3), part), hi]
+            yield from zip(cuts[:-1], cuts[1:])
 
     def share(sl):
         # the rows of outer points sl, terms then weight columns per row
@@ -246,12 +266,7 @@ def _kernel_sums(X, excl, inner, cutoff, terms, workers, bound=None):
                     e, power = terms[i]
                     if e != expo:
                         expo, product = e, False
-                        half = e / 2
-                        if half == int(half):
-                            np.reciprocal(_int_power(r2, int(half), kern),
-                                          out=kern)
-                        else:
-                            np.power(r2, -half, out=kern)
+                        _inv_power(r2, e, kern)
                     if power == 1 and product:
                         np.abs(tmp, out=tmp)
                     elif power is None or power == int(power):
@@ -450,7 +465,7 @@ def pointwise_curvature(mesh, scheme, params, vertices=None, kind="H",
 # --------------------------------------------------------------------------
 
 def _energies(mesh, scheme, kinds, workers, params=None, p=None, q=None,
-              bound=None):
+              bound=None, rows=False):
     """Reports of the energies named in kinds ('bending' and 'willmore'
     from params, 'tangent_point' from p and q), all from one kernel pass
     over the sample pairs, whose wall time every report carries.
@@ -458,7 +473,8 @@ def _energies(mesh, scheme, kinds, workers, params=None, p=None, q=None,
     B and W are |A|_s^p and |H_s|^p evaluated at the quadrature points
     themselves.  Every request is validated before the pass.  With a
     bound, the first kind's energy (B or W) is +inf once the rows summed so
-    far exceed bound (1 + _BOUND_MARGIN), else the unbounded pass's.
+    far exceed bound (1 + _BOUND_MARGIN), else the unbounded pass's.  With
+    rows, returns (reports, the pass's kernel sums, one row per kind).
     """
     if "willmore" in kinds and mesh.codim2:
         raise UnsupportedMode("W_{s,p} needs a hypersurface; "
@@ -492,8 +508,9 @@ def _energies(mesh, scheme, kinds, workers, params=None, p=None, q=None,
                   "normalization": params.normalization}
         done.append((kind, e, pd))
     wall = time.perf_counter() - t0
-    return [EnergyReport(kind, e, pd, _mesh_descriptor(mesh),
-                         scheme.descriptor(), wall) for kind, e, pd in done]
+    reports = [EnergyReport(kind, e, pd, _mesh_descriptor(mesh),
+                            scheme.descriptor(), wall) for kind, e, pd in done]
+    return (reports, sums) if rows else reports
 
 
 def willmore_energy(mesh, scheme, params, workers=None) -> EnergyReport:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import fd_gradient_oracle, make_bumpy_polygon
+from conftest import fd_gradient_oracle, make_bumpy_polygon, traced_peak
 
 from nlcurv import flow, functionals
 from nlcurv.errors import DegenerateGeometry, InvalidParams, StallError
@@ -76,12 +76,28 @@ class TestGradient:
                                  diagonal_policy=policy)
         assert np.abs(g - ref).max() <= 1e-8 * np.abs(ref).max()
 
+    def test_memory_is_one_star_array_over_the_tiles(self, bumpy):
+        # gauss7: a 6-element star has |J| = 42 samples, |out| = 518 outside
+        # it and G |J| = 252 moved ones.  3.30 MB covers the base pass, the
+        # moved stars and four tile buffers (the peak with one kernel pass
+        # at a time); the star pass adds at most one (|out|, G |J|) array
+        peak, _ = traced_peak(lambda: energy_gradient(
+            bumpy, PARAMS, order="gauss7", workers=1))
+        assert peak < 3.30e6 + 518 * 252 * 8 + 0.1e6
+
     @pytest.mark.parametrize("ambient", [2, 3])
     def test_matches_full_rebuild_curves(self, ambient):
         mesh = make_bumpy_polygon(ambient)
         g = energy_gradient(mesh, PARAMS)
         ref = fd_gradient_oracle(mesh, PARAMS)
         assert np.abs(g - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    def test_star_of_every_element(self):
+        # a 2-gon: each vertex star holds both segments, so no sample lies
+        # outside it and skip_vertex_star excludes every pair
+        mesh = build_surface(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                             np.array([[0, 1], [1, 0]]))
+        assert not energy_gradient(mesh, PARAMS).any()
 
     def test_coincident_samples_degenerate(self, circle128):
         # the base pass raises, before any fork; test_processes has the
@@ -93,6 +109,65 @@ class TestGradient:
         for workers in (1, 2):
             with pytest.raises(DegenerateGeometry):
                 energy_gradient(doubled, PARAMS, workers=workers)
+
+
+class TestStarPass:
+    """One star pass gives the sums of the three kernel passes it replaces,
+    bit for bit: b (outer samples over the star J), delta (over the moved
+    stars J', a weight column per group) and the rows of J' over the
+    outer samples."""
+
+    @pytest.mark.parametrize("tile_pairs", [1 << 16, 64])
+    @pytest.mark.parametrize("case", ["sub1-gauss7", "bumpy3d-gauss3"])
+    def test_matches_the_kernel_passes(self, monkeypatch, bumpy, case,
+                                       tile_pairs):
+        # 64 pairs per tile: one-row blocks and many tiles in every pass
+        monkeypatch.setattr(functionals, "_TILE_PAIRS", tile_pairs)
+        mesh, order = ((bumpy, "gauss7") if case == "sub1-gauss7"
+                       else (make_bumpy_polygon(3), "gauss3"))
+        scheme = build_scheme(mesh, order)
+        Y, W, N, mode, k = functionals._inner_data(mesh, scheme)
+        near = functionals._neighbourhoods(mesh, scheme.diagonal_policy)
+        star_ptr, star_els = stars = functionals._stars(mesh)
+        (ptr, ex_row, ex_pos), _ = flow._star_exclusions(mesh, near, stars,
+                                                         k)
+        i = int(np.argmax(np.diff(star_ptr)))
+        star = star_els[star_ptr[i]:star_ptr[i + 1]]
+        J = (star[:, None] * k + np.arange(k)).ravel()
+        rest = np.ones(mesh.n_elements, bool)
+        rest[star] = False
+        out = np.repeat(rest, k).nonzero()[0]
+        G, m = 2 * mesh.ambient_n, len(star)
+        rng = np.random.default_rng(0)
+        ys = np.tile(Y[J], (G, 1)) + 1e-3 * rng.standard_normal((G * len(J),
+                                                                 Y.shape[1]))
+        ns = np.tile(N[J], (G, 1))
+        Wg = np.kron(np.eye(G), W[J][:, None])  # group g's weights, column g
+        block = np.zeros((m, mesh.n_elements), bool)
+        block[functionals._rows(near, star)] = True
+        cols = block.T[scheme.element_of[out]]
+        expo = mesh.dim_d + 1 + PARAMS.s
+        cut = (1e-14 * mesh.diameter, 1.1e-14 * mesh.diameter)
+
+        def sums(X, excl, inner, c):
+            return functionals._kernel_sums(X, excl, inner, c, [(expo, 1.0)],
+                                            1)[0]
+
+        want = (
+            sums(Y[out], cols.nonzero(), (Y[J], W[J], N[J], mode, k),
+                 cut[0]),
+            sums(Y[out], np.tile(cols, G).nonzero(), (ys, Wg, ns, mode, k),
+                 cut[1]),
+            sums(ys, np.tile(np.repeat(block[:, rest], k, axis=0),
+                             (G, 1)).nonzero(),
+                 (Y[out], W[out], N[out], mode, k), cut[1]))
+        got = flow._star_pass(
+            (Y[out], N[out], W[out]),
+            (np.concatenate([Y[J], ys]), np.concatenate([N[J], ns])), W[J],
+            Wg, (ex_row[ptr[i]:ptr[i + 1]], ex_pos[ptr[i]:ptr[i + 1]]),
+            mode, k, expo, cut)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestProjection:
@@ -187,7 +262,7 @@ class TestMinimize:
         # worker count (test_worker_determinism), and a run whose trials
         # went astray reaches meshes the others never saw
         grads = {}
-        gradient = flow.energy_gradient
+        gradient = flow._gradient
 
         def cached(mesh, *args):
             key = mesh.vertices.tobytes()
@@ -195,7 +270,7 @@ class TestMinimize:
                 grads[key] = gradient(mesh, *args)
             return grads[key]
 
-        monkeypatch.setattr(flow, "energy_gradient", cached)
+        monkeypatch.setattr(flow, "_gradient", cached)
         mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=seed,
                               subdivisions=sub)
         runs = [minimize(mesh, PARAMS, max_iter=iters, smoothing=True,
@@ -207,6 +282,24 @@ class TestMinimize:
             assert state.trajectory == full.trajectory
             assert np.array_equal(state.mesh.vertices, full.mesh.vertices)
             assert state.step == full.step
+
+    def test_gradient_reuses_the_latest_full_pass(self, bumpy, monkeypatch):
+        # the initial energy is the one unbounded pass over all S rows: each
+        # gradient's base sums are the rows of the initial or the accepted
+        # trial's pass, which never stops early
+        S = build_scheme(bumpy).n_samples
+        full = []
+        kernel = functionals._kernel_sums
+
+        def counted(X, *args):
+            if len(X) == S and (len(args) < 6 or args[5] is None):
+                full.append(len(X))
+            return kernel(X, *args)
+
+        for module in (functionals, flow):
+            monkeypatch.setattr(module, "_kernel_sums", counted)
+        state = minimize(bumpy, PARAMS, max_iter=3, smoothing=True)
+        assert state.iteration == 3 and full == [S]
 
     def test_most_first_trials_stop_after_one_part(self, bumpy, monkeypatch):
         # the bench flow op: 12 trials, 11 of them rejected, most after

@@ -453,14 +453,24 @@ class TestBound:
 
     # parts of 32 rows in one 240-row block, of 72 then 45 rows in
     # 117-row blocks, of 12 rows, the sub2 blocks of 68 rows, and parts of
-    # 48 rows in 170-row blocks
-    @pytest.mark.parametrize("sub,order", [(1, "gauss3"), (1, "gauss7"),
-                                           (1, "centroid"), (2, "gauss3"),
-                                           (None, "gauss3")])
+    # 48 rows in 170-row blocks; then regular n-gons whose one block ends
+    # 1-3 rows after a whole part: 9 rows in parts of 4 (2-D), 29 in parts
+    # of 4 and 73 in parts of 12 (3-D)
+    @pytest.mark.parametrize("sub,order", [
+        (1, "gauss3"), (1, "gauss7"), (1, "centroid"), (2, "gauss3"),
+        (None, "gauss3"),
+        pytest.param((9, 2), "centroid", id="9gon-2d-centroid"),
+        pytest.param((29, 3), "centroid", id="29gon-3d-centroid"),
+        pytest.param((73, 3), "centroid", id="73gon-3d-centroid")])
     def test_unstopped_pass_matches_unbounded(self, circle128, sub, order):
         # guards the OpenBLAS GEMV observation the parts rest on
-        mesh = circle128 if sub is None else make_primitive(
-            "perturbed_sphere", amplitude=0.05, seed=3, subdivisions=sub)
+        if sub is None:
+            mesh = circle128
+        elif isinstance(sub, tuple):
+            mesh = make_primitive("circle", n=sub[0], ambient=sub[1])
+        else:
+            mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                                  subdivisions=sub)
         args = self._args(mesh, order)
         for w in (1, 2):
             parts = []
@@ -469,7 +479,10 @@ class TestBound:
             assert np.array_equal(functionals._kernel_sums(*args, w, bound),
                                   full)
             if w == 1:
-                assert len(parts) >= 7 and sum(parts) == len(args[0])
+                assert sum(parts) == len(args[0])
+                # no part holds only a block's last 1-3 rows
+                assert min(parts) >= 4
+                assert len(parts) >= (2 if isinstance(sub, tuple) else 7)
 
     def test_energy_at_or_within_the_margin_runs_in_full(self):
         mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
