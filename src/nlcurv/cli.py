@@ -66,8 +66,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser():
-    """The top parser and the subparser of each command."""
+def _build_parser(command=None):
+    """The top parser and the subparser of each command, or of command
+    alone."""
     top = _Parser(prog="nlcurv", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -102,47 +103,53 @@ def _build_parser():
                        default="skip_vertex_star")
         return p
 
-    p = energy_command("eval", "evaluate energies on a mesh")
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--tangent-point", action="store_true",
-                   help="also evaluate T_{p,q} (needs --q)")
+    if command in (None, "eval"):
+        p = energy_command("eval", "evaluate energies on a mesh")
+        p.add_argument("--q", type=float, default=None)
+        p.add_argument("--tangent-point", action="store_true",
+                       help="also evaluate T_{p,q} (needs --q)")
 
-    p = mesh_command("probe", "geometric probes")
-    p.add_argument("--mode",
-                   choices=["ahlfors", "chordarc", "patch", "stability"])
-    p.add_argument("--vertex", type=int, default=0)
-    p.add_argument("--radii", default="0.1,0.2,0.4")
-    p.add_argument("--pairs", type=int, default=20000)
-    p.add_argument("--grad-bound", type=float, default=0.5)
-    p.add_argument("--grid-step", type=float, default=0.02)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--hq", type=float, default=2.0,
-                   help="q exponent of the stability seminorm")
-    p.add_argument("--all-vertices", action="store_true",
-                   help="patch mode: radii for every vertex, CSV output")
+    if command in (None, "probe"):
+        p = mesh_command("probe", "geometric probes")
+        p.add_argument("--mode",
+                       choices=["ahlfors", "chordarc", "patch", "stability"])
+        p.add_argument("--vertex", type=int, default=0)
+        p.add_argument("--radii", default="0.1,0.2,0.4")
+        p.add_argument("--pairs", type=int, default=20000)
+        p.add_argument("--grad-bound", type=float, default=0.5)
+        p.add_argument("--grid-step", type=float, default=0.02)
+        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--hq", type=float, default=2.0,
+                       help="q exponent of the stability seminorm")
+        p.add_argument("--all-vertices", action="store_true",
+                       help="patch mode: radii for every vertex, CSV output")
 
-    p = mesh_command("sobolev", "seminorms of a vertex field")
-    p.add_argument("--field", default="z", choices=["x", "y", "z", "support"])
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--fq", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--distance", default="extrinsic",
-                   choices=["extrinsic", "intrinsic"])
+    if command in (None, "sobolev"):
+        p = mesh_command("sobolev", "seminorms of a vertex field")
+        p.add_argument("--field", default="z",
+                       choices=["x", "y", "z", "support"])
+        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--fq", type=float, default=2.0)
+        p.add_argument("--beta", type=float, default=0.5)
+        p.add_argument("--distance", default="extrinsic",
+                       choices=["extrinsic", "intrinsic"])
 
-    p = energy_command("flow", "area-constrained descent on B_{s,p}")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--step0", type=float, default=1e-2)
-    p.add_argument("--grad-tol", type=float, default=1e-3)
-    p.add_argument("--smoothing", action="store_true")
-    p.add_argument("--snapshot-every", type=int, default=0,
-                   help="write a mesh snapshot every k accepted steps")
+    if command in (None, "flow"):
+        p = energy_command("flow", "area-constrained descent on B_{s,p}")
+        p.add_argument("--max-iter", type=int, default=100)
+        p.add_argument("--step0", type=float, default=1e-2)
+        p.add_argument("--grad-tol", type=float, default=1e-3)
+        p.add_argument("--smoothing", action="store_true")
+        p.add_argument("--snapshot-every", type=int, default=0,
+                       help="write a mesh snapshot every k accepted steps")
 
-    p = sub.add_parser("oracle", help="closed-form reference values")
-    p.add_argument("quantity", choices=list(_ORACLE_READS))
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--p", type=float, default=4.0)
+    if command in (None, "oracle"):
+        p = sub.add_parser("oracle", help="closed-form reference values")
+        p.add_argument("quantity", choices=list(_ORACLE_READS))
+        p.add_argument("--R", type=float, default=1.0)
+        p.add_argument("--s", type=float, default=0.5)
+        p.add_argument("--d", type=int, default=2)
+        p.add_argument("--p", type=float, default=4.0)
     return top, sub.choices
 
 
@@ -176,7 +183,10 @@ def _check_reads(o, defaults, table, key, who):
 
 def parse_config(argv) -> RunConfig:
     """argv -> validated RunConfig; config-file values sit below flags."""
-    top, commands = _build_parser()
+    # only the command's own options, unless --help or an unknown command
+    # needs the full list
+    top, commands = _build_parser(argv[0] if argv and argv[0] in _COMMANDS
+                                  else None)
     opts = vars(top.parse_args(argv))
     command = opts.pop("command")
     parser = commands[command]

@@ -43,6 +43,7 @@ from .surface import (
     _check_int,
     _element_geometry,
     _fork_map,
+    _per_topology,
     _positive,
 )
 
@@ -107,10 +108,11 @@ def energy_gradient(mesh, params, order="gauss3",
     (skip_same_element), a kernel pass adds the rows against the stack,
     each group's rows reading its own column and excluding the other
     groups' elements.  The base sums a are the rows of a full B pass,
-    which minimize hands over from its latest one.  The vertex rows split
-    between up to `workers` processes (surface._fork_map), each row
-    computed on its own, so the gradient is bitwise equal for any worker
-    count.
+    which minimize hands over from its latest one, and the exclusion
+    tables are built once per mesh topology (surface._per_topology), so
+    the meshes of a run share them.  The vertex rows split between up to
+    `workers` processes (surface._fork_map), each row computed on its
+    own, so the gradient is bitwise equal for any worker count.
     """
     workers = get_workers(workers)
     a = _bending(mesh, params, order, diagonal_policy, workers)[1]
@@ -161,29 +163,32 @@ def _star_pass(outer, star, wJ, Wg, excl, mode, k, expo, cutoffs):
     exclude, and cutoffs the pair cutoffs of J and of J'.  Each sum is
     _kernel_sums' over the same pairs, bit for bit: each BLAS product
     keeps that pass's operands, shape, C order and blocks (_blocks), and
-    rows' GEMV reads C-contiguous copies of the reverse products.
+    rows' GEMV reads the reverse products, laid out one J' column per
+    row.
     """
     X, WX = outer[0], outer[2]
-    R = np.empty((len(X), len(star[0]) - len(wJ)))
+    R = np.empty((len(star[0]) - len(wJ), len(X)))
     b, delta = _star_forward(outer, star, wJ, Wg, excl, mode, k, expo,
                              cutoffs, R)
-    tile, block = _blocks(R.shape[1], len(X), k)
-    rows = [_tile_sums(R[:, c:c + block].T, WX, tile)
-            for c in range(0, R.shape[1], block)]
+    tile, block = _blocks(len(R), len(X), k)
+    rows = [_tile_sums(R[c:c + block], WX, tile)
+            for c in range(0, len(R), block)]
     return b, delta, np.concatenate(rows)
 
 
 def _star_forward(outer, star, wJ, Wg, excl, mode, k, expo, cutoffs, R):
-    """_star_pass' b and delta; fills R with the reverse products
-    |<c - x, n(x)>| r^-expo of the J' columns c.
+    """_star_pass' b and delta; fills R, one row per J' column c, with the
+    reverse products |<c - x, n(x)>| r^-expo over the outer samples x.
 
     Each pair's difference, r^2, exclusion, cutoff check and r^-expo are
-    computed once, in blocks of outer rows with four buffers of half a
-    tile each.  The forward pairing <x - c, n(c)> is taken for every star
-    column, the reverse one as <x - c, n(x)>: the same products with the
-    opposite sign, so the same |pairing| (in projection mode, the same
-    square), both before exclusion parks r^2 at +inf.  The forward
-    products fill the operands of b's GEMV, blocks of
+    computed once, in blocks of outer samples with four buffers of half a
+    tile each, laid out (star columns, outer samples) so that every
+    elementwise pass runs along the outer samples.  The forward pairing
+    <x - c, n(c)> is taken for every star column, the reverse one as
+    <x - c, n(x)>: the same products with the opposite sign, so the same
+    |pairing| (in projection mode, the same square), both before
+    exclusion parks r^2 at +inf.  One transposed copy per block moves the
+    forward products into the C-ordered operands of b's GEMV, blocks of
     min(|out|, 2^16 // |J|) rows, and delta's GEMM, blocks of
     2^16 // (G |J|) rows, each run once its block is full.
     """
@@ -192,7 +197,7 @@ def _star_forward(outer, star, wJ, Wg, excl, mode, k, expo, cutoffs, R):
     nX, nJ, ncol = len(X), len(wJ), len(C)
     GJ, m = ncol - nJ, nJ // k
     ex_r, ex_q = excl
-    Ct, NCt = C.T.copy(), NC.T.copy()
+    Xt, NXt = X.T.copy(), NX.T.copy()
     b, delta = np.empty(nX), np.empty((nX, Wg.shape[1]))
     products = []  # (operand, its rows, star columns, weights, tile, sums)
     for cols, w, sums in ((slice(0, nJ), wJ, b),
@@ -205,43 +210,41 @@ def _star_forward(outer, star, wJ, Wg, excl, mode, k, expo, cutoffs, R):
     buf = np.empty((4, step * ncol))
     for lo in range(0, nX, step):
         hi = min(lo + step, nX)
-        diff, r2, dot, tmp = (v.reshape(hi - lo, ncol)
+        diff, r2, dot, tmp = (v.reshape(ncol, hi - lo)
                               for v in buf[:, :(hi - lo) * ncol])
-        rev = R[lo:hi]
-        trev = buf[3, :(hi - lo) * GJ].reshape(hi - lo, GJ)  # tmp's memory
-        for j, (x, c, t, u) in enumerate(zip(X[lo:hi].T, Ct, NCt,
-                                             NX[lo:hi].T)):
-            np.subtract(x[:, None], c, out=diff)
+        rev = R[:, lo:hi]
+        trev = tmp[nJ:]
+        for j, (x, c, t, u) in enumerate(zip(Xt[:, lo:hi], C.T, NC.T,
+                                             NXt[:, lo:hi])):
+            np.subtract(x, c[:, None], out=diff)
             if j == 0:
-                np.multiply(diff, t, out=dot)
-                np.multiply(diff[:, nJ:], u[:, None], out=rev)
+                np.multiply(diff, t[:, None], out=dot)
+                np.multiply(diff[nJ:], u, out=rev)
                 np.multiply(diff, diff, out=r2)
             else:
-                dot += np.multiply(diff, t, out=tmp)
-                rev += np.multiply(diff[:, nJ:], u[:, None], out=trev)
+                dot += np.multiply(diff, t[:, None], out=tmp)
+                rev += np.multiply(diff[nJ:], u, out=trev)
                 r2 += np.multiply(diff, diff, out=tmp)
         if mode == "projection":
-            for d, sq, r in ((dot, tmp, r2), (rev, trev, r2[:, nJ:])):
+            for d, sq, r in ((dot, tmp, r2), (rev, trev, r2[nJ:])):
                 np.subtract(r, np.multiply(d, d, out=sq), out=sq)
                 np.sqrt(np.maximum(sq, 0.0, out=sq), out=d)
         e0, e1 = np.searchsorted(ex_r, (lo, hi))
-        r2.reshape(hi - lo, -1, m, k)[ex_r[e0:e1] - lo, :, ex_q[e0:e1]] = \
-            np.inf
-        if r2.min() < max(limits) and (r2[:, :nJ].min() < limits[0] or
-                                       r2[:, nJ:].min() < limits[1]):
+        r2.reshape(-1, m, k, hi - lo)[:, ex_q[e0:e1], :, ex_r[e0:e1] - lo] \
+            = np.inf
+        if r2.min() < max(limits) and (r2[:nJ].min() < limits[0] or
+                                       r2[nJ:].min() < limits[1]):
             raise DegenerateGeometry("non-excluded sample pair closer than "
                                      "the cutoff")
         kern = _inv_power(r2, expo, diff)
-        np.abs(np.multiply(rev, kern[:, nJ:], out=rev), out=rev)
+        np.abs(np.multiply(rev, kern[nJ:], out=rev), out=rev)
+        np.abs(np.multiply(dot, kern, out=dot), out=dot)
         for operand, rows, cols, w, tile, sums in products:
             a = lo
             while a < hi:  # rows a:z of the block starting at row first
                 first = a - a % rows
                 z = min(first + rows, hi)
-                part = operand[a - first:z - first]
-                np.abs(np.multiply(dot[a - lo:z - lo, cols],
-                                   kern[a - lo:z - lo, cols], out=part),
-                       out=part)
+                operand[a - first:z - first] = dot[cols, a - lo:z - lo].T
                 if z == min(first + rows, nX):
                     sums[first:z] = _tile_sums(operand[:z - first], w, tile)
                 a = z
@@ -288,13 +291,15 @@ def _gradient(mesh, params, order, policy, workers, a):
     terms = [(expo, 1.0)]  # |A|_s: pairing power 1
     cutoff = _PAIR_CUTOFF * mesh.diameter
     star_ptr, star_els = stars = _stars(mesh)
-    (ex_ptr, ex_row, ex_pos), (own_ptr, own_q, own_r) = \
-        _star_exclusions(mesh, near, stars, k)
+    ex_ptr, ex_row, ex_pos, own_ptr, own_q, own_r = _per_topology(
+        mesh, ("star_exclusions", policy, k),
+        lambda: sum(_star_exclusions(mesh, near, stars, k), ()))
     n, M = mesh.ambient_n, mesh.n_elements
     G = 2 * n  # perturbations per vertex: +step, -step along each axis
     groups = np.arange(G)
     step = _FD_STEP * local
     Ys, Ws, Ns = _moved_stars(mesh, stars, step, order, mode)
+    wp = np.tile(W, (G, 1))  # each vertex's weights, its star's swapped in
 
     def vertex_row(i):
         star = star_els[star_ptr[i]:star_ptr[i + 1]]
@@ -319,10 +324,11 @@ def _gradient(mesh, params, order, policy, workers, a):
             Wg, (ex_row[e0:e1], ex_pos[e0:e1]), mode, k, expo,
             (cutoff, cut))
         rows = rows.reshape(G, m * k)
-        own = np.zeros((m, m), bool)
-        own[own_q[own_ptr[i]:own_ptr[i + 1]],
-            own_r[own_ptr[i]:own_ptr[i + 1]]] = True
-        if not own.all():  # other groups' elements are excluded outright
+        if policy == "skip_same_element":  # the star keeps its own pairs
+            own = np.zeros((m, m), bool)
+            own[own_q[own_ptr[i]:own_ptr[i + 1]],
+                own_r[own_ptr[i]:own_ptr[i + 1]]] = True
+            # other groups' elements are excluded outright
             excl = np.where(np.eye(G, dtype=bool)[:, None, :, None],
                             own[None, :, None], True).reshape(G * m, G * m)
             rows += _kernel_sums(ys, np.repeat(excl, k, axis=0).nonzero(),
@@ -331,9 +337,9 @@ def _gradient(mesh, params, order, policy, workers, a):
         ap = np.empty((G, len(W)))
         ap[:, out] = ((a[out] - b)[:, None] + delta).T
         ap[:, J] = rows
-        wp = np.tile(W, (G, 1))
         wp[:, J] = ws
         energy = np.einsum("gs,gs->g", np.abs(params.c_s * ap) ** params.p, wp)
+        wp[:, J] = W[J]
         return (energy[0::2] - energy[1::2]) / (2 * step[i])
 
     def share(sl):
@@ -404,7 +410,9 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
     that the full pass would, and an accepted energy and its rows are the
     full pass's, bit for bit.  So each gradient takes its base sums from
     the latest full pass, the initial energy's or the accepted trial's,
-    and a run makes one unbounded pass over all the samples.
+    and a run makes one unbounded pass over all the samples.  Every trial
+    mesh comes from with_vertices, so a run builds each exclusion table
+    once.
     """
     _check_int("max_iter", max_iter, 1)
     _positive("step0", step0)

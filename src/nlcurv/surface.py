@@ -132,14 +132,21 @@ class DiscreteHypersurface:
         c.setflags(write=False)
         return c
 
+    @functools.cached_property
+    def _tables(self) -> dict:
+        """The connectivity-derived tables of _per_topology by key."""
+        return {}
+
     def with_vertices(self, vertices: np.ndarray) -> "DiscreteHypersurface":
         """Same elements, new vertex positions: only the geometry is
         recomputed, and the elements are never re-oriented, so the new mesh
-        shares this one's edge list."""
+        shares this one's edge list and topology tables."""
         V = _coordinates(vertices)
         if V.shape != self.vertices.shape:
             raise ParseError(f"need vertices of shape {self.vertices.shape}")
-        return _assemble(V, self.elements, self.edges)
+        mesh = _assemble(V, self.elements, self.edges)
+        mesh.__dict__["_tables"] = self._tables
+        return mesh
 
 
 @dataclass(frozen=True)
@@ -307,6 +314,26 @@ def _ball_pairs(P, C, reach):
     return np.concatenate(rows), np.concatenate(cols)
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS through
+    ctypes, or None where that library or its symbols are missing."""
+    import ctypes
+    import glob
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
 def _fork_map(share, cost, width, workers):
     """The (N, width) float array of rows share(sl), N = len(cost).
 
@@ -321,7 +348,9 @@ def _fork_map(share, cost, width, workers):
     Forking costs milliseconds, so one process runs every row unless their
     cost, in _budget_slices' pair units, exceeds _PAIR_BUDGET per process.
     share must compute each row on its own, so that no row depends on the
-    split.
+    split.  The processes share the cores, so while they run, OpenBLAS
+    runs one thread in each (_blas_threads); this process's count is
+    restored before the map returns or raises.
     """
     import mmap
     import signal
@@ -338,7 +367,11 @@ def _fork_map(share, cost, width, workers):
     shares = [slice(a, b) for a, b in zip(ends[:-1], ends[1:]) if b > a]
     out = np.frombuffer(mmap.mmap(-1, n * width * 8), float).reshape(n, width)
     children, failed = {}, []
+    blas = _blas_threads()
+    threads = blas[0]() if blas else 1
     try:
+        if threads > 1:
+            blas[1](1)
         for sl in shares[1:]:
             try:
                 pid = os.fork()
@@ -362,9 +395,24 @@ def _fork_map(share, cost, width, workers):
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if threads > 1:
+            blas[1](threads)
     for sl in failed:
         out[sl] = share(sl)
     return out
+
+
+def _per_topology(mesh, key, build):
+    """build(), a tuple of arrays made read-only, once per mesh topology:
+    the meshes that with_vertices derives from one another share their
+    elements array, and with it the tables stored under key.  A mesh from
+    build_surface starts a table set of its own, even on equal elements."""
+    tables = mesh._tables
+    if key not in tables:
+        tables[key] = build()
+        for a in tables[key]:
+            a.setflags(write=False)
+    return tables[key]
 
 
 def _signed_volume(vertices, elements):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_bowtie, save_off_with_stray_vertex
-from nlcurv import functionals
+from nlcurv import cli, functionals
 from nlcurv.cli import (_MODE_READS, _ORACLE_READS, _PRIMITIVE_READS,
                         _build_parser, main, parse_config)
 from nlcurv.errors import UsageError
@@ -654,6 +654,48 @@ class TestCommands:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage: nlcurv" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--primitive", "sphere_icosub", "--sub", "1",
+         "--tangent-point", "--q", "6"],
+        ["probe", "--mode", "patch", "--primitive", "perturbed_sphere",
+         "--amp", "0.05", "--sub", "1", "--all-vertices"],
+        ["sobolev", "--distance", "intrinsic", "--primitive", "circle"],
+        ["flow", "--primitive", "perturbed_sphere", "--sub", "1", "--p", "5",
+         "--smoothing", "--max-iter", "1", "--workers", "2"],
+        ["oracle", "sphere_fmc", "--R", "2"],
+        ["flow", "--primitive", "perturbed_sphere", "--config", "CONFIG"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_one_command_parser_matches_the_full_one(self, tmp_path,
+                                                     monkeypatch, argv):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"sub": 1, "p": 5, "smoothing": True,
+                                      "policy": "skip_same_element"}))
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
+        built = []
+
+        def spied(command=None):
+            top, commands = _build_parser(command)
+            built.append(sorted(commands))
+            return top, commands
+
+        monkeypatch.setattr(cli, "_build_parser", spied)
+        one = parse_config(argv)
+        assert built == [[argv[0]]]
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None:
+                            _build_parser())
+        assert one == parse_config(argv)
+
+    def test_help_and_unknown_command_list_every_command(self, capsys):
+        commands = ["eval", "probe", "sobolev", "flow", "oracle"]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "{" + ",".join(commands) + "}" in out
+        assert all(f"\n    {c} " in out for c in commands)
+        assert main(["frobnicate", "--sub", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "choose from " + ", ".join(map(repr, commands)) in err
 
     def test_workers_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLCURV_WORKERS", "4")

@@ -301,6 +301,25 @@ class TestMinimize:
         state = minimize(bumpy, PARAMS, max_iter=3, smoothing=True)
         assert state.iteration == 3 and full == [S]
 
+    def test_topology_tables_built_once(self):
+        # every mesh of a run comes from with_vertices, so a 3-iteration
+        # run, its gradients and its bounded trials, builds each table once
+        class Counting(dict):
+            def __setitem__(self, key, value):
+                stores.append(key)
+                super().__setitem__(key, value)
+
+        stores = []
+        mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                              subdivisions=1)
+        mesh.__dict__["_tables"] = tables = Counting()
+        state = minimize(mesh, PARAMS, max_iter=3, smoothing=True)
+        assert state.iteration == 3 and state.mesh._tables is tables
+        assert sorted(map(str, stores)) == sorted(map(str, [
+            "stars", ("neighbourhoods", "skip_vertex_star"),
+            ("sample_exclusions", "skip_vertex_star", 3),
+            ("star_exclusions", "skip_vertex_star", 3)]))
+
     def test_most_first_trials_stop_after_one_part(self, bumpy, monkeypatch):
         # the bench flow op: 12 trials, 11 of them rejected, most after
         # the first of eight parts

@@ -7,7 +7,11 @@ its typed error in the caller, and no child outlives the call.  The
 path.
 """
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +293,42 @@ def test_map_runs_a_share_here_when_fork_fails(monkeypatch):
     cost = np.full(6, surface._PAIR_BUDGET)
     assert np.array_equal(surface._fork_map(_rows, cost, 2, 2),
                           _rows(slice(0, 6)))
+
+
+# run in a fresh interpreter: the BLAS thread count of each share while
+# the map runs, and this process's before and after it
+_BLAS_CODE = """
+import ctypes, glob, json, os
+import numpy as np
+from nlcurv import surface
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                              "numpy.libs", "libscipy_openblas64_*.so"))
+try:
+    get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+except (IndexError, OSError, AttributeError):
+    get = None
+before = get and get()
+rows = before and surface._fork_map(
+    lambda sl: np.full((sl.stop - sl.start, 1), float(get())),
+    np.full(2, 2 * surface._PAIR_BUDGET), 1, 2).ravel().tolist()
+print(json.dumps([before, rows, get and get()]))
+"""
+
+
+def test_map_runs_one_blas_thread_per_process():
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(surface.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _BLAS_CODE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, rows, after = json.loads(proc.stdout)
+    if before is None:
+        pytest.skip("numpy's OpenBLAS thread symbols are missing")
+    cores = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if before < 2 or cores < 2:
+        pytest.skip("one BLAS thread or one core: nothing to budget")
+    assert rows == [1.0, 1.0] and after == before

@@ -7,7 +7,7 @@ from scipy.special import sph_harm_y
 
 from conftest import (make_bowtie, make_trefoil, save_off_with_stray_vertex,
                       subdivide_edge_loop, traced_peak)
-from nlcurv import errors, surface
+from nlcurv import errors, functionals, surface
 from nlcurv.functionals import bending_energy, pointwise_curvature
 from nlcurv.geodesics import intrinsic_distances
 from nlcurv.probes import ahlfors_ratio, extract_patch, patch_radii
@@ -247,6 +247,26 @@ class TestValidation:
         for V in (m.vertices[:-1], m.vertices[:, :2], m.vertices.ravel()):
             with pytest.raises(errors.ParseError):
                 m.with_vertices(V)
+
+    def test_topology_tables_follow_the_elements(self):
+        # with_vertices and rescale share the elements array and its
+        # tables; a mesh built on its own builds its own, read-only too
+        m = make_primitive("sphere_icosub", subdivisions=1)
+        tables = [functionals._stars(m),
+                  functionals._neighbourhoods(m, "skip_vertex_star"),
+                  functionals._sample_exclusions(m, build_scheme(m))]
+        for derived in (m.with_vertices(-m.vertices), rescale(m, 2.0)):
+            assert derived.elements is m.elements
+            assert derived._tables is m._tables
+            assert functionals._stars(derived) is tables[0]
+        twin = build_surface(m.vertices, m.elements)
+        assert np.array_equal(twin.elements, m.elements)
+        assert twin._tables is not m._tables
+        assert functionals._stars(twin) is not tables[0]
+        for table in tables:
+            for a in table:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
 
 
 class TestVertexIndices:
