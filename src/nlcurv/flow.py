@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidParams, ParseError, StallError
+from .errors import (DegenerateGeometry, InvalidParams, ParseError,
+                     StallError, UnsupportedMode)
 from .functionals import (
     _PAIR_CUTOFF,
     _TILE_PAIRS,
@@ -122,8 +123,7 @@ def energy_gradient(mesh, params, order="gauss3",
 def _star_exclusions(mesh, near, stars, k):
     """Per vertex, as CSR over the vertices: the (row, q) pairs in row order
     where row r of the samples outside its star, numbered in element
-    order, is excluded from the star element at position q; and the
-    (q, q') pairs of star elements that exclude each other."""
+    order, is excluded from the star element at position q."""
     star_ptr, star_els = stars
     V, M = mesh.n_vertices, mesh.n_elements
     owner = np.repeat(np.arange(V), np.diff(star_ptr))
@@ -131,15 +131,13 @@ def _star_exclusions(mesh, near, stars, k):
     i, q = owner[at], at - star_ptr[owner[at]]
     keys = owner * M + star_els  # increasing: each star in element order
     pos = np.searchsorted(keys, i * M + f)
-    inside = keys[np.minimum(pos, len(keys) - 1)] == i * M + f
-    o = ~inside  # pos - star_ptr star elements come before f
+    # f outside the star: pos - star_ptr star elements come before it
+    o = keys[np.minimum(pos, len(keys) - 1)] != i * M + f
     row = ((f[o] - pos[o] + star_ptr[i[o]]) * k)[:, None] + np.arange(k)
     vi, qi = np.repeat(i[o], k), np.repeat(q[o], k)
     order = np.lexsort((row.ravel(), vi))
-    return ((np.searchsorted(vi[order], np.arange(V + 1)),
-             row.ravel()[order], qi[order]),
-            (np.searchsorted(i[inside], np.arange(V + 1)), q[inside],
-             pos[inside] - star_ptr[i[inside]]))
+    return (np.searchsorted(vi[order], np.arange(V + 1)), row.ravel()[order],
+            qi[order])
 
 
 def _tile_sums(P, w, tile):
@@ -160,44 +158,31 @@ def _star_pass(outer, star, wJ, Wg, excl, mode, k, expo, cutoffs):
     outer is (positions, pairing directions, weights) of the outer
     samples, star the (positions, pairing directions) of J and J', excl
     the (outer row, star position) pairs that the star's elements
-    exclude, and cutoffs the pair cutoffs of J and of J'.  Each sum is
-    _kernel_sums' over the same pairs, bit for bit: each BLAS product
-    keeps that pass's operands, shape, C order and blocks (_blocks), and
-    rows' GEMV reads the reverse products, laid out one J' column per
-    row.
-    """
-    X, WX = outer[0], outer[2]
-    R = np.empty((len(star[0]) - len(wJ), len(X)))
-    b, delta = _star_forward(outer, star, wJ, Wg, excl, mode, k, expo,
-                             cutoffs, R)
-    tile, block = _blocks(len(R), len(X), k)
-    rows = [_tile_sums(R[c:c + block], WX, tile)
-            for c in range(0, len(R), block)]
-    return b, delta, np.concatenate(rows)
-
-
-def _star_forward(outer, star, wJ, Wg, excl, mode, k, expo, cutoffs, R):
-    """_star_pass' b and delta; fills R, one row per J' column c, with the
-    reverse products |<c - x, n(x)>| r^-expo over the outer samples x.
-
-    Each pair's difference, r^2, exclusion, cutoff check and r^-expo are
-    computed once, in blocks of outer samples with four buffers of half a
-    tile each, laid out (star columns, outer samples) so that every
+    exclude, and cutoffs the pair cutoffs of J and of J'.  Each pair's
+    difference, r^2, exclusion, cutoff check and r^-expo are computed
+    once, in blocks of outer samples with four buffers of half a tile
+    each, laid out (star columns, outer samples) so that every
     elementwise pass runs along the outer samples.  The forward pairing
     <x - c, n(c)> is taken for every star column, the reverse one as
     <x - c, n(x)>: the same products with the opposite sign, so the same
     |pairing| (in projection mode, the same square), both before
-    exclusion parks r^2 at +inf.  One transposed copy per block moves the
-    forward products into the C-ordered operands of b's GEMV, blocks of
-    min(|out|, 2^16 // |J|) rows, and delta's GEMM, blocks of
-    2^16 // (G |J|) rows, each run once its block is full.
+    exclusion parks r^2 at +inf.
+
+    Each sum is _kernel_sums' over the same pairs, bit for bit: each BLAS
+    product keeps that pass's operands, shape, C order and blocks
+    (_blocks).  One transposed copy per block moves the forward products
+    into the C-ordered operands of b's GEMV, blocks of min(|out|, 2^16 //
+    |J|) rows, and delta's GEMM, blocks of 2^16 // (G |J|) rows, each run
+    once its block is full.  R holds the reverse products, one row per J'
+    column, for rows' GEMVs at the end.
     """
-    X, NX, _ = outer
+    X, NX, WX = outer
     C, NC = star
     nX, nJ, ncol = len(X), len(wJ), len(C)
     GJ, m = ncol - nJ, nJ // k
     ex_r, ex_q = excl
     Xt, NXt = X.T.copy(), NX.T.copy()
+    R = np.empty((GJ, nX))
     b, delta = np.empty(nX), np.empty((nX, Wg.shape[1]))
     products = []  # (operand, its rows, star columns, weights, tile, sums)
     for cols, w, sums in ((slice(0, nJ), wJ, b),
@@ -248,14 +233,16 @@ def _star_forward(outer, star, wJ, Wg, excl, mode, k, expo, cutoffs, R):
                 if z == min(first + rows, nX):
                     sums[first:z] = _tile_sums(operand[:z - first], w, tile)
                 a = z
-    return b, delta
+    tile, block = _blocks(GJ, nX, k)
+    rows = [_tile_sums(R[c:c + block], WX, tile) for c in range(0, GJ, block)]
+    return b, delta, np.concatenate(rows)
 
 
 def _moved_stars(mesh, stars, step, order, mode):
     """Every star once per group g, with its vertex moved by +step (even
-    g) or -step (odd g) along axis g // 2: sample positions (G, star
-    samples, n), weights (G, star samples) and the moved elements'
-    pairing directions (G, star entries, n)."""
+    g) or -step (odd g) along axis g // 2: sample positions, weights and
+    the moved elements' pairing directions per sample, each (G, star
+    samples, ...)."""
     star_ptr, star_els = stars
     V, n = mesh.vertices, mesh.ambient_n
     groups = np.arange(2 * n)
@@ -271,8 +258,10 @@ def _moved_stars(mesh, stars, step, order, mode):
     el = np.arange(len(P)).reshape(-1, corners.shape[1])
     nrm, meas, tangents = _element_geometry(P, el)
     Ys, Ws = _element_samples(P, el, meas, order)
+    dirs = np.repeat(tangents if mode == "projection" else nrm,
+                     len(Ys) // len(el), axis=0)
     return (Ys.reshape(2 * n, -1, n), Ws.reshape(2 * n, -1),
-            (tangents if mode == "projection" else nrm).reshape(2 * n, -1, n))
+            dirs.reshape(2 * n, -1, n))
 
 
 def _gradient(mesh, params, order, policy, workers, a):
@@ -291,12 +280,11 @@ def _gradient(mesh, params, order, policy, workers, a):
     terms = [(expo, 1.0)]  # |A|_s: pairing power 1
     cutoff = _PAIR_CUTOFF * mesh.diameter
     star_ptr, star_els = stars = _stars(mesh)
-    ex_ptr, ex_row, ex_pos, own_ptr, own_q, own_r = _per_topology(
+    ex_ptr, ex_row, ex_pos = _per_topology(
         mesh, ("star_exclusions", policy, k),
-        lambda: sum(_star_exclusions(mesh, near, stars, k), ()))
+        lambda: _star_exclusions(mesh, near, stars, k))
     n, M = mesh.ambient_n, mesh.n_elements
     G = 2 * n  # perturbations per vertex: +step, -step along each axis
-    groups = np.arange(G)
     step = _FD_STEP * local
     Ys, Ws, Ns = _moved_stars(mesh, stars, step, order, mode)
     wp = np.tile(W, (G, 1))  # each vertex's weights, its star's swapped in
@@ -310,12 +298,10 @@ def _gradient(mesh, params, order, policy, workers, a):
         out = np.repeat(rest, k).nonzero()[0]
         # the vertex's 2n perturbed stars, stacked by group
         mine = slice(star_ptr[i] * k, star_ptr[i + 1] * k)
-        ys, ws = Ys[:, mine].reshape(-1, n), Ws[:, mine]
-        ns = np.repeat(Ns[:, star_ptr[i]:star_ptr[i + 1]], k, axis=1) \
-            .reshape(-1, n)
-        Wg = np.zeros((G, m * k, G))  # group g's weights in column g
-        Wg[groups, :, groups] = ws
-        Wg = Wg.reshape(-1, G)
+        ys, ns = (A[:, mine].reshape(-1, n) for A in (Ys, Ns))
+        ws = Ws[:, mine]
+        # group g's weights in column g
+        Wg = (ws[:, :, None] * np.eye(G)[:, None]).reshape(-1, G)
         cut = _PAIR_CUTOFF * (mesh.diameter + step[i])
         e0, e1 = ex_ptr[i:i + 2]
         b, delta, rows = _star_pass(
@@ -325,15 +311,11 @@ def _gradient(mesh, params, order, policy, workers, a):
             (cutoff, cut))
         rows = rows.reshape(G, m * k)
         if policy == "skip_same_element":  # the star keeps its own pairs
-            own = np.zeros((m, m), bool)
-            own[own_q[own_ptr[i]:own_ptr[i + 1]],
-                own_r[own_ptr[i]:own_ptr[i + 1]]] = True
-            # other groups' elements are excluded outright
-            excl = np.where(np.eye(G, dtype=bool)[:, None, :, None],
-                            own[None, :, None], True).reshape(G * m, G * m)
+            # excluded: the same element, or another group's
+            excl = ~np.kron(np.eye(G, dtype=bool), ~np.eye(m, dtype=bool))
             rows += _kernel_sums(ys, np.repeat(excl, k, axis=0).nonzero(),
                                  (ys, Wg, ns, mode, k), cut, terms, 1)[0] \
-                .reshape(G, m * k, G)[groups, :, groups]
+                .reshape(G, m * k, G)[np.arange(G), :, np.arange(G)]
         ap = np.empty((G, len(W)))
         ap[:, out] = ((a[out] - b)[:, None] + delta).T
         ap[:, J] = rows
@@ -418,6 +400,9 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
     _positive("step0", step0)
     if not np.isfinite(grad_tol):
         raise InvalidParams(f"grad_tol must be finite, got {grad_tol}")
+    if smoothing and mesh.codim2:
+        raise UnsupportedMode("tangential smoothing needs vertex normals, "
+                              "and a curve in 3-space has none")
     if not params.subcritical(mesh.dim_d):
         warnings.warn("p <= d/s: energy is not subcritical; descent may "
                       "not be meaningful", stacklevel=2)

@@ -512,6 +512,17 @@ class TestCommands:
         assert rc == 0 and capsys.readouterr().err == ""
         assert read_report(tmp_path)["subcritical"] is False
 
+    def test_flow_smoothing_a_space_curve_fails_unrun(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr("nlcurv.flow._energies", lambda *args, **kw:
+                            pytest.fail("flow ran an energy pass"))
+        rc = main(["flow", "--primitive", "circle", "--ambient", "3",
+                   "--smoothing", "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "UnsupportedMode"
+        assert "tangential smoothing" in err["message"]
+
     def test_oracle_stdout_json(self, capsys):
         rc = main(["oracle", "circle_fmc", "--R", "1", "--s", "0.5"])
         assert rc == 0

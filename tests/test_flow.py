@@ -3,7 +3,8 @@ import pytest
 from conftest import fd_gradient_oracle, make_bumpy_polygon, traced_peak
 
 from nlcurv import flow, functionals
-from nlcurv.errors import DegenerateGeometry, InvalidParams, StallError
+from nlcurv.errors import (DegenerateGeometry, InvalidParams, StallError,
+                           UnsupportedMode)
 from nlcurv.flow import (
     _FD_STEP,
     _best_fit_sphere,
@@ -129,8 +130,7 @@ class TestStarPass:
         Y, W, N, mode, k = functionals._inner_data(mesh, scheme)
         near = functionals._neighbourhoods(mesh, scheme.diagonal_policy)
         star_ptr, star_els = stars = functionals._stars(mesh)
-        (ptr, ex_row, ex_pos), _ = flow._star_exclusions(mesh, near, stars,
-                                                         k)
+        ptr, ex_row, ex_pos = flow._star_exclusions(mesh, near, stars, k)
         i = int(np.argmax(np.diff(star_ptr)))
         star = star_els[star_ptr[i]:star_ptr[i + 1]]
         J = (star[:, None] * k + np.arange(k)).ravel()
@@ -211,6 +211,17 @@ class TestMinimize:
         with pytest.raises((DegenerateGeometry, StallError)):
             minimize(bowtie, PARAMS, max_iter=2, smoothing=True,
                      order="centroid")
+
+    def test_smoothing_a_space_curve_fails_before_any_pass(self,
+                                                           monkeypatch):
+        # a curve in 3-space has no vertex normals to smooth along
+        calls = []
+        monkeypatch.setattr(flow, "_energies",
+                            lambda *args, **kw: calls.append(args))
+        curve = make_primitive("circle", n=32, ambient=3)
+        with pytest.raises(UnsupportedMode, match="tangential smoothing"):
+            minimize(curve, PARAMS, max_iter=1, smoothing=True)
+        assert calls == []
 
     def test_callback_sees_every_accepted_step(self, bumpy):
         seen = []

@@ -41,3 +41,56 @@ def test_finds_an_unused_import():
     p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_module_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def private_definitions(tree):
+    """(statement index, name) of the module-level names a parsed module
+    defines that start with one underscore."""
+    found = []
+    for at, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            lhs = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            targets = [n.id for t in lhs for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(at, name) for name in targets
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def unread_private_names(texts):
+    """(module, name) of the module-level private names, over a package's
+    source texts by module, that no module reads, as a name or an
+    attribute, outside the statement that defines them."""
+    trees = {mod: ast.parse(text) for mod, text in texts.items()}
+    reads = {}  # name -> the (module, statement index) places reading it
+    for mod, tree in trees.items():
+        for at, node in enumerate(tree.body):
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    reads.setdefault(n.id, set()).add((mod, at))
+                elif isinstance(n, ast.Attribute):
+                    reads.setdefault(n.attr, set()).add((mod, at))
+    return sorted((mod, name) for mod, tree in trees.items()
+                  for at, name in private_definitions(tree)
+                  if not reads.get(name, set()) - {(mod, at)})
+
+
+def test_finds_an_unread_private_name():
+    texts = {"a": ("_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+                   "def _star_pass():\n    return _star_forward()\n"
+                   "def _star_forward():\n    return _B + _C\n"
+                   "def _recurse(n):\n    return _recurse(n - 1)\n"),
+             "b": "from . import a\nprint(a._star_pass)\n"}
+    assert unread_private_names(texts) == [("a", "_A"), ("a", "_recurse")]
+
+
+def test_every_private_name_is_read():
+    texts = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert len(sum((private_definitions(ast.parse(text))
+                    for text in texts.values()), [])) > 100
+    assert unread_private_names(texts) == []
