@@ -5,8 +5,8 @@ Each scipy submodule is imported inside the function that uses it, so
 computation needs: `eval` and `flow` need none, even on a perturbed
 sphere (its harmonics are numpy polynomials), and neither do the patch
 and stability probes, whose candidate searches are numpy ball queries.
-Only the geodesics' Dijkstra, behind `probe --mode chordarc` and
-`sobolev --distance intrinsic`, loads scipy (its sparse graph routines).
+The geodesic search behind `probe --mode chordarc` and `sobolev
+--distance intrinsic` is numpy too, so only the oracles load scipy.
 The numpy-only commands do not load `numpy.ma` either, which the flagless
 `np.unique` of numpy 2.4 imports.
 The checks run in a fresh interpreter because pytest itself imports
@@ -92,8 +92,7 @@ def test_patch_and_stability_probes_load_no_scipy(tmp_path):
 
 
 def test_numpy_only_commands_load_no_numpy_ma(tmp_path):
-    # the flagless np.unique of numpy 2.4 imports numpy.ma; the geodesic
-    # commands load it anyway, through scipy.sparse
+    # the flagless np.unique of numpy 2.4 imports numpy.ma
     for argv in (["eval", *PERTURBED, "--tangent-point", "--q", "6"],
                  ["flow", *PERTURBED, "--max-iter", "1"],
                  ["probe", *PERTURBED, "--mode", "patch", "--all-vertices"],
@@ -104,6 +103,4 @@ def test_numpy_only_commands_load_no_numpy_ma(tmp_path):
 def test_geodesic_commands_load_no_spatial_or_special(tmp_path):
     for argv in (["probe", *PERTURBED, "--mode", "chordarc"],
                  ["sobolev", *PERTURBED, "--distance", "intrinsic"]):
-        loaded = _cli_modules(argv, tmp_path)
-        assert "scipy.sparse.csgraph" in loaded
-        assert not {"scipy.spatial", "scipy.special"} & set(loaded)
+        assert _cli_modules(argv, tmp_path) == []

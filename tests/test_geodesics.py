@@ -1,12 +1,50 @@
 import numpy as np
 import pytest
-from conftest import make_trefoil, traced_peak
-from scipy.sparse import coo_matrix
+from conftest import make_flat_strip, make_trefoil, traced_peak
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from nlcurv.errors import DisconnectedMesh, InvalidParams
-from nlcurv.geodesics import _graph, _triangle_graph, intrinsic_distances
+from nlcurv.geodesics import _triangle_graph, intrinsic_distances
 from nlcurv.surface import build_surface, make_primitive
+
+
+def _graph(mesh):
+    """The scipy reference: the CSR matrix of the refined graph with both
+    arcs of every edge, a curve's edges or those of _triangle_graph."""
+    if mesh.dim_d == 1:
+        V, (rows, cols) = mesh.vertices, mesh.edges.T
+        w, n = np.linalg.norm(V[rows] - V[cols], axis=1), len(V)
+    else:
+        rows, cols, w, n = _triangle_graph(mesh)
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    order = np.lexsort((cols, rows))
+    return csr_matrix((np.concatenate([w, w])[order], cols[order],
+                       np.searchsorted(rows[order], np.arange(n + 1))),
+                      shape=(n, n))
+
+
+def _sliver():
+    """The sub2 icosphere with one edge shrunk to 1e-4 of its length: one
+    arc far shorter than the rest."""
+    mesh = make_primitive("sphere_icosub", subdivisions=2)
+    V = mesh.vertices.copy()
+    a, b = mesh.edges[0]
+    V[b] = V[a] + 1e-4 * (V[b] - V[a])
+    return build_surface(V, mesh.elements)
+
+
+_MESHES = {
+    "torus": lambda: make_primitive("torus"),
+    "trefoil": make_trefoil,
+    "perturbed3": lambda: make_primitive("perturbed_sphere", amplitude=0.05,
+                                         seed=3, subdivisions=3),
+    # pole vertices of valence 12: a third degree group of arcs
+    "dumbbell": lambda: make_primitive("dumbbell", n_profile=12,
+                                       n_theta=12),
+    "sliver": _sliver,
+    "strip": make_flat_strip,  # an open curve: its graph is one path
+}
 
 
 def test_circle_arc_lengths(circle128):
@@ -65,11 +103,12 @@ def test_sources_outside_vertices_rejected(request, name):
             intrinsic_distances(mesh, sources=[0, source])
 
 
-@pytest.mark.parametrize("name", ["sphere2", "torus", "circle128", "trefoil"])
+@pytest.mark.parametrize("name", ["sphere2", "torus", "circle128", "trefoil",
+                                  "perturbed3", "dumbbell", "sliver",
+                                  "strip"])
 def test_directed_search_matches_undirected(request, name):
-    mesh = (make_primitive("torus") if name == "torus"
-            else make_trefoil() if name == "trefoil"
-            else request.getfixturevalue(name))
+    mesh = _MESHES[name]() if name in _MESHES \
+        else request.getfixturevalue(name)
     # the undirected search re-symmetrises a graph that is already symmetric
     nv = mesh.n_vertices
     ref = dijkstra(_graph(mesh), directed=False,
@@ -78,6 +117,28 @@ def test_directed_search_matches_undirected(request, name):
     assert np.array_equal(got, ref)
     sources = [nv - 1, 0, 3, 3]
     assert np.array_equal(intrinsic_distances(mesh, sources), ref[sources])
+
+
+@pytest.mark.parametrize("name", ["perturbed2", "circle128"])
+def test_relabelled_vertices_give_relabelled_distances(request, name):
+    # the search renumbers the refined graph's nodes by degree, or walks a
+    # curve in segment order, and settles them in any order: neither may
+    # move a bit
+    mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                          subdivisions=2) if name == "perturbed2" \
+        else request.getfixturevalue(name)
+    perm = np.random.default_rng(1).permutation(mesh.n_vertices)
+    new = np.empty_like(perm)
+    new[perm] = np.arange(len(perm))
+    relabelled = build_surface(mesh.vertices[perm], new[mesh.elements])
+    got = intrinsic_distances(relabelled)
+    assert np.array_equal(got, intrinsic_distances(mesh)[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("name", ["sphere1", "circle128"])
+def test_no_sources_give_no_rows(request, name):
+    mesh = request.getfixturevalue(name)
+    assert intrinsic_distances(mesh, []).shape == (0, mesh.n_vertices)
 
 
 def test_memory_holds_only_the_vertex_columns():

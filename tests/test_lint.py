@@ -94,3 +94,29 @@ def test_every_private_name_is_read():
     assert len(sum((private_definitions(ast.parse(text))
                     for text in texts.values()), [])) > 100
     assert unread_private_names(texts) == []
+
+
+def scipy_imports(text):
+    """Line numbers of the imports of scipy or a scipy submodule anywhere
+    in source text, those inside functions included."""
+    def top(name):
+        return (name or "").split(".")[0] == "scipy"
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Import)
+                  and any(top(alias.name) for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and top(node.module))
+
+
+def test_finds_a_scipy_import():
+    text = ("import numpy as np\nimport os, scipy.sparse\n"
+            "from .scipy import x\nlib = 'libscipy_openblas64_'\n"
+            "def f():\n    from scipy.special import gamma\n")
+    assert scipy_imports(text) == [2, 6]
+
+
+def test_only_the_oracles_import_scipy():
+    # every other command's computation is numpy alone
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if scipy_imports(p.read_text())] == ["oracles.py"]

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.csgraph  # noqa: F401  (imported outside the traces)
 
 from conftest import make_bumpy_polygon, traced_peak
 from nlcurv import functionals, surface
