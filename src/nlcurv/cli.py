@@ -168,6 +168,9 @@ def _read_config(path, parser):
         if key not in acts or val not in (acts[key].choices or [val]):
             raise UsageError(f"config {key}={val!r}: no such option or "
                              f"choice of {parser.prog}")
+        if acts[key].nargs == 0 and not isinstance(val, bool):
+            raise UsageError(f"config {key}={val!r}: a switch takes true "
+                             "or false")
     return {k: v if acts[k].nargs == 0 else str(v)  # a switch stays a bool
             for k, v in vals.items() if v is not None}
 

@@ -339,6 +339,21 @@ def _project_area(mesh: DiscreteHypersurface) -> DiscreteHypersurface:
     return mesh.with_vertices(c + lam * (mesh.vertices - c))
 
 
+def _area_gradient(mesh):
+    """The (V, n) gradient of mesh.area in the vertex positions: -t at a
+    segment's tail and +t at its head, t its unit tangent, and
+    n x (v_{k+2} - v_{k+1}) / 2 at triangle corner k, n its unit normal."""
+    if mesh.dim_d == 1:
+        corners = mesh.element_tangents[:, None] * [[-1.0], [1.0]]
+    else:
+        P = mesh.vertices[mesh.elements]
+        corners = np.cross(mesh.element_normals[:, None],
+                           P[:, [2, 0, 1]] - P[:, [1, 2, 0]]) / 2
+    g = np.zeros_like(mesh.vertices)
+    np.add.at(g, mesh.elements, corners)
+    return g
+
+
 def _best_fit_sphere(points):
     """Algebraic least-squares sphere fit: center and radius."""
     X = np.asarray(points, float)
@@ -394,7 +409,9 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
     the latest full pass, the initial energy's or the accepted trial's,
     and a run makes one unbounded pass over all the samples.  Every trial
     mesh comes from with_vertices, so a run builds each exclusion table
-    once.
+    once.  The run stops once no vertex's gradient reaches grad_tol after
+    the gradient's component along the area gradient, which the projection
+    undoes, is taken out; grad_norm reports the whole gradient.
     """
     _check_int("max_iter", max_iter, 1)
     _positive("step0", step0)
@@ -423,7 +440,9 @@ def minimize(mesh, params: EnergyParameters, max_iter=100, step0=1e-2,
         gnorm = float(np.linalg.norm(grad, axis=1).max())
         if it == 1:
             record(0, energy, gnorm)
-        if gnorm < grad_tol:
+        dA = _area_gradient(mesh)
+        free = grad - np.vdot(grad, dA) / np.vdot(dA, dA) * dA
+        if np.linalg.norm(free, axis=1).max() < grad_tol:
             break
         accepted = False
         while step >= _MIN_STEP:

@@ -3,6 +3,7 @@
 The plain edge graph overestimates geodesics badly (paths must follow
 edges).  One round of midpoint refinement plus the median chords of every
 triangle brings the overestimate on a sphere down to well under a percent.
+A curve's graph is its segments, along which its geodesics run.
 
 The search is exact to the bit.  With positive arc weights the float
 distances are the unique fixpoint d(s) = 0, d(v) = min_u fl(d(u) + w(u, v)):
@@ -12,10 +13,8 @@ smallest label that differed between two fixpoints would have to come from
 a smaller one that differs too.  Any label-correcting search that stops at
 the fixpoint therefore returns the bits of Dijkstra's algorithm (Numer.
 Math. 1959), whatever order it settles nodes in and however the nodes are
-numbered.  On a triangle mesh this one is bucketed Delta-stepping (Meyer
-& Sanders, J. Algorithms 2003) in numpy, run in lockstep over a block of
-sources.  A curve's graph is one cycle (or path), whose fixpoint is the
-smaller of the two running sums of segment lengths from the source.
+numbered.  This one is bucketed Delta-stepping (Meyer & Sanders,
+J. Algorithms 2003) in numpy, run in lockstep over a block of sources.
 """
 
 from __future__ import annotations
@@ -64,15 +63,20 @@ def _triangle_graph(mesh):
 
 def _arc_tables(mesh):
     """(vertex_nodes, groups, n, width) of the search over both arcs of
-    every edge of _triangle_graph.  The n nodes are renumbered by tail
-    degree, so that each degree is one contiguous range: 8 at a midpoint
-    of a closed surface, twice the valence at a vertex.  groups holds, per
-    range [lo, hi), (lo, hi, heads, weights) with one row of arcs per node.
-    A range of few rows is padded to the next range's degree with arcs of
+    every edge of _triangle_graph, or of a curve's segments.  The n nodes
+    are renumbered by tail degree, so that each degree is one contiguous
+    range: 8 at a midpoint of a closed surface, twice the valence at a
+    vertex, 2 on a closed curve.  groups holds, per range [lo, hi),
+    (lo, hi, heads, weights) with one row of arcs per node.  A range of
+    few rows is padded to the next range's degree with arcs of
     infinite weight, which never lower a label, and joins it: a pass costs
     more than the padding.  vertex_nodes are the new numbers of the
     vertices, and width, twice the median arc, the bucket width."""
-    rows, cols, w, n = _triangle_graph(mesh)
+    if mesh.dim_d == 1:
+        (rows, cols), n = mesh.edges.T, mesh.n_vertices
+        w = np.linalg.norm(mesh.vertices[rows] - mesh.vertices[cols], axis=1)
+    else:
+        rows, cols, w, n = _triangle_graph(mesh)
     half = len(w) // 2  # np.median would import numpy.ma
     width = 2.0 * np.partition(w, half)[half]
     tails, heads = np.concatenate([rows, cols]), np.concatenate([cols, rows])
@@ -159,53 +163,6 @@ def _vertex_rows(tables, sources):
             t, c = _where(t, c, (c <= top) & (c == D.take(t)))
 
 
-def _curve_walk(mesh):
-    """(order, lengths, V) of a curve: its vertices in the order its
-    segments join them, from a boundary vertex if it has one, the length
-    of the segment from each to the next, +inf past the end of an open
-    curve, and the vertex count, which order falls short of if the curve
-    has more than one component."""
-    E = mesh.elements
-    after = np.full(mesh.n_vertices, -1)
-    after[E[:, 0]] = E[:, 1]
-    first = np.ones(mesh.n_vertices, bool)
-    first[E[:, 1]] = False
-    after, order = after.tolist(), [int(first.argmax())]
-    while len(order) < len(after) and after[order[-1]] not in (-1, order[0]):
-        order.append(after[order[-1]])
-    order = np.array(order)
-    V = mesh.vertices
-    lengths = np.linalg.norm(V[order] - V[np.roll(order, -1)], axis=1)
-    if first.any():
-        lengths[-1] = np.inf
-    return order, lengths, len(after)
-
-
-def _curve_rows(walk, sources):
-    """The (len(sources), V) graph distances from the vertices `sources` of
-    a curve: per row the smaller of the running sums of segment lengths
-    from the source, one each way round, which is the fixpoint of the
-    module docstring.  The rows are infinite if the curve has more than
-    one component."""
-    order, lengths, nv = walk
-    if len(order) < nv:
-        return np.full((len(sources), nv), np.inf)
-    at = np.empty(nv, np.intp)
-    at[order] = np.arange(nv)
-    p = at[sources]
-
-    def runs(steps, start):
-        """Running sums of nv - 1 steps from each start, round the cycle."""
-        window = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([steps, steps]), nv - 1)
-        return np.cumsum(window[start % nv], axis=1)
-
-    # from each source: the distance to the vertex r + 1 places ahead
-    ahead = np.minimum(runs(lengths, p), runs(lengths[::-1], -p)[:, ::-1])
-    ahead = np.concatenate([np.zeros((len(p), 1)), ahead], axis=1)
-    return np.take_along_axis(ahead, at - p[:, None], axis=1)  # wraps
-
-
 def _search(mesh, sources, reduce, width, workers):
     """The (len(sources), width) array of reduce(block, rows) over blocks of
     at most _SOURCE_BLOCK sources: block slices `sources`, and rows are its
@@ -217,13 +174,10 @@ def _search(mesh, sources, reduce, width, workers):
     of nearly equal size, and a block's labels are freed before its rows
     are reduced.
     """
-    curve = mesh.dim_d == 1
-    tables = _curve_walk(mesh) if curve else _arc_tables(mesh)
-    search = _curve_rows if curve else _vertex_rows
-    nodes = mesh.n_vertices + (0 if curve else len(mesh.edges))
+    tables = _arc_tables(mesh)
 
     def rows(block):
-        d = search(tables, sources[block])
+        d = _vertex_rows(tables, sources[block])
         if np.isinf(d).any():
             raise DisconnectedMesh("the mesh edge graph is disconnected")
         return d
@@ -238,7 +192,7 @@ def _search(mesh, sources, reduce, width, workers):
             out[a:b] = reduce(block, rows(block))
         return out
 
-    return _fork_map(share, np.full(len(sources), nodes), width, workers)
+    return _fork_map(share, np.full(len(sources), tables[2]), width, workers)
 
 
 def intrinsic_distances(mesh: DiscreteHypersurface,

@@ -72,6 +72,30 @@ class TestParseConfig:
         assert err["error"]["kind"] == "UsageError"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("argv, content", [
+        (["flow"], {"smoothing": "false"}),
+        (["flow"], {"smoothing": 0}),
+        (["flow"], {"smoothing": None}),
+        (["probe", "--mode", "patch"], {"all_vertices": "no"}),
+        (["eval"], {"tangent_point": "yes", "q": 6}),
+    ])
+    def test_config_switch_takes_only_a_bool(self, tmp_path, capsys, argv,
+                                             content):
+        # "false" and "no" are truthy: taken as given, they would turn
+        # the switch on
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(content))
+        argv = [*argv, "--primitive", "sphere_icosub", "--sub", "1",
+                "--config", str(cfgfile), "--out", str(tmp_path)]
+        switch = next(iter(content))
+        with pytest.raises(UsageError,
+                           match=f"config {switch}=.*a switch takes true"):
+            parse_config(argv)
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "UsageError"
+        assert not (tmp_path / "report.json").exists()
+
     def test_schema_version_embedded(self):
         d = parse_config(["eval", "--primitive", "circle"]).to_dict()
         assert d["schema_version"] == 1
@@ -440,6 +464,19 @@ class TestCommands:
         doc = read_report(tmp_path)
         assert len(doc["snapshots"]) >= 1
         assert os.path.exists(os.path.join(tmp_path, doc["snapshots"][0]))
+
+    @pytest.mark.parametrize("mesh", [
+        ["--primitive", "circle"], ["--primitive", "circle", "--n", "8"],
+        ["--primitive", "sphere_icosub", "--sub", "0"]])
+    def test_flow_stops_at_a_constrained_critical_point(self, tmp_path,
+                                                         mesh):
+        # the gradient of a regular polygon or polyhedron is all along the
+        # area gradient, which the projection undoes: no step can descend
+        rc = main(["flow", *mesh, "--p", "5", "--out", str(tmp_path)])
+        assert rc == 0
+        assert read_report(tmp_path)["iterations"] == 1
+        with open(os.path.join(tmp_path, "trajectory.csv")) as fh:
+            assert len(list(csv.reader(fh))) == 2  # header and iteration 0
 
     @pytest.mark.parametrize("argv, code, kind", [
         (["--max-iter", "0"], 1, "InvalidParams"),

@@ -7,6 +7,7 @@ from nlcurv.errors import (DegenerateGeometry, InvalidParams, StallError,
                            UnsupportedMode)
 from nlcurv.flow import (
     _FD_STEP,
+    _area_gradient,
     _best_fit_sphere,
     _project_area,
     energy_gradient,
@@ -180,6 +181,20 @@ class TestProjection:
         assert abs(twice.area - 1.0) < 1e-14
         assert np.allclose(once.vertices, twice.vertices, atol=1e-14)
 
+
+    @pytest.mark.parametrize("name", ["bumpy", "polygon2", "polygon3"])
+    def test_area_gradient_matches_central_differences(self, request, name):
+        mesh = request.getfixturevalue("bumpy") if name == "bumpy" \
+            else make_bumpy_polygon(int(name[-1]), n=16)
+        h = 1e-5
+        fd = np.empty_like(mesh.vertices)
+        for i, c in np.ndindex(fd.shape):
+            moved = [mesh.vertices.copy() for _ in range(2)]
+            moved[0][i, c] += h
+            moved[1][i, c] -= h
+            fd[i, c] = (mesh.with_vertices(moved[0]).area
+                        - mesh.with_vertices(moved[1]).area) / (2 * h)
+        assert np.allclose(_area_gradient(mesh), fd, rtol=0, atol=1e-9)
 
 class TestSphereFit:
     def test_exact_sphere(self):

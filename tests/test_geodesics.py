@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import make_flat_strip, make_trefoil, traced_peak
+from conftest import (make_bumpy_polygon, make_flat_strip, make_trefoil,
+                      traced_peak)
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -44,6 +45,9 @@ _MESHES = {
                                        n_theta=12),
     "sliver": _sliver,
     "strip": make_flat_strip,  # an open curve: its graph is one path
+    # unequal segments: labels straddle bucket edges on degree-2 arcs
+    "bumpy2": lambda: make_bumpy_polygon(2),
+    "bumpy3": lambda: make_bumpy_polygon(3),
 }
 
 
@@ -105,7 +109,7 @@ def test_sources_outside_vertices_rejected(request, name):
 
 @pytest.mark.parametrize("name", ["sphere2", "torus", "circle128", "trefoil",
                                   "perturbed3", "dumbbell", "sliver",
-                                  "strip"])
+                                  "strip", "bumpy2", "bumpy3"])
 def test_directed_search_matches_undirected(request, name):
     mesh = _MESHES[name]() if name in _MESHES \
         else request.getfixturevalue(name)
@@ -121,9 +125,8 @@ def test_directed_search_matches_undirected(request, name):
 
 @pytest.mark.parametrize("name", ["perturbed2", "circle128"])
 def test_relabelled_vertices_give_relabelled_distances(request, name):
-    # the search renumbers the refined graph's nodes by degree, or walks a
-    # curve in segment order, and settles them in any order: neither may
-    # move a bit
+    # the search renumbers the graph's nodes by degree and settles them in
+    # any order: neither may move a bit
     mesh = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
                           subdivisions=2) if name == "perturbed2" \
         else request.getfixturevalue(name)

@@ -1,6 +1,10 @@
 """Property-based invariants (hypothesis): relabelling the vertices or the
 elements, a rigid motion and a mirror leave the energies where they are,
-and a mirror, which flips the orientation, negates H_s."""
+a mirror, which flips the orientation, negates H_s, a dilation by lambda
+scales the energies by lambda^(d - sp), and the worker count moves no
+bit."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -11,10 +15,12 @@ from hypothesis import strategies as st
 from nlcurv import (
     bending_energy,
     build_scheme,
+    functionals,
     pointwise_curvature,
     willmore_energy,
 )
-from nlcurv.surface import EnergyParameters, build_surface, make_primitive
+from nlcurv.surface import (EnergyParameters, build_surface, make_primitive,
+                            rescale)
 
 PARAMS = EnergyParameters(s=0.5, p=5.0)
 BUMPY = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
@@ -26,11 +32,12 @@ FEW = settings(max_examples=5, derandomize=True, database=None,
                deadline=None)
 
 
-def energies(mesh, order="gauss3", policy="skip_vertex_star"):
+def energies(mesh, order="gauss3", policy="skip_vertex_star",
+             params=PARAMS):
     """(B, W) of the mesh."""
     scheme = build_scheme(mesh, order, policy)
-    return np.array([bending_energy(mesh, scheme, PARAMS).energy,
-                     willmore_energy(mesh, scheme, PARAMS).energy])
+    return np.array([bending_energy(mesh, scheme, params).energy,
+                     willmore_energy(mesh, scheme, params).energy])
 
 
 def rotation(angles):
@@ -92,3 +99,37 @@ def test_mirror_negates_h_and_keeps_the_energies(mesh, data):
                                          PARAMS, kind=kind)
                      for m in (mesh, mirrored))
         assert np.abs(got - sign * want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mesh", [BUMPY, make_bumpy_polygon()],
+                         ids=["sub1", "polygon"])
+@FEW
+@given(lam=st.floats(0.01, 100), s=st.floats(0.05, 0.95),
+       p=st.floats(0.5, 8))
+def test_dilation_scales_the_energies_by_the_scaling_law(mesh, lam, s, p):
+    params = EnergyParameters(s=s, p=p)
+    want = energies(mesh, params=params) * lam ** (mesh.dim_d - s * p)
+    got = energies(rescale(mesh, lam), params=params)
+    assert np.all(np.abs(got / want - 1) <= 1e-12)
+
+
+# S = 960 gauss3 samples: the energies' S^2 pairs fork at two workers
+SUB2 = make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                      subdivisions=2)
+
+
+@functools.cache
+def sub2_values(workers):
+    """B, W and H_s at every vertex of SUB2."""
+    scheme = build_scheme(SUB2)
+    return [bending_energy(SUB2, scheme, PARAMS, workers=workers).energy,
+            willmore_energy(SUB2, scheme, PARAMS, workers=workers).energy,
+            *pointwise_curvature(SUB2, scheme, PARAMS, kind="H",
+                                 workers=workers)]
+
+
+@FEW
+@given(workers=st.integers(2, 16))
+def test_worker_count_moves_no_bit(workers):
+    assert (3 * SUB2.n_elements) ** 2 > 2 * functionals._FORK_PAIRS
+    assert np.array_equal(sub2_values(workers), sub2_values(1))
