@@ -217,20 +217,22 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
     """Generate, per vertex in order, its PatchChart without the Hölder
     quotient, or the NonGraphical error extract_patch raises for it.
 
-    A vertex's candidate triangles are those whose corners meet the box
-    around it in its first frame.  They come from _ball_pairs scans of the
-    element centroids over at most _PAIR_BUDGET (vertex, element) pairs
-    each: a triangle whose local bbox meets the box has its centroid within
-    the box half-diagonal plus sqrt(3) times the largest centroid-to-corner
-    distance rho.  Vertices run in blocks of consecutive scans with at most
-    _PAIR_BUDGET candidate pairs in all, unless one scan alone has more,
-    and each step of a block runs on whole arrays: every refit round is one
-    hit test, one raycast and one batched update of the vertices still
-    refitting, and the final raycasts, prefix sums and radii run in slices
-    of at most _PAIR_BUDGET (vertex, grid node) pairs.  Only the rotations
-    into a patch's frame (_in_frames) and the gradient fits are one BLAS
-    product per vertex, over the rows that vertex alone gives them, so that
-    their bits do not depend on the other vertices.
+    A vertex's candidate triangles are those whose centroid lies in a ball
+    around it, from _ball_pairs scans of the element centroids over at most
+    _PAIR_BUDGET (vertex, element) pairs each.  The ball holds every
+    triangle with a point in the |z| <= zmax slab above the grid of any
+    frame whose base lies within margin of the vertex, whatever the frame's
+    tilt, so margin only has to cover the refits' shift of the base.  The
+    hit test and the raycast's slab decide each pair exactly, so a further
+    candidate changes no bit.  Vertices run in blocks of consecutive scans
+    with at most _PAIR_BUDGET candidate pairs in all, unless one scan alone
+    has more, and each step of a block runs on whole arrays: every refit
+    round is one hit test, one raycast and one batched update of the
+    vertices still refitting, and the final raycasts, prefix sums and radii
+    run in slices of at most _PAIR_BUDGET (vertex, grid node) pairs.  Only
+    the rotations into a patch's frame (_in_frames) and the gradient fits
+    are one BLAS product per vertex, over the rows that vertex alone gives
+    them, so that their bits do not depend on the other vertices.
     """
     if mesh.dim_d != 2:
         raise InvalidParams("patch extraction expects a surface in 3-space")
@@ -253,38 +255,24 @@ def _patch_charts(mesh, vertices, grad_bound=0.5, grid_step=0.02, rmax=0.6,
     pinv = np.linalg.pinv(np.stack([np.ones_like(dx), dx, dy, dx * dx,
                                     dx * dy, dy * dy], 1))
 
-    # candidate elements for all raycasts, with slack for the refit tilt
+    # candidate elements for all raycasts: a point in the slab above the
+    # grid lies within sqrt(2 rmax^2 + zmax^2) of the frame's base, the
+    # base within margin of the vertex, and the point's triangle's centroid
+    # within rho (the largest centroid-to-corner distance) of the point
     margin = 0.25 * max(rmax, zmax)
-    box = np.array([rmax + margin, rmax + margin, zmax + margin])
     cen = mesh.element_centroids
-    rt = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max(axis=1))
-    rho = rt.max()
-    reach = (np.linalg.norm(box) + 3 ** 0.5 * rho) * (1 + 1e-9)
+    rho = np.sqrt(((X[elements] - cen[:, None]) ** 2).sum(-1).max())
+    reach = (np.sqrt(2 * rmax * rmax + zmax * zmax) + margin + rho) \
+        * (1 + 1e-9)
     R0 = _rotation_to_z(mesh.vertex_normals[vertices])
-
-    def candidates(sl):
-        # the (vertex, triangle) pairs of vertices[sl] whose corners meet the
-        # box in the vertex's first frame; each local corner coordinate lies
-        # within rt of the centroid's, which settles a pair unless it is
-        # near the box faces
-        q, e = _ball_pairs(X[vertices[sl]], cen, reach)
-        C = _in_frames(cen[e], q, X[vertices[sl]], R0[sl])
-        r = (rt[e] + 1e-9 * diam)[:, None]
-        keep = _cols(np.logical_and, np.abs(C) + r <= box)
-        check = np.flatnonzero(~keep & _cols(np.logical_and, (C - r <= box)
-                                             & (C + r >= -box)))
-        TV0 = _corners(X, elements[e[check]], q[check], X[vertices[sl]],
-                       R0[sl])
-        keep[check] = _cols(np.logical_and, (_cols(np.minimum, TV0) <= box)
-                            & (_cols(np.maximum, TV0) >= -box))
-        return sl, q[keep] + sl.start, e[keep]
 
     def blocks():
         # consecutive scans with at most _PAIR_BUDGET candidate pairs in all,
         # unless one scan alone has more
         held = []
         for sl in _budget_slices(np.full(len(vertices), len(cen))):
-            scan = candidates(sl)
+            q, e = _ball_pairs(X[vertices[sl]], cen, reach)
+            scan = sl, q + sl.start, e
             if held and sum(len(h[2]) for h in held) + len(scan[2]) \
                     > _PAIR_BUDGET:
                 yield held

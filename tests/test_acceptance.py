@@ -16,7 +16,8 @@ import pytest
 from scipy.special import sph_harm_y
 
 from conftest import flat_icosahedron_refined, naive_energy, record_criterion
-from nlcurv.flow import _project_area, energy_gradient, minimize
+from nlcurv.flow import (_project_area, energy_gradient,
+                         hausdorff_to_best_sphere, minimize)
 from nlcurv.functionals import (
     bending_energy,
     pointwise_curvature,
@@ -32,7 +33,8 @@ from nlcurv.probes import (
 )
 from nlcurv.quadrature import build_scheme
 from nlcurv.seminorms import ScalarField, lq_norm, sobolev_seminorm
-from nlcurv.surface import EnergyParameters, make_primitive, rescale
+from nlcurv.surface import (EnergyParameters, convexity_check,
+                            make_primitive, rescale)
 
 S_HALF = EnergyParameters(s=0.5, p=4.0)
 
@@ -333,4 +335,40 @@ def test_criterion_13_brute_force(sphere1, circle128):
     ok = worst < 1e-12 and det
     record_criterion(13, ok, f"naive-loop worst relerr={worst:.3g} "
                      f"(tol 1e-12), workers {{1,4,8}} bitwise equal={det}")
+    assert ok
+
+
+def test_criterion_14_chain_along_a_descent():
+    # s p - d = 1/2, so Q = r_min W^(1/(sp - d)) = r_min W^2 is
+    # scale-invariant; the paper bounds it below on convex surfaces
+    params = EnergyParameters(s=0.5, p=5.0)
+    meshes, energies = [], []
+    minimize(make_primitive("perturbed_sphere", amplitude=0.05, seed=3,
+                            subdivisions=1),
+             params, max_iter=10, step0=1e-3, grad_tol=1e-9, smoothing=True,
+             callback=lambda row, m: (meshes.append(m),
+                                      energies.append(row[1])))
+    qs = []
+    for m in meshes:
+        if convexity_check(m)["is_convex"]:
+            r = patch_radii(m, grid_step=0.01, rmax=0.3, zmax=0.3)
+            w = willmore_energy(m, build_scheme(m), params).energy
+            qs.append(float(r.min() * w ** 2))
+
+    def chain(m):
+        rr = np.array([0.05, 0.1, 0.2]) * m.diameter
+        ahl = min(v for x in range(m.n_vertices)
+                  for _, v in ahlfors_ratio(m, x, rr))
+        rep = stability_probe(m)
+        return ahl, rep.u_seminorm / rep.R0, hausdorff_to_best_sphere(m)
+
+    (a0, u0, h0), (a1, u1, h1) = chain(meshes[0]), chain(meshes[-1])
+    mono = bool(np.all(np.diff(energies) < 0))
+    ok = bool(qs) and min(qs) >= 1e7 and a1 > a0 and u1 < u0 and h1 < h0 \
+        and mono
+    record_criterion(14, ok, f"{len(qs)} of {len(meshes)} iterates convex, "
+                     f"Q=r_min W^2 in [{min(qs, default=np.nan):.3g}, "
+                     f"{max(qs, default=np.nan):.3g}] (tol >= 1e7), "
+                     f"ahlfors {a0:.3f}->{a1:.3f}, [u]/R0 {u0:.3f}->{u1:.3f},"
+                     f" hausdorff {h0:.4f}->{h1:.4f}, monotone={mono}")
     assert ok

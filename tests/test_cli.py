@@ -188,6 +188,10 @@ class TestOptionsApply:
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == \
             "UsageError"
 
+    def test_sobolev_field_needs_its_axis(self, tmp_path, capsys):
+        _assert_usage_error(["sobolev", "--primitive", "circle", "--field",
+                             "z"], tmp_path, capsys)
+
     def test_q_needs_tangent_point(self, tmp_path, capsys):
         _assert_usage_error(["eval", "--primitive", "sphere_icosub", "--sub",
                              "1", "--q", "6"], tmp_path, capsys)

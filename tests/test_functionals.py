@@ -86,6 +86,11 @@ class TestPointwise:
         with pytest.raises(UnsupportedMode):
             pointwise_curvature(m, sc, PARAMS, kind="H")
 
+    def test_unknown_kind_rejected(self, sphere1):
+        with pytest.raises(InvalidParams, match="kind"):
+            pointwise_curvature(sphere1, build_scheme(sphere1), PARAMS,
+                                kind="B")
+
     def test_projection_matches_hypersurface_for_plane_curve(self):
         plane = make_primitive("circle", n=256)
         space = make_primitive("circle", n=256, ambient=3)

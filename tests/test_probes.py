@@ -147,6 +147,39 @@ class TestPatch:
         assert np.array_equal(q.gradients, p.gradients)
         assert q.grad_holder == p.grad_holder
 
+    @pytest.mark.parametrize("kind, kw, vs", [
+        # one meridian of the dumbbell, through vertex 1823: a turn by one
+        # azimuth step maps the mesh onto itself
+        ("dumbbell", {}, slice(23, None, 24)),
+        ("torus", {"n_major": 8, "n_minor": 4}, slice(None)),
+        ("ellipsoid", {"semi_axes": (1, 1, 5), "subdivisions": 1},
+         slice(None)),
+        ("perturbed_sphere", {"amplitude": 0.2, "seed": 3, "subdivisions": 1},
+         slice(None))])
+    def test_candidates_hold_every_triangle_of_a_tilted_frame(
+            self, monkeypatch, kind, kw, vs):
+        # the refits tilt these frames by up to |R - R0|_F = 0.69, 0.19,
+        # 0.19 and 0.13; where the tilt exceeds 0.1, charts from the ball's
+        # candidates equal, bit for bit, charts from every triangle, and the
+        # base stays within the ball's margin of the vertex
+        mesh = make_primitive(kind, **kw)
+        R0 = surface._rotation_to_z(mesh.vertex_normals)
+        vs = np.arange(mesh.n_vertices)[vs]
+        charts = dict(zip(vs.tolist(), probes._patch_charts(mesh, vs)))
+        tilted = [v for v, c in charts.items()
+                  if not isinstance(c, NonGraphical)
+                  and np.linalg.norm(c.rotation - R0[v]) > 0.1]
+        assert tilted
+        for v in tilted:
+            # margin is 0.25 max(rmax, zmax) = 0.15 at the default options
+            assert np.linalg.norm(charts[v].base_point - mesh.vertices[v]) \
+                <= 0.15
+        monkeypatch.setattr(probes, "_ball_pairs", lambda P, C, reach:
+                            np.divmod(np.arange(len(P) * len(C)), len(C)))
+        every = probes._patch_charts(mesh, tilted)
+        assert [_chart_bits(c) for c in every] \
+            == [_chart_bits(charts[v]) for v in tilted]
+
     @pytest.mark.parametrize("kind", ["random", "sliver", "on_nodes",
                                       "fan"])
     def test_raycast_matches_dense_oracle(self, kind):

@@ -205,6 +205,16 @@ class TestMorrey:
         with pytest.raises(InvalidParams):
             morrey_check(patch, 0.4, 4.0)
 
+    def test_inner_disc_needs_two_nodes(self):
+        # twelve nodes on the rim and one at the centre: enough for a patch,
+        # but the inner disc of 0.75 times the radius holds one
+        patch = FakePatch(lambda x, y: 0.0, lambda x, y: (0.0, 0.0))
+        t = 2 * np.pi * np.arange(12) / 12
+        patch.grid = np.r_[[[0.0, 0.0]], np.c_[np.cos(t), np.sin(t)]]
+        patch.heights, patch.gradients = np.zeros(13), np.zeros((13, 2))
+        with pytest.raises(DegeneratePatch, match="inner disc"):
+            morrey_check(patch, 0.6, 5.0)
+
 
 def _quadratic_patch():
     return FakePatch(lambda x, y: x * x + 0.5 * y * y,

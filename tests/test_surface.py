@@ -120,6 +120,8 @@ class TestPrimitives:
         ("perturbed_sphere", {"amplitude": 0.1, "seed": True}),
         ("circle", {"ambient": 5}),
         ("circle", {"ambient": 0}),
+        ("ellipsoid", {"semi_axes": (1.0, 2.0)}),
+        ("circle", {"bogus": 1}),
     ])
     def test_invalid_params(self, kind, kw):
         # a typed error, never a bare numpy error or a warning first
@@ -161,6 +163,11 @@ class TestValidation:
         m = make_primitive("sphere_icosub", subdivisions=0)
         with pytest.raises(errors.NonManifoldError):
             build_surface(m.vertices, m.elements[:-1])
+        # an open mesh may have boundary edges, not an edge on three faces
+        fin = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        with pytest.raises(errors.NonManifoldError, match="more than two"):
+            build_surface(np.r_[np.eye(3), [[0, 0, 1], [1, 1, 1]]], fin,
+                          allow_boundary=True)
 
     @pytest.mark.parametrize("kind, kw", [
         ("sphere_icosub", {"subdivisions": 1}), ("circle", {"n": 16})])
@@ -216,6 +223,11 @@ class TestValidation:
         F[0] = F[0][::-1]
         with pytest.raises(errors.OrientationError):
             build_surface(m.vertices, F)
+        c = make_primitive("circle", n=16)
+        E = c.elements.copy()
+        E[0] = E[0][::-1]
+        with pytest.raises(errors.OrientationError, match="segment winding"):
+            build_surface(c.vertices, E)
 
     def test_global_flip_repair(self):
         m = make_primitive("sphere_icosub", subdivisions=1)
@@ -357,6 +369,16 @@ class TestIO:
         with pytest.raises(errors.ParseError):
             load_mesh(p)
 
+    @pytest.mark.parametrize("name,text", [
+        ("missing.off", None),
+        ("no_faces.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"),
+    ], ids=["missing", "no_faces"])
+    def test_file_without_a_mesh(self, tmp_path, name, text):
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        with pytest.raises(errors.ParseError):
+            load_mesh(tmp_path / name)
+
     def test_fuzzed_files_raise_only_nlcurv_errors(self, tmp_path):
         # one to three tokens of an icosahedron OFF or OBJ replaced,
         # deleted or inserted; load_mesh may raise nothing but an
@@ -453,6 +475,10 @@ class TestGeometry:
         ref = both()
         monkeypatch.setattr(surface, "_PAIR_BUDGET", 100)
         assert both() == ref
+
+    def test_tangents_need_a_curve(self, sphere1):
+        with pytest.raises(errors.UnsupportedMode):
+            sphere1.element_tangents
 
     def test_convexity_codim2_unsupported(self):
         with pytest.raises(errors.UnsupportedMode):
